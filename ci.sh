@@ -146,6 +146,25 @@ diff target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl || {
 }
 rm -f target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl
 
+echo "== golden sweep bit-identity (whatif sweep --out vs checked-in JSONL)"
+# The CLI sweep over the golden grid, without and with overlapped
+# transfers, must reproduce the checked-in file byte for byte (the same
+# file pins the library path in crates/bench/tests/golden_replay.rs).
+golden_grid="gpus=1,2,4,8;calib=identity,h100,a100-nvlink;schedule=auto,mps,timeslice,fifo,priority"
+overlap_workload="target/ci_whatif_workload_overlap.jsonl"
+cargo run --release -p repro-bench --bin whatif -- \
+  --scenario scenarios/whatif_record.json --overlap --record "$overlap_workload" >/dev/null
+for w in "$workload" "$overlap_workload"; do
+  cargo run --release -p repro-bench --bin whatif -- sweep \
+    --record "$w" --grid "$golden_grid" --out "$w.sweep" >/dev/null
+done
+cat "$workload.sweep" "$overlap_workload.sweep" \
+  | diff - crates/bench/tests/golden/sweep_whatif_record.jsonl || {
+  echo "golden sweep output diverged from crates/bench/tests/golden/sweep_whatif_record.jsonl" >&2
+  exit 1
+}
+rm -f "$workload.sweep" "$overlap_workload.sweep" "$overlap_workload"
+
 echo "== simd serve smoke (example job stream, admission accept/reject)"
 # The worked example under scenarios/ must run end to end: every job
 # admitted and completed. A mangled scenario (procs that do not divide

@@ -43,6 +43,14 @@ pub enum EngineError {
         /// label)` for every rank stuck at the barrier.
         waiting: Vec<(usize, String)>,
     },
+    /// A node's event loop hit its step limit (sized from the trace)
+    /// without draining: the replay is not converging.
+    NoConvergence {
+        /// Node whose shard stopped.
+        node: usize,
+        /// Events processed when it stopped.
+        steps: usize,
+    },
 }
 
 /// Render the blocked-rank roster of a deadlock: `rank 1 at
@@ -105,6 +113,10 @@ impl std::fmt::Display for EngineError {
                 }
                 Ok(())
             }
+            EngineError::NoConvergence { node, steps } => write!(
+                f,
+                "node {node} replay failed to converge: step limit reached after {steps} events"
+            ),
         }
     }
 }
@@ -153,6 +165,11 @@ mod tests {
         assert!(e.to_string().contains("2 rank(s)"));
         assert!(e.to_string().contains("rank 1 at 'mpi_allreduce'"));
         assert!(e.to_string().contains("rank 3 at 'mpi_allreduce'"));
+        let e = EngineError::NoConvergence { node: 1, steps: 40 };
+        assert_eq!(
+            e.to_string(),
+            "node 1 replay failed to converge: step limit reached after 40 events"
+        );
     }
 
     #[test]

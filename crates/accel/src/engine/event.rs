@@ -4,31 +4,19 @@
 //! active flow drains at a constant rate, so its completion time is
 //! predictable the moment its rate is known. Those predictions live here.
 //!
-//! Two mechanisms keep the queue cheap on the hot path:
+//! A rank has at most two flows (its main segment chain and its transfer
+//! stream), and each flow has at most one live prediction. The queue is
+//! therefore an **indexed binary min-heap with one slot per (rank,
+//! flow)**: a position index maps every slot to its heap entry, so a rate
+//! change re-keys the flow's prediction in place ([`EventQueue::schedule`]
+//! on a scheduled slot) or removes it ([`EventQueue::cancel`]) in
+//! `O(log n)`, and the heap never holds a superseded entry. `n` is bounded
+//! by twice the node's rank count.
 //!
-//! * **Bucketed calendar storage.** Instead of a binary heap's `O(log n)`
-//!   sift per operation, predictions are hashed by time into a cyclic
-//!   array of buckets (a calendar queue, Brown 1988). A push appends to
-//!   its bucket in `O(1)`; a pop scans the current bucket for the
-//!   earliest `(time, seq)` entry and advances the cursor through empty
-//!   buckets. The bucket count and width are re-tuned from the live
-//!   entries whenever the queue grows or shrinks past its operating
-//!   range, keeping the expected cost per operation `O(1)`.
-//! * **Lazy invalidation with bounded staleness.** A rate change makes a
-//!   flow's old prediction stale; removing it from the middle of the
-//!   structure eagerly would be `O(n)`, so every flow carries a
-//!   generation counter and stale entries are skipped on pop. Unlike the
-//!   classic lazy heap, the queue *bounds* stale growth: the engine
-//!   reports each superseded prediction via [`EventQueue::note_stale`],
-//!   and once more than half the stored entries are stale (and the queue
-//!   is big enough to matter) the next pop compacts — drops every stale
-//!   entry in one `O(n)` sweep — so a rate-churn-heavy replay cannot grow
-//!   the queue unboundedly.
-//!
-//! Pop order is the total order `(time, seq)` — `seq` is the push
-//! sequence number, so simultaneous predictions pop in push order and the
-//! replay is deterministic regardless of bucket layout, compaction or
-//! resize history.
+//! Pop order is the total order `(time, seq)`, where `seq` is a fresh
+//! sequence number taken by every [`EventQueue::schedule`] call (a re-key
+//! included): simultaneous predictions pop in the order they were made,
+//! so the replay is deterministic.
 
 /// Which of a rank's concurrent flows an event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,426 +39,267 @@ impl FlowId {
     }
 }
 
-/// A predicted completion of one flow.
-#[derive(Debug, Clone, Copy)]
-pub struct Completion {
-    /// Rank index (node-local in sharded replays).
-    pub rank: usize,
-    /// Which of the rank's flows completes.
-    pub flow: FlowId,
-    /// Generation of the flow when the prediction was made; compared
-    /// against the flow's current generation on pop.
-    pub gen: u64,
+/// Heap index of a slot with no prediction queued.
+const UNSCHEDULED: u32 = u32::MAX;
+
+fn slot(rank: usize, flow: FlowId) -> usize {
+    2 * rank + flow as usize
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     time: f64,
-    /// Push sequence number: makes the ordering total and deterministic
-    /// when times tie (earlier predictions pop first).
+    /// Schedule sequence number: makes the ordering total and
+    /// deterministic when times tie (earlier predictions pop first).
     seq: u64,
-    completion: Completion,
+    slot: u32,
 }
 
-/// Minimum entries before staleness triggers compaction: tiny queues are
-/// cheap to scan and compacting them would be pure overhead.
-const COMPACT_MIN_LEN: usize = 64;
-
-/// Bucketed calendar queue of predicted completions on the virtual clock.
-#[derive(Debug)]
-pub struct EventQueue {
-    /// Cyclic bucket array; `buckets.len()` is a power of two.
-    buckets: Vec<Vec<Entry>>,
-    /// `buckets.len() - 1`, for masking absolute bucket numbers.
-    mask: usize,
-    /// Virtual-time width of one bucket.
-    width: f64,
-    /// Absolute (unwrapped) bucket number the pop cursor is parked on:
-    /// every stored entry has `floor(time / width) >= cursor_abs`.
-    cursor_abs: u64,
-    /// Total stored entries, including stale ones.
-    len: usize,
-    /// Entries known stale via [`EventQueue::note_stale`].
-    stale: usize,
-    /// Pops since the last width retune, for the clustering heuristic in
-    /// [`EventQueue::pop_min`].
-    pops_since_retune: usize,
-    seq: u64,
-    /// Reused staging area for rebuilds/compactions, so re-tuning on the
-    /// hot path does not allocate.
-    scratch: Vec<Entry>,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
+impl Entry {
+    fn before(&self, other: &Entry) -> bool {
+        self.time < other.time || (self.time == other.time && self.seq < other.seq)
     }
+}
+
+/// Indexed min-heap of predicted completions, at most one per (rank,
+/// flow).
+#[derive(Debug, Default)]
+pub struct EventQueue {
+    heap: Vec<Entry>,
+    /// Heap index of each slot's entry, or [`UNSCHEDULED`].
+    pos: Vec<u32>,
+    seq: u64,
 }
 
 impl EventQueue {
     /// An empty queue.
     pub fn new() -> Self {
-        Self {
-            buckets: vec![Vec::new(); 16],
-            mask: 15,
-            width: 1.0,
-            cursor_abs: 0,
-            len: 0,
-            stale: 0,
-            pops_since_retune: 0,
-            seq: 0,
-            scratch: Vec::new(),
-        }
+        Self::default()
     }
 
-    /// Drain every bucket into the scratch buffer (keeping each bucket's
-    /// capacity for reuse) and return the staged entries.
-    fn stage_entries(&mut self) {
-        self.scratch.clear();
-        for bucket in &mut self.buckets {
-            self.scratch.append(bucket);
-        }
-    }
-
-    fn abs_bucket(&self, time: f64) -> u64 {
-        // Entries never predate the cursor (predictions are at `now + d`,
-        // d >= 0); clamp defensively so an ulp below the cursor's window
-        // cannot strand an entry in an already-passed bucket.
-        ((time / self.width) as u64).max(self.cursor_abs)
-    }
-
-    /// Schedule `completion` at virtual `time` (must be finite).
-    pub fn push(&mut self, time: f64, completion: Completion) {
+    /// Predict that `rank`'s `flow` completes at virtual `time` (must be
+    /// finite), replacing the flow's previous prediction if it has one.
+    pub fn schedule(&mut self, rank: usize, flow: FlowId, time: f64) {
         debug_assert!(time.is_finite(), "event at non-finite time {time}");
         self.seq += 1;
+        let slot = slot(rank, flow);
+        if slot >= self.pos.len() {
+            self.pos.resize(slot + 1, UNSCHEDULED);
+        }
         let entry = Entry {
             time,
             seq: self.seq,
-            completion,
+            slot: slot as u32,
         };
-        let slot = (self.abs_bucket(time) & self.mask as u64) as usize;
-        self.buckets[slot].push(entry);
-        self.len += 1;
-        if self.len > 4 * self.buckets.len() {
-            self.rebuild(self.buckets.len() * 2);
-        }
-    }
-
-    /// The engine superseded a live prediction (bumped a flow's
-    /// generation while its previous prediction was still queued): one
-    /// more stored entry is now stale.
-    pub fn note_stale(&mut self) {
-        self.stale += 1;
-    }
-
-    /// Pop the earliest prediction whose generation still matches,
-    /// discarding stale entries along the way. `current_gen` maps a
-    /// `(rank, flow)` to its live generation. Compacts first when more
-    /// than half the stored entries are known stale.
-    pub fn pop_valid(
-        &mut self,
-        mut current_gen: impl FnMut(usize, FlowId) -> u64,
-    ) -> Option<(f64, Completion)> {
-        if self.len >= COMPACT_MIN_LEN && self.stale * 2 > self.len {
-            self.compact(&mut current_gen);
-        }
-        loop {
-            let entry = self.pop_min()?;
-            if current_gen(entry.completion.rank, entry.completion.flow) == entry.completion.gen {
-                return Some((entry.time, entry.completion));
+        match self.pos[slot] {
+            UNSCHEDULED => {
+                self.heap.push(entry);
+                self.sift_up(self.heap.len() - 1, entry);
             }
-            self.stale = self.stale.saturating_sub(1);
+            i => {
+                let i = i as usize;
+                if entry.before(&self.heap[i]) {
+                    self.sift_up(i, entry);
+                } else {
+                    self.sift_down(i, entry);
+                }
+            }
         }
     }
 
-    /// Remove and return the globally earliest entry by `(time, seq)`.
-    fn pop_min(&mut self) -> Option<Entry> {
-        if self.len == 0 {
+    /// Drop `rank`'s `flow` prediction, if it has one.
+    pub fn cancel(&mut self, rank: usize, flow: FlowId) {
+        if let Some(&i) = self.pos.get(slot(rank, flow)) {
+            if i != UNSCHEDULED {
+                self.remove_at(i as usize);
+            }
+        }
+    }
+
+    /// Whether `rank`'s `flow` has a prediction queued.
+    pub fn is_scheduled(&self, rank: usize, flow: FlowId) -> bool {
+        self.pos
+            .get(slot(rank, flow))
+            .is_some_and(|&i| i != UNSCHEDULED)
+    }
+
+    /// Remove and return the earliest prediction by `(time, seq)`:
+    /// `(time, rank, flow)`.
+    pub fn pop(&mut self) -> Option<(f64, usize, FlowId)> {
+        if self.heap.is_empty() {
             return None;
         }
-        loop {
-            let slot = (self.cursor_abs & self.mask as u64) as usize;
-            // Clustering guard: when one bucket holds most of the queue
-            // (e.g. the initial width is far wider than the event
-            // spread), every pop degenerates to a full scan. Re-tune the
-            // width to the live spread, amortized to O(1) per pop by
-            // requiring `len` pops between retunes.
-            if self.len >= 8
-                && self.buckets[slot].len() * 2 > self.len
-                && self.pops_since_retune >= self.len
-            {
-                self.pops_since_retune = 0;
-                self.rebuild(self.buckets.len());
-                continue;
-            }
-            self.pops_since_retune += 1;
-            let window_end = (self.cursor_abs as f64 + 1.0) * self.width;
-            // The earliest entry overall, if in this window, is in this
-            // slot: same-year entries of later slots and later-year
-            // entries of this slot are all >= window_end.
-            let mut best: Option<(usize, f64, u64)> = None;
-            for (i, e) in self.buckets[slot].iter().enumerate() {
-                if e.time < window_end && best.is_none_or(|(_, t, s)| (e.time, e.seq) < (t, s)) {
-                    best = Some((i, e.time, e.seq));
-                }
-            }
-            if let Some((i, _, _)) = best {
-                let entry = self.buckets[slot].swap_remove(i);
-                self.len -= 1;
-                if self.len < self.buckets.len() / 8 && self.buckets.len() > 16 {
-                    self.rebuild(self.buckets.len() / 2);
-                }
-                return Some(entry);
-            }
-            self.cursor_abs += 1;
-            if self.cursor_abs & self.mask as u64 == 0 {
-                // Wrapped a whole year without a hit: jump straight to
-                // the earliest remaining entry instead of spinning
-                // through empty buckets (entries can sit years ahead).
-                let min_t = self
-                    .buckets
-                    .iter()
-                    .flatten()
-                    .map(|e| e.time)
-                    .fold(f64::INFINITY, f64::min);
-                self.cursor_abs = (min_t / self.width) as u64;
-            }
-        }
+        let e = self.remove_at(0);
+        let flow = if e.slot.is_multiple_of(2) {
+            FlowId::Main
+        } else {
+            FlowId::Stream
+        };
+        Some((e.time, e.slot as usize / 2, flow))
     }
 
-    /// Drop every stale entry and re-tune the bucket array to the live
-    /// population.
-    pub fn compact(&mut self, mut current_gen: impl FnMut(usize, FlowId) -> u64) {
-        self.stage_entries();
-        self.scratch
-            .retain(|e| current_gen(e.completion.rank, e.completion.flow) == e.completion.gen);
-        self.len = self.scratch.len();
-        self.stale = 0;
-        self.redistribute();
-    }
-
-    /// Re-hash every entry into `n` buckets with a width matched to the
-    /// current entry spread.
-    fn rebuild(&mut self, n: usize) {
-        self.stage_entries();
-        debug_assert_eq!(self.scratch.len(), self.len);
-        let n = n.max(16);
-        if n != self.buckets.len() {
-            self.buckets.resize(n, Vec::new());
-        }
-        self.mask = self.buckets.len() - 1;
-        self.redistribute();
-    }
-
-    /// Re-tune width/cursor to the staged entries and hash them back into
-    /// the bucket array. Empties the scratch buffer.
-    fn redistribute(&mut self) {
-        let entries = std::mem::take(&mut self.scratch);
-        self.retune(&entries);
-        for &e in &entries {
-            let slot = (self.abs_bucket(e.time) & self.mask as u64) as usize;
-            self.buckets[slot].push(e);
-        }
-        self.scratch = entries;
-        self.scratch.clear();
-    }
-
-    /// Pick a bucket width so the live entries spread over about one
-    /// "year" of buckets, then re-park the cursor on the earliest one.
-    fn retune(&mut self, entries: &[Entry]) {
-        debug_assert_eq!(self.buckets.len(), self.mask + 1);
-        let mut min_t = f64::INFINITY;
-        let mut max_t = f64::NEG_INFINITY;
-        for e in entries {
-            min_t = min_t.min(e.time);
-            max_t = max_t.max(e.time);
-        }
-        let cursor_time = (self.cursor_abs as f64) * self.width;
-        if entries.is_empty() {
-            self.width = 1.0;
-            self.cursor_abs = 0;
-            return;
-        }
-        let span = (max_t - min_t).max(f64::MIN_POSITIVE);
-        // Two floors on the width: an absolute one so a degenerate span
-        // cannot zero it, and a relative one so `time / width` stays far
-        // inside u64 range even when tightly-clustered entries sit at a
-        // large absolute time (width >= max_t * 1e-15 bounds bucket
-        // numbers near 1e15).
-        self.width = (span / self.buckets.len() as f64)
-            .max(max_t.abs() * 1e-15)
-            .max(1e-12);
-        // Keep the cursor's *time* position: entries at or after the old
-        // cursor time must remain poppable.
-        self.cursor_abs = (cursor_time.min(min_t) / self.width) as u64;
-    }
-
-    /// Number of entries, including stale ones awaiting lazy removal.
+    /// Number of queued predictions.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
-    /// Whether the queue holds no entries at all.
+    /// Whether no prediction is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
+    }
+
+    fn remove_at(&mut self, i: usize) -> Entry {
+        let removed = self.heap[i];
+        self.pos[removed.slot as usize] = UNSCHEDULED;
+        let last = self.heap.pop().expect("removing from a non-empty heap");
+        if i < self.heap.len() {
+            if last.before(&removed) {
+                self.sift_up(i, last);
+            } else {
+                self.sift_down(i, last);
+            }
+        }
+        removed
+    }
+
+    fn place(&mut self, i: usize, entry: Entry) {
+        self.heap[i] = entry;
+        self.pos[entry.slot as usize] = i as u32;
+    }
+
+    /// Settle `entry` into the hole at `i`, moving it towards the root.
+    fn sift_up(&mut self, mut i: usize, entry: Entry) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !entry.before(&self.heap[parent]) {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, entry);
+    }
+
+    /// Settle `entry` into the hole at `i`, moving it towards the leaves.
+    fn sift_down(&mut self, mut i: usize, entry: Entry) {
+        let n = self.heap.len();
+        loop {
+            let left = 2 * i + 1;
+            if left >= n {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < n && self.heap[right].before(&self.heap[left]) {
+                right
+            } else {
+                left
+            };
+            if !self.heap[child].before(&entry) {
+                break;
+            }
+            self.place(i, self.heap[child]);
+            i = child;
+        }
+        self.place(i, entry);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn c(rank: usize, gen: u64) -> Completion {
-        Completion {
-            rank,
-            flow: FlowId::Main,
-            gen,
+    /// The reference model: live predictions `(time, seq, rank, flow)`,
+    /// at most one per slot, popped by the smallest `(time, seq)`.
+    #[derive(Default)]
+    struct Model {
+        live: Vec<(f64, u64, usize, FlowId)>,
+        seq: u64,
+    }
+
+    impl Model {
+        fn find(&self, rank: usize, flow: FlowId) -> Option<usize> {
+            self.live
+                .iter()
+                .position(|&(_, _, r, f)| r == rank && f == flow)
         }
-    }
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut h = EventQueue::new();
-        h.push(3.0, c(0, 0));
-        h.push(1.0, c(1, 0));
-        h.push(2.0, c(2, 0));
-        let order: Vec<usize> = std::iter::from_fn(|| h.pop_valid(|_, _| 0))
-            .map(|(_, e)| e.rank)
-            .collect();
-        assert_eq!(order, vec![1, 2, 0]);
-    }
+        fn schedule(&mut self, rank: usize, flow: FlowId, time: f64) {
+            self.cancel(rank, flow);
+            self.seq += 1;
+            self.live.push((time, self.seq, rank, flow));
+        }
 
-    #[test]
-    fn ties_break_by_push_order() {
-        let mut h = EventQueue::new();
-        h.push(1.0, c(7, 0));
-        h.push(1.0, c(9, 0));
-        assert_eq!(h.pop_valid(|_, _| 0).unwrap().1.rank, 7);
-        assert_eq!(h.pop_valid(|_, _| 0).unwrap().1.rank, 9);
-    }
+        fn cancel(&mut self, rank: usize, flow: FlowId) {
+            if let Some(i) = self.find(rank, flow) {
+                self.live.remove(i);
+            }
+        }
 
-    #[test]
-    fn stale_generations_are_skipped() {
-        let mut h = EventQueue::new();
-        h.push(1.0, c(0, 0)); // stale: rank 0 is at generation 2
-        h.push(5.0, c(0, 2));
-        h.push(3.0, c(1, 1));
-        let gens = |rank: usize, _: FlowId| match rank {
-            0 => 2,
-            _ => 1,
-        };
-        assert_eq!(h.pop_valid(gens).unwrap().0, 3.0);
-        assert_eq!(h.pop_valid(gens).unwrap().0, 5.0);
-        assert!(h.pop_valid(gens).is_none());
-        assert!(h.is_empty());
-    }
-
-    #[test]
-    fn survives_growth_shrink_and_wide_time_spread() {
-        // Times spread over 12 orders of magnitude force year wraps,
-        // rebuilds in both directions, and cursor re-parking.
-        let mut h = EventQueue::new();
-        let mut times: Vec<f64> = (0..500)
-            .map(|i| {
-                let i = i as f64;
-                (i * 9973.0) % 17.0 * 10f64.powf((i as u64 % 12) as f64) + i * 1e-9
+        fn pop(&mut self) -> Option<(f64, usize, FlowId)> {
+            self.live
+                .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            (!self.live.is_empty()).then(|| {
+                let (t, _, r, f) = self.live.remove(0);
+                (t, r, f)
             })
-            .collect();
-        for (i, &t) in times.iter().enumerate() {
-            h.push(t, c(i, 0));
         }
-        assert_eq!(h.len(), 500);
-        times.sort_by(f64::total_cmp);
-        let popped: Vec<f64> = std::iter::from_fn(|| h.pop_valid(|_, _| 0))
-            .map(|(t, _)| t)
-            .collect();
-        assert_eq!(popped, times);
-        assert!(h.is_empty());
     }
 
-    #[test]
-    fn interleaved_push_pop_stays_ordered() {
-        let mut h = EventQueue::new();
-        let mut expect = Vec::new();
-        for round in 0..50u64 {
-            for k in 0..10u64 {
-                let t = round as f64 + (k as f64) * 0.01;
-                h.push(t, c((round * 10 + k) as usize, 0));
-                expect.push(t);
-            }
-            // Drain half before the next round lands.
-            for _ in 0..5 {
-                let (t, _) = h.pop_valid(|_, _| 0).unwrap();
-                let i = expect
-                    .iter()
-                    .position(|&e| e == t)
-                    .expect("popped an unknown time");
-                // Must be the minimum outstanding.
-                assert!(expect.iter().all(|&e| e >= t), "popped {t} early");
-                expect.remove(i);
-            }
-        }
-        while let Some((t, _)) = h.pop_valid(|_, _| 0) {
-            assert!(expect.iter().all(|&e| e >= t));
-            let i = expect.iter().position(|&e| e == t).unwrap();
-            expect.remove(i);
-        }
-        assert!(expect.is_empty());
+    /// One random operation: `(op, rank, flow, time step)`. Schedules
+    /// outweigh removals so the heap grows several levels deep. Times sit
+    /// on a coarse grid (multiples of 0.25 ahead of the clock), so exact
+    /// ties between slots are common.
+    fn arb_op() -> impl Strategy<Value = (u8, usize, bool, u32)> {
+        (0u8..8, 0usize..12, 0u8..2, 0u32..8).prop_map(|(op, r, f, dt)| (op, r, f == 1, dt))
     }
 
-    #[test]
-    fn compaction_bounds_stale_growth() {
-        // A rate-churn-heavy replay: rank 0's prediction far in the
-        // future is superseded thousands of times while rank 1's nearby
-        // events pop normally. Without compaction the queue would end up
-        // holding all 4096 superseded entries; the stale bound keeps the
-        // population within a small multiple of the compaction threshold
-        // at every step.
-        let mut h = EventQueue::new();
-        let churn = 4096u64;
-        let mut max_len = 0usize;
-        for g in 0..churn {
-            if g > 0 {
-                h.note_stale(); // the engine superseded the previous prediction
+    proptest! {
+        #[test]
+        fn heap_matches_the_sorted_reference_model(
+            ops in proptest::collection::vec(arb_op(), 1usize..300),
+        ) {
+            let mut heap = EventQueue::new();
+            let mut model = Model::default();
+            let mut now = 0.0f64;
+            for (op, rank, stream, dt) in ops {
+                let flow = if stream { FlowId::Stream } else { FlowId::Main };
+                let at = now + 0.25 * dt as f64;
+                match op {
+                    // Schedule fresh, or re-key to an earlier / later time.
+                    0..=2 => {
+                        heap.schedule(rank, flow, at);
+                        model.schedule(rank, flow, at);
+                    }
+                    3 | 4 => {
+                        let Some(i) = model.find(rank, flow) else { continue };
+                        let old = model.live[i].0;
+                        let step = 0.25 * dt as f64;
+                        let at = if op == 3 { now.max(old - step) } else { old + step };
+                        heap.schedule(rank, flow, at);
+                        model.schedule(rank, flow, at);
+                    }
+                    5 => {
+                        heap.cancel(rank, flow);
+                        model.cancel(rank, flow);
+                    }
+                    _ => {
+                        let got = heap.pop();
+                        prop_assert_eq!(got, model.pop());
+                        if let Some((t, _, _)) = got {
+                            prop_assert!(t >= now, "popped {t} before {now}");
+                            now = t;
+                        }
+                    }
+                }
+                prop_assert_eq!(heap.len(), model.live.len());
+                prop_assert_eq!(heap.is_scheduled(rank, flow), model.find(rank, flow).is_some());
             }
-            let rank0_gen = g;
-            h.push(1000.0 + g as f64 * 1e-6, c(0, g));
-            // A foreground event pops every few churns, as in a real
-            // replay; the pop is where the compaction check runs. Rank
-            // 1's events are earliest, so popping them never discards
-            // rank 0's live prediction.
-            if g % 16 == 15 {
-                h.push(g as f64 * 1e-3, c(1, 0));
-                let gens = |rank: usize, _: FlowId| if rank == 0 { rank0_gen } else { 0 };
-                let (_, e) = h.pop_valid(gens).expect("foreground event pops");
-                assert_eq!(e.rank, 1);
+            while let Some(want) = model.pop() {
+                prop_assert_eq!(heap.pop(), Some(want));
             }
-            max_len = max_len.max(h.len());
+            prop_assert!(heap.pop().is_none());
+            prop_assert!(heap.is_empty());
         }
-        // Live population is 1-2 entries; the queue may run up to the
-        // compaction threshold plus the pushes between foreground pops,
-        // but never anywhere near the 4096 a lazy-only queue would hold.
-        assert!(max_len <= 2 * COMPACT_MIN_LEN, "queue grew to {max_len}");
-        assert!(h.len() <= 2 * COMPACT_MIN_LEN, "queue ended at {}", h.len());
-        let live_gen = churn - 1;
-        let (t, e) = h.pop_valid(|_, _| live_gen).expect("live entry survives");
-        assert_eq!(e.gen, live_gen);
-        assert!((t - (1000.0 + live_gen as f64 * 1e-6)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn explicit_compact_drops_only_stale_entries() {
-        let mut h = EventQueue::new();
-        for g in 0..100u64 {
-            h.push(g as f64, c(g as usize % 4, g));
-        }
-        // Ranks report generation 96 + rank as live: exactly 4 survive.
-        h.compact(|rank, _| 96 + rank as u64);
-        assert_eq!(h.len(), 4);
-        let mut times: Vec<f64> = std::iter::from_fn(|| h.pop_valid(|rank, _| 96 + rank as u64))
-            .map(|(t, _)| t)
-            .collect();
-        times.sort_by(f64::total_cmp);
-        assert_eq!(times, vec![96.0, 97.0, 98.0, 99.0]);
     }
 }

@@ -6,8 +6,8 @@
 //! transfer stream) drains at a constant rate; an event is whatever
 //! changes a rate:
 //!
-//! * a flow completing (predicted on the [`EventQueue`], lazily
-//!   invalidated when resource membership shifts),
+//! * a flow completing (predicted on the [`EventQueue`], one slot per
+//!   flow, re-keyed in place when resource membership shifts),
 //! * a barrier releasing (the last rank arriving at a collective),
 //! * a stream draining (waking a kernel that was waiting on its data).
 //!
@@ -39,6 +39,8 @@
 //!   or it completes. Rates change exactly when a *resource membership*
 //!   changes, so each event re-rates the handful of flows sharing the
 //!   affected pool/link/NIC instead of advancing every rank in the job.
+//!   A re-rated flow re-keys its one queued prediction (or cancels it
+//!   when the flow stops), so the queue holds only live predictions.
 //! * **Per-node shards.** GPUs, PCIe links and the NIC are node-local;
 //!   only collective barriers couple nodes. Each node is therefore an
 //!   independent sub-simulation ([`Shard`]) with its own clock and
@@ -54,12 +56,15 @@
 //!   collective segment); a participant that cannot arrive — its trace
 //!   ran out of collectives — leaves the barrier short forever and the
 //!   replay reports [`EngineError::Deadlock`] naming the waiting ranks.
+//!   A shard that runs past its step limit, sized from its trace, stops
+//!   with [`EngineError::NoConvergence`].
 //!
 //! # Determinism contract
 //!
 //! Results are a pure function of the traces and configuration,
 //! independent of shard scheduling: shards share no mutable state while
-//! stepping, events within a shard pop in `(time, push-seq)` order, load
+//! stepping, events within a shard pop in `(time, seq)` order (`seq` is
+//! taken by every schedule call, in engine order), load
 //! sums and policy inputs are assembled in ascending rank order, and all
 //! cross-shard reductions (arrival draining, release, output merge) walk
 //! shards in node order. The golden-path regression in `repro-bench`
@@ -74,7 +79,7 @@ use rayon::prelude::*;
 use crate::calib::{DeviceCalib, NetCalib};
 use crate::comm::allreduce_seconds;
 use crate::engine::error::EngineError;
-use crate::engine::event::{Completion, EventQueue, FlowId};
+use crate::engine::event::{EventQueue, FlowId};
 use crate::engine::policy::{GpuSchedContext, KernelReq, SchedulePolicy};
 use crate::engine::resources::{Nic, PcieLink, SmPool};
 use crate::node::{GpuSample, NodeConfig, NodeOom, NodeTimeline, TimelineEvent, TimelineKind};
@@ -528,18 +533,14 @@ enum Act {
     Done,
 }
 
-/// One flow's service state: its current rate, when its remaining demand
-/// was last settled, and its prediction bookkeeping.
+/// One flow's service state: its current rate and when its remaining
+/// demand was last settled. Its completion prediction, if any, is the
+/// flow's slot on the shard's [`EventQueue`].
 #[derive(Debug, Clone, Copy, Default)]
 struct Flow {
     rate: f64,
     /// Virtual time `remaining` was last brought up to date.
     settled: f64,
-    /// Prediction generation; queue entries with older generations are
-    /// stale.
-    gen: u64,
-    /// Whether a live (current-generation) prediction is on the queue.
-    scheduled: bool,
 }
 
 /// One rank's replay state, indices into the shard's arenas.
@@ -622,6 +623,8 @@ struct Group {
 
 /// One node's independent sub-simulation.
 struct Shard<'a> {
+    /// This node's index in the job.
+    node: usize,
     /// Global index of local rank 0 / local GPU 0.
     rank_base: usize,
     gpu_base: usize,
@@ -714,8 +717,8 @@ pub(crate) fn simulate_compiled(
         shards.push(Shard::new(
             node,
             segs,
+            n,
             rank_base,
-            n * gpus,
             cfg,
             record,
             compiled.lbl_stream_sync,
@@ -864,13 +867,14 @@ fn merge_output(shards: Vec<Shard<'_>>, labels: &LabelTable, record: bool) -> Si
 
 impl<'a> Shard<'a> {
     /// Instantiate one node's sub-simulation over its slice of a
-    /// materialized cost table (`rank_base` globalises rank indices).
+    /// materialized cost table (`index` is the node's place in the job,
+    /// `rank_base` globalises rank indices).
     #[allow(clippy::too_many_arguments)]
     fn new(
         node: &'a CNode,
         segs: &'a [CSeg],
+        index: usize,
         rank_base: usize,
-        gpu_base: usize,
         cfg: &'a NodeConfig,
         record: bool,
         lbl_stream_sync: LabelId,
@@ -914,8 +918,9 @@ impl<'a> Shard<'a> {
 
         let barriers = node.local_expected.len();
         Self {
+            node: index,
             rank_base,
-            gpu_base,
+            gpu_base: index * gpus,
             policy: cfg.schedule.resolve(cfg.mps),
             cfg,
             record,
@@ -973,21 +978,22 @@ impl<'a> Shard<'a> {
                     return;
                 }
             }
-            let ranks = &self.ranks;
-            let popped = self.queue.pop_valid(|r, flow| match flow {
-                FlowId::Main => ranks[r].main.gen,
-                FlowId::Stream => ranks[r].stream_flow.gen,
-            });
-            let Some((t, completion)) = popped else {
+            let Some((t, r, flow)) = self.queue.pop() else {
                 return;
             };
             self.steps += 1;
-            assert!(self.steps < self.step_limit, "replay failed to converge");
+            if self.steps >= self.step_limit {
+                self.error = Some(EngineError::NoConvergence {
+                    node: self.node,
+                    steps: self.steps,
+                });
+                return;
+            }
             debug_assert!(t >= self.now, "event queue went backwards");
             self.now = t;
-            match completion.flow {
-                FlowId::Main => self.complete_main(completion.rank, t),
-                FlowId::Stream => self.complete_stream_head(completion.rank, t),
+            match flow {
+                FlowId::Main => self.complete_main(r, t),
+                FlowId::Stream => self.complete_stream_head(r, t),
             }
             if self.error.is_some() {
                 return;
@@ -996,8 +1002,9 @@ impl<'a> Shard<'a> {
     }
 
     /// Settle a main flow's remaining demand up to `now`, then apply
-    /// `new_rate` and keep exactly one live prediction for it (none while
-    /// the flow is inactive or starved).
+    /// `new_rate` and keep its prediction current: re-keyed when the rate
+    /// changed, added when missing, cancelled while the flow is inactive
+    /// or starved.
     fn sync_main(&mut self, r: usize, new_rate: f64, now: f64) {
         let rank = &mut self.ranks[r];
         let dt = now - rank.main.settled;
@@ -1005,30 +1012,20 @@ impl<'a> Shard<'a> {
             rank.main_remaining -= rank.main.rate * dt;
         }
         rank.main.settled = now;
-        if new_rate != rank.main.rate {
-            if rank.main.scheduled {
-                rank.main.scheduled = false;
-                self.queue.note_stale();
+        let changed = new_rate != rank.main.rate;
+        rank.main.rate = new_rate;
+        if new_rate > 0.0 && rank.is_main_active() {
+            if changed || !self.queue.is_scheduled(r, FlowId::Main) {
+                let at = now + (rank.main_remaining / new_rate).max(0.0);
+                self.queue.schedule(r, FlowId::Main, at);
             }
-            let rank = &mut self.ranks[r];
-            rank.main.gen += 1;
-            rank.main.rate = new_rate;
-        }
-        let rank = &self.ranks[r];
-        if rank.main.rate > 0.0 && !rank.main.scheduled && rank.is_main_active() {
-            let at = now + (rank.main_remaining / rank.main.rate).max(0.0);
-            let completion = Completion {
-                rank: r,
-                flow: FlowId::Main,
-                gen: rank.main.gen,
-            };
-            self.queue.push(at, completion);
-            self.ranks[r].main.scheduled = true;
+        } else if changed {
+            self.queue.cancel(r, FlowId::Main);
         }
     }
 
     /// Settle the stream head up to `now`, then apply `new_rate` with the
-    /// same single-live-prediction discipline as [`Shard::sync_main`].
+    /// same prediction discipline as [`Shard::sync_main`].
     fn sync_stream(&mut self, r: usize, new_rate: f64, now: f64) {
         let rank = &mut self.ranks[r];
         let dt = now - rank.stream_flow.settled;
@@ -1038,27 +1035,16 @@ impl<'a> Shard<'a> {
             }
         }
         rank.stream_flow.settled = now;
-        if new_rate != rank.stream_flow.rate {
-            if rank.stream_flow.scheduled {
-                rank.stream_flow.scheduled = false;
-                self.queue.note_stale();
+        let changed = new_rate != rank.stream_flow.rate;
+        rank.stream_flow.rate = new_rate;
+        let head = rank.stream.front().map(|&(remaining, _)| remaining);
+        if let Some(remaining) = head.filter(|_| new_rate > 0.0) {
+            if changed || !self.queue.is_scheduled(r, FlowId::Stream) {
+                let at = now + (remaining / new_rate).max(0.0);
+                self.queue.schedule(r, FlowId::Stream, at);
             }
-            let rank = &mut self.ranks[r];
-            rank.stream_flow.gen += 1;
-            rank.stream_flow.rate = new_rate;
-        }
-        let rank = &self.ranks[r];
-        if rank.stream_flow.rate > 0.0 && !rank.stream_flow.scheduled {
-            if let Some(&(remaining, _)) = rank.stream.front() {
-                let at = now + (remaining / rank.stream_flow.rate).max(0.0);
-                let completion = Completion {
-                    rank: r,
-                    flow: FlowId::Stream,
-                    gen: rank.stream_flow.gen,
-                };
-                self.queue.push(at, completion);
-                self.ranks[r].stream_flow.scheduled = true;
-            }
+        } else if changed {
+            self.queue.cancel(r, FlowId::Stream);
         }
     }
 
@@ -1156,7 +1142,6 @@ impl<'a> Shard<'a> {
         // The queue entry is consumed either way.
         {
             let rank = &mut self.ranks[r];
-            rank.main.scheduled = false;
             let dt = t - rank.main.settled;
             if dt > 0.0 {
                 rank.main_remaining -= rank.main.rate * dt;
@@ -1167,13 +1152,7 @@ impl<'a> Shard<'a> {
                 // is below the clock's resolution at this magnitude.
                 let at = t + (rank.main_remaining / rank.main.rate).max(0.0);
                 if at > t {
-                    let completion = Completion {
-                        rank: r,
-                        flow: FlowId::Main,
-                        gen: rank.main.gen,
-                    };
-                    rank.main.scheduled = true;
-                    self.queue.push(at, completion);
+                    self.queue.schedule(r, FlowId::Main, at);
                     return;
                 }
             }
@@ -1232,7 +1211,6 @@ impl<'a> Shard<'a> {
     fn complete_stream_head(&mut self, r: usize, t: f64) {
         {
             let rank = &mut self.ranks[r];
-            rank.stream_flow.scheduled = false;
             let dt = t - rank.stream_flow.settled;
             if let Some(head) = rank.stream.front_mut() {
                 if dt > 0.0 {
@@ -1242,13 +1220,7 @@ impl<'a> Shard<'a> {
                 if head.0 > EPS {
                     let at = t + (head.0 / rank.stream_flow.rate).max(0.0);
                     if at > t {
-                        let completion = Completion {
-                            rank: r,
-                            flow: FlowId::Stream,
-                            gen: rank.stream_flow.gen,
-                        };
-                        rank.stream_flow.scheduled = true;
-                        self.queue.push(at, completion);
+                        self.queue.schedule(r, FlowId::Stream, at);
                         return;
                     }
                 }
@@ -1278,13 +1250,7 @@ impl<'a> Shard<'a> {
             // consumed prediction just needs a successor.
             let rank = &self.ranks[r];
             let at = t + (rank.stream.front().unwrap().0 / rank.stream_flow.rate).max(0.0);
-            let completion = Completion {
-                rank: r,
-                flow: FlowId::Stream,
-                gen: rank.stream_flow.gen,
-            };
-            self.queue.push(at, completion);
-            self.ranks[r].stream_flow.scheduled = true;
+            self.queue.schedule(r, FlowId::Stream, at);
             return;
         }
         self.link_leave(g, r, FlowId::Stream, t);
@@ -1518,4 +1484,38 @@ fn member_key(m: (u32, FlowId)) -> (u32, u8) {
             FlowId::Stream => 1,
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::profile::KernelProfile;
+
+    #[test]
+    fn step_limit_is_a_typed_error_naming_the_node() {
+        let rank = || RankTrace {
+            segments: vec![
+                Segment::Host {
+                    seconds: 1e-3,
+                    label: "h".into(),
+                },
+                Segment::Kernel {
+                    profile: KernelProfile::uniform("k", 1e6, 10.0, 8.0),
+                    dispatch: 1e-5,
+                },
+            ],
+            ..RankTrace::default()
+        };
+        let node = vec![rank(), rank()];
+        let cfg = NodeConfig::default();
+        let mut compiled = CompiledWorkload::compile(&[&node, &node]).unwrap();
+        let costs = compiled
+            .cost_table(&cfg.calib.gpu, &Reprice::Identity)
+            .unwrap();
+        assert!(simulate_compiled(&compiled, &costs, &cfg, false).is_ok());
+
+        compiled.nodes[1].step_limit = 3;
+        let err = simulate_compiled(&compiled, &costs, &cfg, false).unwrap_err();
+        assert_eq!(err, EngineError::NoConvergence { node: 1, steps: 3 });
+    }
 }

@@ -4,11 +4,19 @@
 //! pre-engine `simulate_node` at commit 77615ce and are intentionally
 //! inlined rather than snapshotted: a change that moves them is a change
 //! to the simulator's physics and must be made deliberately.
+//!
+//! The what-if sweep over the `scenarios/whatif_record.json` recording is
+//! pinned byte for byte to `golden/sweep_whatif_record.jsonl`, captured
+//! from the engine before its event queue was replaced. The sweep-vs-
+//! replay oracles run both sides through the same engine, so only an
+//! external file catches a change in tie order that moves both together.
 
+use accel_sim::sweep::{sweep, SweepSpec};
+use accel_sim::whatif::RecordedWorkload;
 use accel_sim::{
     simulate_node, KernelProfile, NodeConfig, RankTrace, SchedulePolicyKind, Segment, TransferDir,
 };
-use repro_bench::{run_config, RunConfig};
+use repro_bench::{record_run, run_config, RunConfig};
 use scenario::{ProblemSize, Scenario};
 use toast_core::dispatch::ImplKind;
 use toast_satsim::Problem;
@@ -221,6 +229,55 @@ fn cluster_makespans_match_locked_values() {
     }
 }
 
+/// The golden sweep grid: every calibration the sweep CLI names for the
+/// paper's question × GPU counts × all five schedules (`ci.sh` runs the
+/// same grid through `whatif sweep --out`).
+const GOLDEN_GRID: &str =
+    "gpus=1,2,4,8;calib=identity,h100,a100-nvlink;schedule=auto,mps,timeslice,fifo,priority";
+
+#[test]
+fn whatif_record_sweep_matches_the_golden_file_byte_for_byte() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/whatif_record.json"
+    );
+    let text = std::fs::read_to_string(path).expect("golden scenario readable");
+    let s = Scenario::parse(&text).expect("golden scenario parses");
+    let cfg = RunConfig::from_scenario(&s).expect("valid scenario");
+    let (_out, recorded) = record_run(&cfg, "golden", Some(&s)).expect("recordable");
+    // Through the JSONL codec, as the CLI reads it.
+    let mut workload = RecordedWorkload::parse_jsonl(&recorded.to_jsonl()).expect("parses");
+
+    // Overlap off (as recorded), then on: transfers are recorded the same
+    // either way, so flipping the replay flag equals recording with
+    // `--overlap`, whose live makespan the identity replay must hit.
+    let mut jsonl = String::new();
+    for (overlap, live_bits) in [
+        (false, GOLDEN_WHATIF_LIVE.to_bits()),
+        (true, GOLDEN_WHATIF_LIVE_OVERLAP.to_bits()),
+    ] {
+        workload.meta.overlap_transfers = overlap;
+        let identity = workload.replay_identity().expect("identity replay fits");
+        assert_eq!(
+            identity.cluster.wall_seconds.to_bits(),
+            live_bits,
+            "overlap {overlap}: identity replay {:?}",
+            identity.cluster.wall_seconds
+        );
+        let spec = SweepSpec::parse_grid(GOLDEN_GRID, &workload.meta).expect("grid parses");
+        jsonl.push_str(&sweep(&workload, &spec).expect("sweep compiles").to_jsonl());
+    }
+    assert_eq!(
+        recorded.meta.live_wall_seconds.to_bits(),
+        GOLDEN_WHATIF_LIVE.to_bits()
+    );
+    let golden = include_str!("golden/sweep_whatif_record.jsonl");
+    for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "golden sweep line {} differs", i + 1);
+    }
+    assert_eq!(jsonl, golden, "golden sweep length differs");
+}
+
 // Pre-refactor makespans, recorded from the analytic replay (see module
 // docs). Full f64 precision.
 const GOLDEN_SYN_1: f64 = 0.024483712977491967;
@@ -237,6 +294,10 @@ const GOLDEN_PIPE_OMP8_NOMPS: f64 = 0.00725656151065077;
 const GOLDEN_CLUSTER_AUTO: f64 = 0.005050661876582861;
 const GOLDEN_CLUSTER_FIFO: f64 = 0.004817435966790251;
 const GOLDEN_CLUSTER_PRIORITY: f64 = 0.0048042810883336595;
+// Live makespans of `scenarios/whatif_record.json`, without and with
+// overlapped transfers (`whatif --record`, `whatif --overlap --record`).
+const GOLDEN_WHATIF_LIVE: f64 = 0.07600343108459645;
+const GOLDEN_WHATIF_LIVE_OVERLAP: f64 = 0.07534618773739639;
 
 /// Temporary capture helper: prints the current values so they can be
 /// inlined above. Run with `cargo test -p repro-bench --test golden_replay
