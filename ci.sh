@@ -22,6 +22,38 @@ else
   echo "cargo-deny not installed; skipping (install with: cargo install cargo-deny)"
 fi
 
+echo "== panic-site ratchet (panic_sites.txt)"
+# Non-test panic!/unreachable!/assert*!/.expect( sites per crate under
+# crates/*/src (comment lines and #[cfg(test)] blocks excluded). A crate
+# may only lower its count; lower the baseline in the same change.
+count_panic_sites() {
+  for dir in crates/*/src; do
+    crate=$(basename "$(dirname "$dir")")
+    n=$(find "$dir" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+      FNR == 1 { skip = 0 }
+      !skip && /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0 }
+      skip {
+        o = gsub(/\{/, "{"); c = gsub(/\}/, "}"); depth += o - c
+        if (o > 0) opened = 1
+        if (opened && depth <= 0) skip = 0
+        next
+      }
+      /^[[:space:]]*\/\// { next }
+      { n += gsub(/(panic|unreachable|(debug_)?assert(_eq|_ne)?)!\(|\.expect\(/, "&") }
+      END { print n + 0 }')
+    echo "$crate $n"
+  done
+}
+count_panic_sites | while read -r crate n; do
+  base=$(awk -v c="$crate" '$1 == c { print $2 }' panic_sites.txt)
+  if [ "$n" -gt "${base:-0}" ]; then
+    echo "panic sites in crates/$crate rose: $n > baseline ${base:-0}" >&2
+    exit 1
+  elif [ "$n" -lt "${base:-0}" ]; then
+    echo "crates/$crate: $n panic sites, below baseline $base; lower panic_sites.txt"
+  fi
+done
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

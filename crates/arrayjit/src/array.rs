@@ -6,6 +6,13 @@
 //! (`x.at[idx].set(v)` in JAX, [`crate::trace::Tracer::scatter_add`] here).
 //! Buffer *donation* lets the JIT reuse an input allocation for an output,
 //! which is how the paper's port recycles output-parameter memory.
+//!
+//! Because no array is ever written after it is built, storage is a shared
+//! immutable buffer: cloning an array, reshaping it, passing it as a
+//! program argument or returning a parameter as an output bumps a
+//! reference count instead of copying elements.
+
+use std::sync::Arc;
 
 use crate::shape::Shape;
 
@@ -30,12 +37,12 @@ impl DType {
     }
 }
 
-/// Type-erased dense storage.
+/// Type-erased dense storage, shared between the arrays that hold it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Data {
-    F64(Vec<f64>),
-    I64(Vec<i64>),
-    Bool(Vec<bool>),
+    F64(Arc<[f64]>),
+    I64(Arc<[i64]>),
+    Bool(Arc<[bool]>),
 }
 
 impl Data {
@@ -83,43 +90,43 @@ impl Array {
         Self { shape, data }
     }
 
-    /// 1-D f64 array.
-    pub fn from_f64(values: Vec<f64>) -> Self {
-        let n = values.len();
-        Self::new(vec![n], Data::F64(values))
+    /// 1-D f64 array (from a `Vec` or a slice, copied once).
+    pub fn from_f64(values: impl Into<Arc<[f64]>>) -> Self {
+        let values = values.into();
+        Self::new(vec![values.len()], Data::F64(values))
     }
 
-    /// 1-D i64 array.
-    pub fn from_i64(values: Vec<i64>) -> Self {
-        let n = values.len();
-        Self::new(vec![n], Data::I64(values))
+    /// 1-D i64 array (from a `Vec` or a slice, copied once).
+    pub fn from_i64(values: impl Into<Arc<[i64]>>) -> Self {
+        let values = values.into();
+        Self::new(vec![values.len()], Data::I64(values))
     }
 
     /// f64 array with an explicit shape.
     pub fn from_f64_shaped(shape: impl Into<Shape>, values: Vec<f64>) -> Self {
-        Self::new(shape, Data::F64(values))
+        Self::new(shape, Data::F64(values.into()))
     }
 
     /// i64 array with an explicit shape.
     pub fn from_i64_shaped(shape: impl Into<Shape>, values: Vec<i64>) -> Self {
-        Self::new(shape, Data::I64(values))
+        Self::new(shape, Data::I64(values.into()))
     }
 
     /// f64 scalar.
     pub fn scalar_f64(v: f64) -> Self {
-        Self::new(Shape::scalar(), Data::F64(vec![v]))
+        Self::new(Shape::scalar(), Data::F64(Arc::new([v])))
     }
 
     /// i64 scalar.
     pub fn scalar_i64(v: i64) -> Self {
-        Self::new(Shape::scalar(), Data::I64(vec![v]))
+        Self::new(Shape::scalar(), Data::I64(Arc::new([v])))
     }
 
     /// All-zero f64 array.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         let n = shape.elements();
-        Self::new(shape, Data::F64(vec![0.0; n]))
+        Self::new(shape, Data::F64(std::iter::repeat_n(0.0, n).collect()))
     }
 
     /// The shape.
@@ -171,23 +178,8 @@ impl Array {
         }
     }
 
-    /// Consume into f64 storage; panics if not F64.
-    pub fn into_f64(self) -> Vec<f64> {
-        match self.data {
-            Data::F64(v) => v,
-            other => panic!("expected F64 array, found {:?}", other.dtype()),
-        }
-    }
-
-    /// Consume into i64 storage; panics if not I64.
-    pub fn into_i64(self) -> Vec<i64> {
-        match self.data {
-            Data::I64(v) => v,
-            other => panic!("expected I64 array, found {:?}", other.dtype()),
-        }
-    }
-
-    /// Reinterpret with a new shape of equal element count.
+    /// Reinterpret with a new shape of equal element count (the storage is
+    /// shared, not copied).
     pub fn reshaped(mut self, shape: impl Into<Shape>) -> Self {
         let shape = shape.into();
         assert_eq!(shape.elements(), self.elements(), "reshape size mismatch");
@@ -215,7 +207,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not match")]
     fn shape_data_mismatch_panics() {
-        Array::new(vec![2, 2], Data::F64(vec![1.0]));
+        Array::new(vec![2, 2], Data::F64(Arc::new([1.0])));
     }
 
     #[test]

@@ -22,7 +22,10 @@ use std::collections::{HashMap, HashSet};
 
 use accel_sim::KernelProfile;
 
+use crate::array::DType;
 use crate::ir::{BinaryOp, Graph, Node, NodeId, Op};
+use crate::plan::{lower, Plan};
+use crate::shape::Shape;
 
 /// How a stage executes on the device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,6 +61,11 @@ pub struct Program {
     /// Largest (input + output) working set of any stage, in bytes — used
     /// for device-memory accounting of intermediates.
     pub peak_stage_bytes: u64,
+    /// How the evaluator runs the graph (see [`crate::plan`]).
+    pub(crate) plan: Plan,
+    /// Per node, in graph order: `(flops, bytes)` the unfused CPU backend
+    /// charges for it (its output plus every operand read).
+    pub(crate) node_costs: Vec<(f64, f64)>,
 }
 
 impl Program {
@@ -81,11 +89,25 @@ pub fn compile(name: &str, graph: &Graph) -> Program {
         .map(|s| s.profile.total_bytes() as u64)
         .max()
         .unwrap_or(0);
+    let node_costs = graph
+        .nodes
+        .iter()
+        .map(|node| {
+            let flops = node.op.flops_per_element() * node.shape.elements() as f64;
+            let mut bytes = node_bytes(node);
+            for o in node.op.operands() {
+                bytes += node_bytes(graph.node(o));
+            }
+            (flops, bytes)
+        })
+        .collect();
     Program {
         name: name.to_string(),
+        plan: lower(name, &graph),
         graph,
         stages,
         peak_stage_bytes,
+        node_costs,
     }
 }
 
@@ -102,11 +124,11 @@ fn cse(graph: &Graph) -> Graph {
         params: graph.params.clone(),
     };
     let mut remap: Vec<NodeId> = Vec::with_capacity(graph.nodes.len());
-    let mut seen: HashMap<String, NodeId> = HashMap::new();
+    let mut seen: HashMap<CseKey, NodeId> = HashMap::new();
 
     for node in &graph.nodes {
         let op = remap_op(&node.op, &remap);
-        let key = format!("{:?}|{:?}|{:?}", op, node.shape, node.dtype);
+        let key = cse_key(&op, &node.shape, node.dtype);
         if let Some(&existing) = seen.get(&key) {
             remap.push(existing);
             continue;
@@ -121,6 +143,34 @@ fn cse(graph: &Graph) -> Graph {
     }
     out.outputs = graph.outputs.iter().map(|&o| remap[o]).collect();
     out
+}
+
+/// A node's CSE identity: op kind, operands and attributes (f64 constants
+/// by bits), shape and dtype.
+type CseKey = (std::mem::Discriminant<Op>, Vec<u64>, Shape, DType);
+
+fn cse_key(op: &Op, shape: &Shape, dtype: DType) -> CseKey {
+    let mut fields: Vec<u64> = op.operands().iter().map(|&o| o as u64).collect();
+    match op {
+        Op::Param { index } => fields.push(*index as u64),
+        Op::ConstF64(v) => fields.push(v.to_bits()),
+        Op::ConstI64(v) => fields.push(*v as u64),
+        Op::Iota { len } => fields.push(*len as u64),
+        Op::Unary { op, .. } => fields.push(*op as u64),
+        Op::Binary { op, .. } => fields.push(*op as u64),
+        Op::Convert { to, .. } => fields.push(*to as u64),
+        Op::SliceAxis {
+            axis, start, len, ..
+        } => fields.extend([*axis as u64, *start as u64, *len as u64]),
+        Op::ScatterAdd { size, .. } => fields.push(*size as u64),
+        Op::ReduceSum { axis, .. } => fields.push(*axis as u64),
+        Op::Select { .. }
+        | Op::Reshape { .. }
+        | Op::BroadcastTo { .. }
+        | Op::Gather { .. }
+        | Op::StackLast { .. } => {}
+    }
+    (std::mem::discriminant(op), fields, shape.clone(), dtype)
 }
 
 /// Dead-code elimination: keep nodes reachable from the outputs, plus all
@@ -219,6 +269,12 @@ fn remap_op(op: &Op, remap: &[NodeId]) -> Op {
 fn partition(prog_name: &str, graph: &Graph) -> Vec<Stage> {
     let uses = graph.use_counts();
     let output_set: HashSet<NodeId> = graph.outputs.iter().copied().collect();
+    let mut consumers: Vec<Vec<NodeId>> = vec![Vec::new(); graph.nodes.len()];
+    for (j, node) in graph.nodes.iter().enumerate() {
+        for o in node.op.operands() {
+            consumers[o].push(j);
+        }
+    }
 
     // Assign every non-param node to a stage: contiguous runs of fusible
     // nodes share one, everything else gets its own.
@@ -309,11 +365,7 @@ fn partition(prog_name: &str, graph: &Graph) -> Vec<Stage> {
         // Outputs: nodes used outside the group or program outputs.
         let mut output_ids: Vec<NodeId> = Vec::new();
         for &id in nodes {
-            let used_outside = graph
-                .nodes
-                .iter()
-                .enumerate()
-                .any(|(j, n)| !in_group.contains(&j) && n.op.operands().contains(&id));
+            let used_outside = consumers[id].iter().any(|j| !in_group.contains(j));
             if used_outside || output_set.contains(&id) {
                 output_ids.push(id);
             }
@@ -363,7 +415,6 @@ fn partition(prog_name: &str, graph: &Graph) -> Vec<Stage> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::array::DType;
     use crate::trace::TraceContext;
 
     #[test]

@@ -1,9 +1,10 @@
 //! Program execution: real numerics on the host, simulated cost on the
 //! selected backend.
 //!
-//! The evaluator interprets the optimised graph node by node over concrete
-//! [`Array`]s (so results are exact and testable), then charges the
-//! [`accel_sim::Context`] according to the backend:
+//! The evaluator runs the execution plan [`crate::compile`] lowered for
+//! the program over concrete [`Array`]s (so results are exact and
+//! testable), then charges the [`accel_sim::Context`] according to the
+//! backend:
 //!
 //! * [`Backend::Device`] — one launch per compiled stage, with the fused
 //!   profiles from [`crate::compile`]; intermediates come from the memory
@@ -12,13 +13,21 @@
 //!   threaded, with materialised intermediates, at a calibrated efficiency
 //!   (`FrameworkCalib::jit_cpu_backend_eff`). The paper found this backend
 //!   7.4× slower than the parallel C++ baseline (§ 4.2).
+//!
+//! Every elementwise node runs as strided loops over its operands' shared
+//! buffers, with the op chosen once per node; each element is computed by
+//! the same IEEE operation as a one-element-at-a-time evaluation, and
+//! reductions and scatters keep their sequential order, so the loop
+//! structure cannot change a bit of any output.
+
+use std::sync::Arc;
 
 use accel_sim as accel;
 
 use crate::array::{Array, DType, Data};
 use crate::compile::Program;
-use crate::ir::{BinaryOp, Node, Op, UnaryOp};
-use crate::shape::{broadcast_index, Shape};
+use crate::ir::{BinaryOp, Node, UnaryOp};
+use crate::plan::{Func, Nest, Plan, Step, View};
 
 /// Which backend a program call is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,17 +102,9 @@ fn charge(ctx: &mut accel::Context, backend: Backend, program: &Program) {
             // Unfused, single-core execution with materialised buffers.
             let cpu = ctx.calib.cpu;
             let eff = fw.jit_cpu_backend_eff;
+            let single_core_bw = cpu.socket_bw * 0.06;
             let mut seconds = fw.jit_dispatch;
-            for node in &program.graph.nodes {
-                let elems = node.shape.elements() as f64;
-                let flops = node.op.flops_per_element() * elems;
-                // Each unfused op reads its operands and writes its result.
-                let mut bytes = (node.shape.elements() * node.dtype.size()) as f64;
-                for o in node.op.operands() {
-                    let n = program.graph.node(o);
-                    bytes += (n.shape.elements() * n.dtype.size()) as f64;
-                }
-                let single_core_bw = cpu.socket_bw * 0.06;
+            for &(flops, bytes) in &program.node_costs {
                 seconds += flops / (cpu.core_flops * eff) + bytes / single_core_bw;
             }
             ctx.host_compute(format!("{}/cpu_backend", program.name), seconds);
@@ -111,499 +112,492 @@ fn charge(ctx: &mut accel::Context, backend: Backend, program: &Program) {
     }
 }
 
-/// Interpret the graph over concrete values.
+/// Run the plan over concrete values, dropping each intermediate after
+/// its last use.
 fn evaluate(program: &Program, args: &[Array]) -> Vec<Array> {
-    let graph = &program.graph;
-    let mut values: Vec<Option<Array>> = vec![None; graph.nodes.len()];
-
-    for (id, node) in graph.nodes.iter().enumerate() {
-        let v = eval_node(node, &values, args);
-        values[id] = Some(v);
+    let Plan { steps, drops } = &program.plan;
+    let mut values: Vec<Option<Array>> = vec![None; steps.len()];
+    for (id, ((step, node), dead)) in steps
+        .iter()
+        .zip(&program.graph.nodes)
+        .zip(drops)
+        .enumerate()
+    {
+        values[id] = Some(eval_step(&program.name, step, node, &values, args));
+        for &d in dead {
+            values[d] = None;
+        }
     }
-
-    graph
+    program
+        .graph
         .outputs
         .iter()
-        .map(|&o| values[o].clone().expect("output evaluated"))
+        .map(|&o| get(&values, o).clone())
         .collect()
 }
 
 fn get(values: &[Option<Array>], id: usize) -> &Array {
-    values[id].as_ref().expect("operand evaluated before use")
+    values[id]
+        .as_ref()
+        .expect("the plan evaluates every operand before, and drops it after, its uses")
 }
 
-fn eval_node(node: &Node, values: &[Option<Array>], args: &[Array]) -> Array {
-    match &node.op {
-        Op::Param { index } => args[*index].clone().reshaped(node.shape.clone()),
-        Op::ConstF64(v) => Array::scalar_f64(*v),
-        Op::ConstI64(v) => Array::scalar_i64(*v),
-        Op::Iota { len } => Array::from_i64((0..*len as i64).collect()),
-        Op::Unary { op, a } => eval_unary(*op, get(values, *a), &node.shape),
-        Op::Binary { op, a, b } => eval_binary(
-            *op,
-            get(values, *a),
-            get(values, *b),
-            &node.shape,
-            node.dtype,
-        ),
-        Op::Select {
-            cond,
-            on_true,
-            on_false,
-        } => eval_select(
-            get(values, *cond),
-            get(values, *on_true),
-            get(values, *on_false),
-            &node.shape,
-        ),
-        Op::Convert { a, to } => eval_convert(get(values, *a), *to, &node.shape),
-        Op::Reshape { a } => get(values, *a).clone().reshaped(node.shape.clone()),
-        Op::BroadcastTo { a } => eval_broadcast(get(values, *a), &node.shape),
-        Op::SliceAxis {
-            a,
-            axis,
-            start,
-            len,
-        } => eval_slice(get(values, *a), *axis, *start, *len, &node.shape),
-        Op::Gather { src, idx } => eval_gather(get(values, *src), get(values, *idx), &node.shape),
-        Op::ScatterAdd { size, idx, val } => {
-            eval_scatter_add(*size, get(values, *idx), get(values, *val))
-        }
-        Op::ReduceSum { a, axis } => eval_reduce_sum(get(values, *a), *axis, &node.shape),
-        Op::StackLast { parts } => {
-            let arrays: Vec<&Array> = parts.iter().map(|&p| get(values, p)).collect();
-            eval_stack_last(&arrays, &node.shape)
-        }
-    }
-}
-
-fn eval_stack_last(parts: &[&Array], shape: &Shape) -> Array {
-    let k = parts.len();
-    let n = parts[0].elements();
-    match parts[0].data() {
-        Data::F64(_) => {
-            let mut out = vec![0.0f64; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_f64().iter().enumerate() {
-                    out[i * k + j] = v;
-                }
-            }
-            Array::new(shape.clone(), Data::F64(out))
-        }
-        Data::I64(_) => {
-            let mut out = vec![0i64; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_i64().iter().enumerate() {
-                    out[i * k + j] = v;
-                }
-            }
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        Data::Bool(_) => {
-            let mut out = vec![false; n * k];
-            for (j, p) in parts.iter().enumerate() {
-                for (i, &v) in p.as_bool().iter().enumerate() {
-                    out[i * k + j] = v;
-                }
-            }
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-    }
-}
-
-fn eval_unary(op: UnaryOp, a: &Array, shape: &Shape) -> Array {
-    if op == UnaryOp::Not {
-        let out: Vec<bool> = a.as_bool().iter().map(|&x| !x).collect();
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-    let f = |x: f64| -> f64 {
-        match op {
-            UnaryOp::Neg => -x,
-            UnaryOp::Abs => x.abs(),
-            UnaryOp::Exp => x.exp(),
-            UnaryOp::Log => x.ln(),
-            UnaryOp::Sqrt => x.sqrt(),
-            UnaryOp::Sin => x.sin(),
-            UnaryOp::Cos => x.cos(),
-            UnaryOp::Floor => x.floor(),
-            UnaryOp::Not => unreachable!(),
-        }
-    };
-    let out: Vec<f64> = a.as_f64().iter().map(|&x| f(x)).collect();
-    Array::new(shape.clone(), Data::F64(out))
-}
-
-/// Fast index maps for the common operand layouts: same shape as the
-/// output (identity), scalar, a single contiguous broadcast block
-/// (`(i / div) % modulo` — covers row vectors, column vectors and
-/// middle-axis masks), or the general rank-walking fallback.
-enum IndexMap<'a> {
-    Identity,
-    Scalar,
-    Strided { div: usize, modulo: usize },
-    Broadcast(&'a Shape, &'a Shape),
-}
-
-impl IndexMap<'_> {
-    #[inline(always)]
-    fn get(&self, i: usize) -> usize {
-        match self {
-            IndexMap::Identity => i,
-            IndexMap::Scalar => 0,
-            IndexMap::Strided { div, modulo } => (i / div) % modulo,
-            IndexMap::Broadcast(out, src) => broadcast_index(i, out, src),
-        }
-    }
-}
-
-fn index_map<'a>(out: &'a Shape, src: &'a Shape) -> IndexMap<'a> {
-    if src == out {
-        return IndexMap::Identity;
-    }
-    if src.elements() == 1 {
-        return IndexMap::Scalar;
-    }
-    // Pad the source shape with leading 1s; if its non-1 axes form one
-    // contiguous block whose dims match the output, the mapping is
-    // `(i / product_of_axes_after_block) % block_elements`.
-    let rank = out.rank();
-    let pad = rank - src.rank();
-    let dim = |j: usize| if j < pad { 1 } else { src.0[j - pad] };
-    let first = (0..rank).find(|&j| dim(j) != 1);
-    let last = (0..rank).rev().find(|&j| dim(j) != 1);
-    if let (Some(first), Some(last)) = (first, last) {
-        // Every axis inside the block must exactly match the output (a 1
-        // inside the block would need the general walker).
-        let exact = (first..=last).all(|j| dim(j) == out.0[j]);
-        if exact {
-            let div: usize = (last + 1..rank).map(|j| out.0[j]).product();
-            let modulo: usize = (first..=last).map(|j| out.0[j]).product();
-            return IndexMap::Strided { div, modulo };
-        }
-    }
-    IndexMap::Broadcast(out, src)
-}
-
-fn eval_binary(op: BinaryOp, a: &Array, b: &Array, shape: &Shape, dtype: DType) -> Array {
-    let n = shape.elements();
-    let a_map = index_map(shape, a.shape());
-    let b_map = index_map(shape, b.shape());
-    let ai = |i: usize| a_map.get(i);
-    let bi = |i: usize| b_map.get(i);
-
-    if op.is_comparison() {
-        let out: Vec<bool> = match (a.data(), b.data()) {
-            (Data::F64(av), Data::F64(bv)) => {
-                (0..n).map(|i| cmp_f64(op, av[ai(i)], bv[bi(i)])).collect()
-            }
-            (Data::I64(av), Data::I64(bv)) => {
-                (0..n).map(|i| cmp_i64(op, av[ai(i)], bv[bi(i)])).collect()
-            }
-            _ => panic!("comparison on unsupported dtype pair"),
-        };
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-    if matches!(op, BinaryOp::And | BinaryOp::Or) {
-        let (av, bv) = (a.as_bool(), b.as_bool());
-        let out: Vec<bool> = (0..n)
-            .map(|i| match op {
-                BinaryOp::And => av[ai(i)] && bv[bi(i)],
-                BinaryOp::Or => av[ai(i)] || bv[bi(i)],
-                _ => unreachable!(),
-            })
-            .collect();
-        return Array::new(shape.clone(), Data::Bool(out));
-    }
-
-    match dtype {
-        DType::F64 => {
-            let (av, bv) = (a.as_f64(), b.as_f64());
-            // Specialised loops for the hot layouts: the generic per-element
-            // enum dispatch costs ~10x on the interpreter's critical path.
-            let out: Vec<f64> = match (&a_map, &b_map) {
-                (IndexMap::Identity, IndexMap::Identity) => match op {
-                    BinaryOp::Add => av.iter().zip(bv).map(|(x, y)| x + y).collect(),
-                    BinaryOp::Sub => av.iter().zip(bv).map(|(x, y)| x - y).collect(),
-                    BinaryOp::Mul => av.iter().zip(bv).map(|(x, y)| x * y).collect(),
-                    BinaryOp::Div => av.iter().zip(bv).map(|(x, y)| x / y).collect(),
-                    BinaryOp::Atan2 => av.iter().zip(bv).map(|(x, y)| x.atan2(*y)).collect(),
-                    _ => (0..n).map(|i| arith_f64(op, av[i], bv[i])).collect(),
-                },
-                (IndexMap::Identity, IndexMap::Scalar) => {
-                    let y = bv[0];
-                    match op {
-                        BinaryOp::Add => av.iter().map(|x| x + y).collect(),
-                        BinaryOp::Sub => av.iter().map(|x| x - y).collect(),
-                        BinaryOp::Mul => av.iter().map(|x| x * y).collect(),
-                        BinaryOp::Div => av.iter().map(|x| x / y).collect(),
-                        _ => av.iter().map(|&x| arith_f64(op, x, y)).collect(),
+fn eval_step(
+    name: &str,
+    step: &Step,
+    node: &Node,
+    values: &[Option<Array>],
+    args: &[Array],
+) -> Array {
+    let (dtype, n) = (node.dtype, node.shape.elements());
+    let data = match step {
+        Step::Param(index) => return args[*index].clone().reshaped(node.shape.clone()),
+        Step::Reshape(a) => return get(values, *a).clone().reshaped(node.shape.clone()),
+        Step::ConstF64(v) => Data::F64(Arc::new([*v])),
+        Step::ConstI64(v) => Data::I64(Arc::new([*v])),
+        Step::Iota(len) => Data::I64((0..*len as i64).collect()),
+        Step::Map { func, nests } => {
+            let nest = &nests[0];
+            let arg = |k: usize| get(values, nest.srcs[k].0);
+            match *func {
+                Func::Unary(op) => unary(op, nest, arg(0), n),
+                Func::Binary(op, operands) => binary(name, op, operands, nest, arg(0), arg(1), n),
+                Func::Select => {
+                    let c = arg(0).as_bool();
+                    let (t, f) = (arg(1), arg(2));
+                    match dtype {
+                        DType::F64 => Data::F64(map3(nest, c, t.as_f64(), f.as_f64(), n)),
+                        DType::I64 => Data::I64(map3(nest, c, t.as_i64(), f.as_i64(), n)),
+                        DType::Bool => Data::Bool(map3(nest, c, t.as_bool(), f.as_bool(), n)),
                     }
                 }
-                (IndexMap::Scalar, IndexMap::Identity) => {
-                    let x = av[0];
-                    match op {
-                        BinaryOp::Add => bv.iter().map(|y| x + y).collect(),
-                        BinaryOp::Sub => bv.iter().map(|y| x - y).collect(),
-                        BinaryOp::Mul => bv.iter().map(|y| x * y).collect(),
-                        BinaryOp::Div => bv.iter().map(|y| x / y).collect(),
-                        _ => bv.iter().map(|&y| arith_f64(op, x, y)).collect(),
+                Func::Convert => {
+                    let a = arg(0);
+                    match (a.dtype(), dtype) {
+                        (DType::F64, DType::I64) => {
+                            Data::I64(map1(nest, a.as_f64(), n, |x| x as i64))
+                        }
+                        (DType::I64, DType::F64) => {
+                            Data::F64(map1(nest, a.as_i64(), n, |x| x as f64))
+                        }
+                        (DType::Bool, DType::F64) => {
+                            Data::F64(map1(nest, a.as_bool(), n, |x| if x { 1.0 } else { 0.0 }))
+                        }
+                        (DType::Bool, DType::I64) => {
+                            Data::I64(map1(nest, a.as_bool(), n, i64::from))
+                        }
+                        // The plan admits only the casts above and identity.
+                        _ => copy(nests, values, dtype, n),
                     }
                 }
-                _ => (0..n)
-                    .map(|i| arith_f64(op, av[ai(i)], bv[bi(i)]))
-                    .collect(),
-            };
-            Array::new(shape.clone(), Data::F64(out))
+                Func::Copy => copy(nests, values, dtype, n),
+            }
         }
-        DType::I64 => {
-            let (av, bv) = (a.as_i64(), b.as_i64());
-            let out: Vec<i64> = (0..n)
-                .map(|i| arith_i64(op, av[ai(i)], bv[bi(i)]))
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
+        Step::Gather { src, idx } => {
+            let idx = get(values, *idx).as_i64();
+            match get(values, *src).data() {
+                Data::F64(v) => Data::F64(gather(v, idx)),
+                Data::I64(v) => Data::I64(gather(v, idx)),
+                Data::Bool(v) => Data::Bool(gather(v, idx)),
+            }
         }
-        DType::Bool => panic!("arithmetic on Bool"),
-    }
-}
-
-fn arith_f64(op: BinaryOp, x: f64, y: f64) -> f64 {
-    match op {
-        BinaryOp::Add => x + y,
-        BinaryOp::Sub => x - y,
-        BinaryOp::Mul => x * y,
-        BinaryOp::Div => x / y,
-        BinaryOp::Rem => x.rem_euclid(y),
-        BinaryOp::Min => x.min(y),
-        BinaryOp::Max => x.max(y),
-        BinaryOp::Atan2 => x.atan2(y),
-        BinaryOp::Pow => x.powf(y),
-        _ => unreachable!(),
-    }
-}
-
-fn arith_i64(op: BinaryOp, x: i64, y: i64) -> i64 {
-    match op {
-        BinaryOp::Add => x.wrapping_add(y),
-        BinaryOp::Sub => x.wrapping_sub(y),
-        BinaryOp::Mul => x.wrapping_mul(y),
-        BinaryOp::Div => x.div_euclid(y),
-        BinaryOp::Rem => x.rem_euclid(y),
-        BinaryOp::Min => x.min(y),
-        BinaryOp::Max => x.max(y),
-        BinaryOp::Pow => x.pow(y as u32),
-        BinaryOp::Atan2 => panic!("atan2 on I64"),
-        _ => unreachable!(),
-    }
-}
-
-fn cmp_f64(op: BinaryOp, x: f64, y: f64) -> bool {
-    match op {
-        BinaryOp::Lt => x < y,
-        BinaryOp::Le => x <= y,
-        BinaryOp::Gt => x > y,
-        BinaryOp::Ge => x >= y,
-        BinaryOp::Eq => x == y,
-        _ => unreachable!(),
-    }
-}
-
-fn cmp_i64(op: BinaryOp, x: i64, y: i64) -> bool {
-    match op {
-        BinaryOp::Lt => x < y,
-        BinaryOp::Le => x <= y,
-        BinaryOp::Gt => x > y,
-        BinaryOp::Ge => x >= y,
-        BinaryOp::Eq => x == y,
-        _ => unreachable!(),
-    }
-}
-
-fn eval_select(cond: &Array, t: &Array, f: &Array, shape: &Shape) -> Array {
-    let n = shape.elements();
-    let cv = cond.as_bool();
-    let c_map = index_map(shape, cond.shape());
-    let t_map = index_map(shape, t.shape());
-    let f_map = index_map(shape, f.shape());
-    let ci = |i: usize| c_map.get(i);
-    let ti = |i: usize| t_map.get(i);
-    let fi = |i: usize| f_map.get(i);
-    match (t.data(), f.data()) {
-        (Data::F64(tv), Data::F64(fv)) => {
-            // Fast path: everything already output-shaped.
-            let out: Vec<f64> = if matches!(
-                (&c_map, &t_map, &f_map),
-                (IndexMap::Identity, IndexMap::Identity, IndexMap::Identity)
-            ) {
-                (0..n).map(|i| if cv[i] { tv[i] } else { fv[i] }).collect()
+        Step::ScatterAdd { size, idx, val } => {
+            let (idx, val) = (get(values, *idx).as_i64(), get(values, *val));
+            if dtype == DType::I64 {
+                Data::I64(scatter_add(*size, idx, val.as_i64(), i64::wrapping_add))
             } else {
-                (0..n)
-                    .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                    .collect()
+                Data::F64(scatter_add(*size, idx, val.as_f64(), |s, x| s + x))
+            }
+        }
+        Step::ReduceSum {
+            a,
+            outer,
+            dim,
+            inner,
+        } => {
+            let a = get(values, *a);
+            let dims = (*outer, *dim, *inner);
+            if dtype == DType::I64 {
+                Data::I64(reduce_sum(a.as_i64(), dims, i64::wrapping_add))
+            } else {
+                Data::F64(reduce_sum(a.as_f64(), dims, |s, x| s + x))
+            }
+        }
+    };
+    Array::new(node.shape.clone(), data)
+}
+
+fn unary(op: UnaryOp, nest: &Nest, a: &Array, n: usize) -> Data {
+    match op {
+        UnaryOp::Not => Data::Bool(map1(nest, a.as_bool(), n, |x: bool| !x)),
+        UnaryOp::Neg => f64_map(nest, a, n, |x| -x),
+        UnaryOp::Abs => f64_map(nest, a, n, f64::abs),
+        UnaryOp::Exp => f64_map(nest, a, n, f64::exp),
+        UnaryOp::Log => f64_map(nest, a, n, f64::ln),
+        UnaryOp::Sqrt => f64_map(nest, a, n, f64::sqrt),
+        UnaryOp::Sin => f64_map(nest, a, n, f64::sin),
+        UnaryOp::Cos => f64_map(nest, a, n, f64::cos),
+        UnaryOp::Floor => f64_map(nest, a, n, f64::floor),
+    }
+}
+
+fn f64_map(nest: &Nest, a: &Array, n: usize, f: impl Fn(f64) -> f64) -> Data {
+    Data::F64(map1(nest, a.as_f64(), n, f))
+}
+
+/// `operands` is the dtype of both inputs; the plan admits only F64 and
+/// I64 arithmetic (no I64 `Atan2`), F64/I64 comparisons and Bool logic.
+fn binary(
+    name: &str,
+    op: BinaryOp,
+    operands: DType,
+    nest: &Nest,
+    a: &Array,
+    b: &Array,
+    n: usize,
+) -> Data {
+    let int = operands == DType::I64;
+    let ab = (nest, a, b, n);
+    match op {
+        BinaryOp::Add => arith(int, ab, |x, y| x + y, i64::wrapping_add),
+        BinaryOp::Sub => arith(int, ab, |x, y| x - y, i64::wrapping_sub),
+        BinaryOp::Mul => arith(int, ab, |x, y| x * y, i64::wrapping_mul),
+        BinaryOp::Div => arith(int, ab, |x, y| x / y, i64::div_euclid),
+        BinaryOp::Rem => arith(int, ab, f64::rem_euclid, i64::rem_euclid),
+        BinaryOp::Min => arith(int, ab, f64::min, Ord::min),
+        BinaryOp::Max => arith(int, ab, f64::max, Ord::max),
+        BinaryOp::Atan2 => Data::F64(map2(nest, a.as_f64(), b.as_f64(), n, f64::atan2)),
+        BinaryOp::Pow => {
+            if int {
+                if let Some(y) = b.as_i64().iter().find(|&&y| y < 0) {
+                    panic!("{name}: integers cannot be raised to negative powers ({y})");
+                }
+            }
+            arith(int, ab, f64::powf, pow_i64)
+        }
+        BinaryOp::Lt => compare(int, ab, f64::lt, i64::lt),
+        BinaryOp::Le => compare(int, ab, f64::le, i64::le),
+        BinaryOp::Gt => compare(int, ab, f64::gt, i64::gt),
+        BinaryOp::Ge => compare(int, ab, f64::ge, i64::ge),
+        BinaryOp::Eq => compare(int, ab, f64::eq, i64::eq),
+        BinaryOp::And => Data::Bool(map2(nest, a.as_bool(), b.as_bool(), n, |x, y| x && y)),
+        BinaryOp::Or => Data::Bool(map2(nest, a.as_bool(), b.as_bool(), n, |x, y| x || y)),
+    }
+}
+
+type Operands<'a> = (&'a Nest, &'a Array, &'a Array, usize);
+
+fn arith(
+    int: bool,
+    (nest, a, b, n): Operands,
+    f: impl Fn(f64, f64) -> f64,
+    g: impl Fn(i64, i64) -> i64,
+) -> Data {
+    if int {
+        Data::I64(map2(nest, a.as_i64(), b.as_i64(), n, g))
+    } else {
+        Data::F64(map2(nest, a.as_f64(), b.as_f64(), n, f))
+    }
+}
+
+fn compare(
+    int: bool,
+    (nest, a, b, n): Operands,
+    f: impl Fn(&f64, &f64) -> bool,
+    g: impl Fn(&i64, &i64) -> bool,
+) -> Data {
+    Data::Bool(if int {
+        map2(nest, a.as_i64(), b.as_i64(), n, |x, y| g(&x, &y))
+    } else {
+        map2(nest, a.as_f64(), b.as_f64(), n, |x, y| f(&x, &y))
+    })
+}
+
+/// `x^y` for `y >= 0`, wrapping at 64 bits like `Add`/`Sub`/`Mul` (equal to
+/// `i64::wrapping_pow` and defined for exponents past `u32::MAX` too).
+fn pow_i64(mut x: i64, y: i64) -> i64 {
+    let (mut e, mut acc) = (y as u64, 1i64);
+    while e > 0 {
+        if e & 1 == 1 {
+            acc = acc.wrapping_mul(x);
+        }
+        x = x.wrapping_mul(x);
+        e >>= 1;
+    }
+    acc
+}
+
+/// Broadcast, slice and stack: each nest copies one source into its part
+/// of the output.
+fn copy(nests: &[Nest], values: &[Option<Array>], dtype: DType, n: usize) -> Data {
+    let src = |nest: &Nest| get(values, nest.srcs[0].0);
+    match dtype {
+        DType::F64 => Data::F64(copy_nests(nests, n, |nest| src(nest).as_f64())),
+        DType::I64 => Data::I64(copy_nests(nests, n, |nest| src(nest).as_i64())),
+        DType::Bool => Data::Bool(copy_nests(nests, n, |nest| src(nest).as_bool())),
+    }
+}
+
+fn copy_nests<'a, T: Copy + Default + 'a>(
+    nests: &[Nest],
+    n: usize,
+    src: impl Fn(&Nest) -> &'a [T],
+) -> Arc<[T]> {
+    match nests {
+        [nest] => map1(nest, src(nest), n, |x| x),
+        _ => fill(n, |out| {
+            for nest in nests {
+                write1(nest, src(nest), out, |x| x);
+            }
+        }),
+    }
+}
+
+/// A fresh buffer of `n` elements, written by `write`.
+fn fill<T: Copy + Default>(n: usize, write: impl FnOnce(&mut [T])) -> Arc<[T]> {
+    let mut buf: Arc<[T]> = std::iter::repeat_n(T::default(), n).collect();
+    write(Arc::make_mut(&mut buf));
+    buf
+}
+
+/// Calls `row(offsets)` once per innermost row of `nest`, with the flat
+/// start offset of the destination (`offsets[0]`) and of each source.
+/// The outer axes advance as an odometer, so no offset is ever divided out.
+fn for_rows(nest: &Nest, mut row: impl FnMut(&[usize])) {
+    if nest.dims.contains(&0) {
+        return;
+    }
+    let views: Vec<&View> = std::iter::once(&nest.dst)
+        .chain(nest.srcs.iter().map(|(_, v)| v))
+        .collect();
+    let mut offsets: Vec<usize> = views.iter().map(|v| v.offset).collect();
+    let outer = nest.dims.len() - 1;
+    let mut index = vec![0usize; outer];
+    loop {
+        row(&offsets);
+        let mut axis = outer;
+        loop {
+            if axis == 0 {
+                return;
+            }
+            axis -= 1;
+            index[axis] += 1;
+            for (o, v) in offsets.iter_mut().zip(&views) {
+                *o += v.strides[axis];
+            }
+            if index[axis] < nest.dims[axis] {
+                break;
+            }
+            for (o, v) in offsets.iter_mut().zip(&views) {
+                *o -= v.strides[axis] * nest.dims[axis];
+            }
+            index[axis] = 0;
+        }
+    }
+}
+
+/// Innermost extent and the innermost stride of each view.
+fn inner<const K: usize>(nest: &Nest) -> (usize, usize, [usize; K]) {
+    let last = nest.dims.len() - 1;
+    let srcs = std::array::from_fn(|k| nest.srcs[k].1.strides[last]);
+    (nest.dims[last], nest.dst.strides[last], srcs)
+}
+
+/// Whether the whole output is one contiguous row, which is collected
+/// straight into its buffer instead of written into a zeroed one.
+fn one_row(nest: &Nest) -> bool {
+    nest.dims.len() == 1 && nest.dst.strides[0] == 1
+}
+
+fn map1<A: Copy, O: Copy + Default>(
+    nest: &Nest,
+    a: &[A],
+    n: usize,
+    f: impl Fn(A) -> O,
+) -> Arc<[O]> {
+    if !one_row(nest) {
+        return fill(n, |out| write1(nest, a, out, f));
+    }
+    let (len, _, [sa]) = inner::<1>(nest);
+    let i = nest.srcs[0].1.offset;
+    match sa {
+        1 => a[i..i + len].iter().map(|&x| f(x)).collect(),
+        _ => (0..len).map(|k| f(a[i + k * sa])).collect(),
+    }
+}
+
+fn write1<A: Copy, O>(nest: &Nest, a: &[A], out: &mut [O], f: impl Fn(A) -> O) {
+    let (len, sd, [sa]) = inner::<1>(nest);
+    for_rows(nest, |off| {
+        let (d, i) = (off[0], off[1]);
+        match (sd, sa) {
+            (1, 1) => {
+                for (o, &x) in out[d..d + len].iter_mut().zip(&a[i..i + len]) {
+                    *o = f(x);
+                }
+            }
+            _ => {
+                for k in 0..len {
+                    out[d + k * sd] = f(a[i + k * sa]);
+                }
+            }
+        }
+    });
+}
+
+fn map2<A: Copy, B: Copy, O: Copy + Default>(
+    nest: &Nest,
+    a: &[A],
+    b: &[B],
+    n: usize,
+    f: impl Fn(A, B) -> O,
+) -> Arc<[O]> {
+    if !one_row(nest) {
+        return fill(n, |out| write2(nest, a, b, out, f));
+    }
+    let (len, _, [sa, sb]) = inner::<2>(nest);
+    let (i, j) = (nest.srcs[0].1.offset, nest.srcs[1].1.offset);
+    match (sa, sb) {
+        (1, 1) => a[i..i + len]
+            .iter()
+            .zip(&b[j..j + len])
+            .map(|(&x, &y)| f(x, y))
+            .collect(),
+        (1, 0) => a[i..i + len].iter().map(|&x| f(x, b[j])).collect(),
+        (0, 1) => b[j..j + len].iter().map(|&y| f(a[i], y)).collect(),
+        _ => (0..len).map(|k| f(a[i + k * sa], b[j + k * sb])).collect(),
+    }
+}
+
+fn write2<A: Copy, B: Copy, O>(
+    nest: &Nest,
+    a: &[A],
+    b: &[B],
+    out: &mut [O],
+    f: impl Fn(A, B) -> O,
+) {
+    let (len, sd, [sa, sb]) = inner::<2>(nest);
+    for_rows(nest, |off| {
+        let (d, i, j) = (off[0], off[1], off[2]);
+        let out = &mut out[d..];
+        match (sd, sa, sb) {
+            (1, 1, 1) => {
+                for ((o, &x), &y) in out[..len]
+                    .iter_mut()
+                    .zip(&a[i..i + len])
+                    .zip(&b[j..j + len])
+                {
+                    *o = f(x, y);
+                }
+            }
+            (1, 1, 0) => {
+                let y = b[j];
+                for (o, &x) in out[..len].iter_mut().zip(&a[i..i + len]) {
+                    *o = f(x, y);
+                }
+            }
+            (1, 0, 1) => {
+                let x = a[i];
+                for (o, &y) in out[..len].iter_mut().zip(&b[j..j + len]) {
+                    *o = f(x, y);
+                }
+            }
+            _ => {
+                for k in 0..len {
+                    out[k * sd] = f(a[i + k * sa], b[j + k * sb]);
+                }
+            }
+        }
+    });
+}
+
+/// `cond ? t : f` over a nest whose sources are `[cond, t, f]`.
+fn map3<T: Copy + Default>(nest: &Nest, c: &[bool], t: &[T], f: &[T], n: usize) -> Arc<[T]> {
+    if !one_row(nest) {
+        return fill(n, |out| write3(nest, c, t, f, out));
+    }
+    let (len, _, [sc, st, sf]) = inner::<3>(nest);
+    let [i, j, k] = std::array::from_fn(|s| nest.srcs[s].1.offset);
+    match (sc, st, sf) {
+        (1, 1, 1) => c[i..i + len]
+            .iter()
+            .zip(&t[j..j + len])
+            .zip(&f[k..k + len])
+            .map(|((&c, &t), &f)| if c { t } else { f })
+            .collect(),
+        _ => (0..len)
+            .map(|e| {
+                if c[i + e * sc] {
+                    t[j + e * st]
+                } else {
+                    f[k + e * sf]
+                }
+            })
+            .collect(),
+    }
+}
+
+fn write3<T: Copy>(nest: &Nest, c: &[bool], t: &[T], f: &[T], out: &mut [T]) {
+    let (len, sd, [sc, st, sf]) = inner::<3>(nest);
+    for_rows(nest, |off| {
+        let (d, i, j, k) = (off[0], off[1], off[2], off[3]);
+        for e in 0..len {
+            out[d + e * sd] = if c[i + e * sc] {
+                t[j + e * st]
+            } else {
+                f[k + e * sf]
             };
-            Array::new(shape.clone(), Data::F64(out))
         }
-        (Data::I64(tv), Data::I64(fv)) => {
-            let out: Vec<i64> = (0..n)
-                .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        (Data::Bool(tv), Data::Bool(fv)) => {
-            let out: Vec<bool> = (0..n)
-                .map(|i| if cv[ci(i)] { tv[ti(i)] } else { fv[fi(i)] })
-                .collect();
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-        _ => panic!("select branch dtype mismatch"),
-    }
+    });
 }
 
-fn eval_convert(a: &Array, to: DType, shape: &Shape) -> Array {
-    let data = match (a.data(), to) {
-        (Data::F64(v), DType::I64) => Data::I64(v.iter().map(|&x| x as i64).collect()),
-        (Data::I64(v), DType::F64) => Data::F64(v.iter().map(|&x| x as f64).collect()),
-        (Data::Bool(v), DType::F64) => {
-            Data::F64(v.iter().map(|&x| if x { 1.0 } else { 0.0 }).collect())
-        }
-        (Data::Bool(v), DType::I64) => Data::I64(v.iter().map(|&x| x as i64).collect()),
-        (d, t) if d.dtype() == t => d.clone(),
-        (d, t) => panic!("unsupported convert {:?} -> {t:?}", d.dtype()),
-    };
-    Array::new(shape.clone(), data)
+fn checked_index(i: i64, len: usize, what: &str) -> usize {
+    assert!(
+        i >= 0 && (i as usize) < len,
+        "{what} index {i} out of bounds for {len}"
+    );
+    i as usize
 }
 
-fn eval_broadcast(a: &Array, shape: &Shape) -> Array {
-    let n = shape.elements();
-    match a.data() {
-        Data::F64(v) => {
-            let out: Vec<f64> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::F64(out))
-        }
-        Data::I64(v) => {
-            let out: Vec<i64> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        Data::Bool(v) => {
-            let out: Vec<bool> = (0..n)
-                .map(|i| v[broadcast_index(i, shape, a.shape())])
-                .collect();
-            Array::new(shape.clone(), Data::Bool(out))
-        }
-    }
+fn gather<T: Copy>(src: &[T], idx: &[i64]) -> Arc<[T]> {
+    idx.iter()
+        .map(|&i| src[checked_index(i, src.len(), "gather")])
+        .collect()
 }
 
-fn eval_slice(a: &Array, axis: usize, start: usize, len: usize, shape: &Shape) -> Array {
-    let in_shape = a.shape();
-    let outer: usize = in_shape.0[..axis].iter().product();
-    let inner: usize = in_shape.0[axis + 1..].iter().product();
-    let dim = in_shape.0[axis];
+/// `out[idx[i]] = add(out[idx[i]], val[i])` in index order.
+fn scatter_add<T: Copy + Default>(
+    size: usize,
+    idx: &[i64],
+    val: &[T],
+    add: impl Fn(T, T) -> T,
+) -> Arc<[T]> {
+    fill(size, |out| {
+        for (&i, &x) in idx.iter().zip(val) {
+            let slot = &mut out[checked_index(i, size, "scatter")];
+            *slot = add(*slot, x);
+        }
+    })
+}
 
-    fn slice_vec<T: Copy>(
-        v: &[T],
-        outer: usize,
-        dim: usize,
-        inner: usize,
-        start: usize,
-        len: usize,
-    ) -> Vec<T> {
-        let mut out = Vec::with_capacity(outer * len * inner);
+/// Sum over the middle axis of `a` viewed as `[outer, dim, inner]`, each
+/// output accumulating its inputs in axis order from zero.
+fn reduce_sum<T: Copy + Default>(
+    a: &[T],
+    (outer, dim, inner): (usize, usize, usize),
+    add: impl Fn(T, T) -> T,
+) -> Arc<[T]> {
+    fill(outer * inner, |out| {
         for o in 0..outer {
-            for d in start..start + len {
+            let acc = &mut out[o * inner..(o + 1) * inner];
+            for d in 0..dim {
                 let base = (o * dim + d) * inner;
-                out.extend_from_slice(&v[base..base + inner]);
-            }
-        }
-        out
-    }
-
-    let data = match a.data() {
-        Data::F64(v) => Data::F64(slice_vec(v, outer, dim, inner, start, len)),
-        Data::I64(v) => Data::I64(slice_vec(v, outer, dim, inner, start, len)),
-        Data::Bool(v) => Data::Bool(slice_vec(v, outer, dim, inner, start, len)),
-    };
-    Array::new(shape.clone(), data)
-}
-
-fn eval_gather(src: &Array, idx: &Array, shape: &Shape) -> Array {
-    let indices = idx.as_i64();
-    let pick = |i: i64, len: usize| -> usize {
-        assert!(
-            i >= 0 && (i as usize) < len,
-            "gather index {i} out of bounds for source of {len}"
-        );
-        i as usize
-    };
-    let data = match src.data() {
-        Data::F64(v) => Data::F64(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
-        Data::I64(v) => Data::I64(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
-        Data::Bool(v) => Data::Bool(indices.iter().map(|&i| v[pick(i, v.len())]).collect()),
-    };
-    Array::new(shape.clone(), data)
-}
-
-fn eval_scatter_add(size: usize, idx: &Array, val: &Array) -> Array {
-    let indices = idx.as_i64();
-    match val.data() {
-        Data::F64(v) => {
-            let mut out = vec![0.0f64; size];
-            for (&i, &x) in indices.iter().zip(v) {
-                assert!(
-                    i >= 0 && (i as usize) < size,
-                    "scatter index {i} out of bounds for {size}"
-                );
-                out[i as usize] += x;
-            }
-            Array::new(vec![size], Data::F64(out))
-        }
-        Data::I64(v) => {
-            let mut out = vec![0i64; size];
-            for (&i, &x) in indices.iter().zip(v) {
-                assert!(i >= 0 && (i as usize) < size);
-                out[i as usize] += x;
-            }
-            Array::new(vec![size], Data::I64(out))
-        }
-        Data::Bool(_) => panic!("scatter_add on Bool"),
-    }
-}
-
-fn eval_reduce_sum(a: &Array, axis: usize, shape: &Shape) -> Array {
-    let in_shape = a.shape();
-    let outer: usize = in_shape.0[..axis].iter().product();
-    let dim = in_shape.0[axis];
-    let inner: usize = in_shape.0[axis + 1..].iter().product();
-
-    match a.data() {
-        Data::F64(v) => {
-            let mut out = vec![0.0f64; outer * inner];
-            for o in 0..outer {
-                for d in 0..dim {
-                    let base = (o * dim + d) * inner;
-                    for i in 0..inner {
-                        out[o * inner + i] += v[base + i];
-                    }
+                for (s, &x) in acc.iter_mut().zip(&a[base..base + inner]) {
+                    *s = add(*s, x);
                 }
             }
-            Array::new(shape.clone(), Data::F64(out))
         }
-        Data::I64(v) => {
-            let mut out = vec![0i64; outer * inner];
-            for o in 0..outer {
-                for d in 0..dim {
-                    let base = (o * dim + d) * inner;
-                    for i in 0..inner {
-                        out[o * inner + i] += v[base + i];
-                    }
-                }
-            }
-            Array::new(shape.clone(), Data::I64(out))
-        }
-        Data::Bool(_) => panic!("reduce_sum on Bool"),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -729,6 +723,79 @@ mod tests {
             &[Array::from_i64(vec![-1, 9, -8])],
         );
         assert_eq!(out.as_i64(), &[3, 1, 0]);
+    }
+
+    #[test]
+    fn i64_scatter_reduce_and_pow_wrap_like_add() {
+        // Debug and release builds must agree: i64 overflow wraps in every
+        // op, as `Add`/`Sub`/`Mul` already did.
+        let big = i64::MAX - 1;
+        let scattered = run_one(
+            |tc| {
+                let vals = tc.param(vec![3], DType::I64);
+                let idx = tc.param(vec![3], DType::I64);
+                vals.scatter_add(&idx, 2)
+            },
+            &[
+                Array::from_i64(vec![big, 5, 7]),
+                Array::from_i64(vec![0, 0, 1]),
+            ],
+        );
+        assert_eq!(scattered.as_i64(), &[big.wrapping_add(5), 7]);
+        let summed = run_one(
+            |tc| tc.param(vec![2], DType::I64).reduce_sum(0),
+            &[Array::from_i64(vec![big, 5])],
+        );
+        assert_eq!(summed.as_i64(), &[big.wrapping_add(5)]);
+        let powered = run_one(
+            |tc| {
+                let x = tc.param(vec![3], DType::I64);
+                x.pow(&tc.param(vec![3], DType::I64))
+            },
+            &[
+                Array::from_i64(vec![3, -2, 7]),
+                Array::from_i64(vec![41, 63, 1 << 33]),
+            ],
+        );
+        // 7^(2^33) is 7 squared 33 times, not 7^0 (the exponent truncated
+        // to u32).
+        let seven = (0..33).fold(7i64, |x, _| x.wrapping_mul(x));
+        assert_eq!(
+            powered.as_i64(),
+            &[3i64.wrapping_pow(41), (-2i64).wrapping_pow(63), seven]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "test: integers cannot be raised to negative powers")]
+    fn negative_i64_exponent_is_rejected() {
+        run_one(
+            |tc| {
+                let x = tc.param(vec![2], DType::I64);
+                x.pow(&tc.param(vec![2], DType::I64))
+            },
+            &[Array::from_i64(vec![2, 2]), Array::from_i64(vec![1, -1])],
+        );
+    }
+
+    #[test]
+    fn params_and_reshapes_share_argument_storage() {
+        let x = Array::from_f64(vec![1.0, 2.0, 3.0, 4.0]);
+        let tc = TraceContext::new();
+        let p = tc.param(vec![4], DType::F64);
+        let g = tc.finish(&[&p, &p.reshape(vec![2, 2]), &p.mul_s(2.0)]);
+        let out = run(
+            &mut ctx(),
+            Backend::Device,
+            &compile("share", &g),
+            std::slice::from_ref(&x),
+        );
+        let shares = |a: &Array| match (a.data(), x.data()) {
+            (Data::F64(a), Data::F64(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        assert!(shares(&out[0]) && shares(&out[1]) && !shares(&out[2]));
+        assert_eq!(out[1].shape().0, vec![2, 2]);
     }
 
     #[test]

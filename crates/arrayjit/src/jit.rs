@@ -209,7 +209,7 @@ mod tests {
             let x = &p[0];
             vec![x.sin() * x.cos() + tc.constant(1.0)]
         });
-        let x = Array::from_f64((0..64).map(|i| i as f64 * 0.1).collect());
+        let x = Array::from_f64((0..64).map(|i| i as f64 * 0.1).collect::<Vec<_>>());
         let mut c1 = ctx();
         let dev = f.call(&mut c1, Backend::Device, std::slice::from_ref(&x));
         let mut c2 = ctx();

@@ -10,7 +10,8 @@
 //!   time, so variable-length data (TOAST's intervals) must be padded.
 //! * **A compiler** ([`compile`]): DCE, CSE, elementwise fusion and
 //!   dot-pattern library matching, with per-stage cost profiles computed
-//!   from the static shapes.
+//!   from the static shapes, and an execution plan: strided loop nests over
+//!   shared immutable buffers, with each value dropped after its last use.
 //! * **A JIT cache** ([`jit`]): one compile per (shapes, statics)
 //!   signature, charged to the simulation clock like the paper's runtimes.
 //! * **Two backends** ([`exec`]): the simulated device, and a deliberately
@@ -46,6 +47,7 @@ pub mod compile;
 pub mod exec;
 pub mod ir;
 pub mod jit;
+mod plan;
 pub mod shape;
 pub mod trace;
 

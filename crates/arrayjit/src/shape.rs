@@ -105,28 +105,6 @@ impl std::fmt::Display for Shape {
     }
 }
 
-/// Iterate the flat index of `src` (with shape `src_shape`) that corresponds
-/// to flat index `flat` of the broadcast shape `out_shape`.
-// The index loop walks paired out/src stride tables.
-#[allow(clippy::needless_range_loop)]
-pub fn broadcast_index(flat: usize, out_shape: &Shape, src_shape: &Shape) -> usize {
-    let out_rank = out_shape.rank();
-    let src_rank = src_shape.rank();
-    let out_strides = out_shape.strides();
-    let src_strides = src_shape.strides();
-    let mut src_flat = 0usize;
-    for axis in 0..out_rank {
-        let coord = (flat / out_strides[axis]) % out_shape.0[axis];
-        if axis >= out_rank - src_rank {
-            let s_axis = axis - (out_rank - src_rank);
-            if src_shape.0[s_axis] != 1 {
-                src_flat += coord * src_strides[s_axis];
-            }
-        }
-    }
-    src_flat
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,21 +137,5 @@ mod tests {
         assert!(Shape(vec![1, 3]).broadcastable_to(&Shape(vec![2, 3])));
         assert!(!Shape(vec![2, 3]).broadcastable_to(&Shape(vec![1, 3])));
         assert!(Shape::scalar().broadcastable_to(&Shape(vec![7, 7])));
-    }
-
-    #[test]
-    fn broadcast_index_maps_correctly() {
-        // src [1, 3] broadcast to out [2, 3]: rows repeat.
-        let src = Shape(vec![1, 3]);
-        let out = Shape(vec![2, 3]);
-        let idx: Vec<usize> = (0..6).map(|f| broadcast_index(f, &out, &src)).collect();
-        assert_eq!(idx, vec![0, 1, 2, 0, 1, 2]);
-        // Scalar broadcast: always index 0.
-        let s = Shape::scalar();
-        assert!((0..6).all(|f| broadcast_index(f, &out, &s) == 0));
-        // Column vector [2,1] to [2,3]: columns repeat.
-        let col = Shape(vec![2, 1]);
-        let idx: Vec<usize> = (0..6).map(|f| broadcast_index(f, &out, &col)).collect();
-        assert_eq!(idx, vec![0, 0, 0, 1, 1, 1]);
     }
 }

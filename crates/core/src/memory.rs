@@ -134,9 +134,9 @@ impl AccelStore {
                     s.charged.insert(id, bytes);
                 }
                 let array = if id.is_integer() {
-                    Array::from_i64(ws.obs.pixels.clone())
+                    Array::from_i64(ws.obs.pixels.as_slice())
                 } else {
-                    Array::from_f64(ws.f64_slice(id).to_vec())
+                    Array::from_f64(ws.f64_slice(id))
                 };
                 s.arrays.insert(id, array);
                 Ok(())
