@@ -195,7 +195,20 @@ cat "$workload.sweep" "$overlap_workload.sweep" \
   echo "golden sweep output diverged from crates/bench/tests/golden/sweep_whatif_record.jsonl" >&2
   exit 1
 }
-rm -f "$workload.sweep" "$overlap_workload.sweep" "$overlap_workload"
+# The sweep fans grid points out over worker threads; the same file pins
+# one worker (inline, no threads) and three (uneven shares).
+for threads in 1 3; do
+  for w in "$workload" "$overlap_workload"; do
+    RAYON_NUM_THREADS=$threads cargo run --release -p repro-bench --bin whatif -- sweep \
+      --record "$w" --grid "$golden_grid" --out "$w.sweep.$threads" >/dev/null
+  done
+  cat "$workload.sweep.$threads" "$overlap_workload.sweep.$threads" \
+    | diff - crates/bench/tests/golden/sweep_whatif_record.jsonl || {
+    echo "golden sweep output diverged at RAYON_NUM_THREADS=$threads" >&2
+    exit 1
+  }
+done
+rm -f "$workload".sweep* "$overlap_workload".sweep* "$overlap_workload"
 
 echo "== simd serve smoke (example job stream, admission accept/reject)"
 # The worked example under scenarios/ must run end to end: every job

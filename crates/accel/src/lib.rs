@@ -76,8 +76,8 @@ pub use node::{
 };
 pub use profile::KernelProfile;
 pub use sweep::{
-    sweep, sweep_digest, sweep_preflight, sweep_resumable, workload_digest, CompiledSweep,
-    SweepCalib, SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
+    sweep, sweep_digest, sweep_preflight, workload_digest, CompiledSweep, SweepCalib,
+    SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
 };
 pub use trace::{RankTrace, Segment, SpanEvent, SpanKind, TransferDir};
 pub use whatif::{RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib, WhatifError};

@@ -25,11 +25,13 @@
 //! * **Pareto-front extraction** over (makespan, cost), where cost is a
 //!   hardware price proxy ([`crate::calib::relative_node_price`]) times
 //!   node-hours;
-//! * a **deterministic fan-out**: points are evaluated in parallel (the
-//!   rayon facade) but each writes only its own pre-allocated slot, and
-//!   all reductions walk points in grid order, so sweep output is
-//!   byte-identical across `RAYON_NUM_THREADS` settings — the same
-//!   contract the engine's determinism suite locks.
+//! * a **deterministic fan-out**: points are evaluated on every core
+//!   (`fan_out`, scoped std threads pulling slots from a shared cursor;
+//!   `RAYON_NUM_THREADS` overrides the worker count, read on every call)
+//!   but each writes only its own pre-allocated slot, and all reductions
+//!   walk points in grid order, so sweep output is byte-identical for
+//!   every worker count — the same contract the engine's determinism
+//!   suite locks.
 //!
 //! Repricing inside the cost table mirrors
 //! [`crate::whatif::RecordedWorkload::reprice`] term for term, so a grid
@@ -48,10 +50,10 @@
 //! (workload, spec), a sweep resumed from any cursor produces a result
 //! byte-identical to an uninterrupted run.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
-
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload, Reprice};
@@ -60,7 +62,7 @@ use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
     bool_field, esc, int_field, num, num_field, parse_err, preset, presets, str_field, RecordMeta,
-    RecordedWorkload, UnknownPreset, WhatifError,
+    RecordedWorkload, UnknownPreset, WhatifCalib, WhatifError,
 };
 
 /// One calibration axis value of a sweep grid: a resolved node + network
@@ -82,18 +84,25 @@ impl SweepCalib {
     /// recording's `work_scale` (presets are defined at paper scale).
     pub fn resolve(name: &str, meta: &RecordMeta) -> Result<Self, UnknownPreset> {
         if name == "identity" {
-            return Ok(Self {
-                name: name.to_string(),
-                node: meta.node_calib,
-                net: meta.net_calib,
-            });
+            return Ok(Self::identity(meta));
         }
-        let p = preset(name)?;
-        Ok(Self {
-            name: name.to_string(),
+        Ok(Self::from_preset(preset(name)?, meta))
+    }
+
+    fn identity(meta: &RecordMeta) -> Self {
+        Self {
+            name: "identity".into(),
+            node: meta.node_calib,
+            net: meta.net_calib,
+        }
+    }
+
+    fn from_preset(p: WhatifCalib, meta: &RecordMeta) -> Self {
+        Self {
+            name: p.name.to_string(),
             node: p.node.rescaled(meta.work_scale),
             net: p.net,
-        })
+        }
     }
 }
 
@@ -116,20 +125,13 @@ impl SweepSpec {
     /// the calibration axis, the recorded GPU count and schedule on the
     /// other two, no deadline.
     pub fn default_grid(meta: &RecordMeta) -> Self {
-        let mut calibs = vec![SweepCalib {
-            name: "identity".into(),
-            node: meta.node_calib,
-            net: meta.net_calib,
-        }];
-        for p in presets() {
-            calibs.push(SweepCalib {
-                name: p.name.to_string(),
-                node: p.node.rescaled(meta.work_scale),
-                net: p.net,
-            });
-        }
+        let presets = presets()
+            .into_iter()
+            .map(|p| SweepCalib::from_preset(p, meta));
         Self {
-            calibs,
+            calibs: std::iter::once(SweepCalib::identity(meta))
+                .chain(presets)
+                .collect(),
             gpus: vec![meta.gpus],
             schedules: vec![meta.schedule],
             deadline: None,
@@ -194,35 +196,20 @@ pub fn parse_gpus(s: &str) -> Result<Vec<u32>, String> {
             out.push(v);
         }
     }
-    if out.is_empty() {
-        return Err("empty gpu list".into());
-    }
     Ok(out)
 }
 
 /// Parse a comma-separated calibration axis (`identity,a100,h100`),
 /// resolving each name against the recording.
 pub fn parse_calibs(s: &str, meta: &RecordMeta) -> Result<Vec<SweepCalib>, String> {
-    let out: Result<Vec<SweepCalib>, String> = s
-        .split(',')
+    s.split(',')
         .map(|name| SweepCalib::resolve(name.trim(), meta).map_err(|e| e.to_string()))
-        .collect();
-    let out = out?;
-    if out.is_empty() {
-        return Err("empty calib list".into());
-    }
-    Ok(out)
+        .collect()
 }
 
 /// Parse a comma-separated schedule axis (`auto,mps,fifo`).
 pub fn parse_schedules(s: &str) -> Result<Vec<SchedulePolicyKind>, String> {
-    let out: Result<Vec<SchedulePolicyKind>, String> =
-        s.split(',').map(|p| p.trim().parse()).collect();
-    let out = out?;
-    if out.is_empty() {
-        return Err("empty schedule list".into());
-    }
-    Ok(out)
+    s.split(',').map(|p| p.trim().parse()).collect()
 }
 
 /// One evaluated (or pruned) grid point.
@@ -463,12 +450,18 @@ impl SweepCheckpoint {
         Self::parse_jsonl(&text)
     }
 
-    /// Atomic write (tmp + rename): a kill mid-write never leaves a torn
-    /// cursor behind, only the previous complete one.
+    /// Atomic, durable write: the temp file is fsynced before it is
+    /// renamed over `path`, and the directory after, so neither a kill
+    /// nor a power loss mid-write leaves a torn cursor behind, only the
+    /// previous complete one.
     pub fn write(&self, path: &Path) -> io::Result<()> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_jsonl())?;
-        std::fs::rename(&tmp, path)
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(self.to_jsonl().as_bytes())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        std::fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
     }
 }
 
@@ -511,11 +504,9 @@ pub fn sweep_digest(workload: &RecordedWorkload, spec: &SweepSpec) -> u64 {
     h
 }
 
-/// Why a resumed sweep refused its cursor (or failed to compile).
+/// Why a resumed sweep refused its cursor.
 #[derive(Debug)]
 pub enum SweepResumeError {
-    /// The workload's traces failed to compile.
-    Engine(EngineError),
     /// The cursor carries more points than the grid enumerates.
     CursorBeyondGrid { completed: usize, total: usize },
     /// A completed point's (calib, gpus, schedule) key does not match
@@ -530,7 +521,6 @@ pub enum SweepResumeError {
 impl std::fmt::Display for SweepResumeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SweepResumeError::Engine(e) => write!(f, "{e}"),
             SweepResumeError::CursorBeyondGrid { completed, total } => write!(
                 f,
                 "checkpoint cursor has {completed} completed points but the grid has only {total}"
@@ -548,12 +538,6 @@ impl std::fmt::Display for SweepResumeError {
 }
 
 impl std::error::Error for SweepResumeError {}
-
-impl From<EngineError> for SweepResumeError {
-    fn from(e: EngineError) -> Self {
-        SweepResumeError::Engine(e)
-    }
-}
 
 /// Build the [`Reprice`] mirroring what
 /// [`crate::whatif::RecordedWorkload::reprice`] would do to the recorded
@@ -680,8 +664,6 @@ fn sweep_impl(
     preflight: bool,
 ) -> Result<SweepResult, EngineError> {
     let cs = CompiledSweep::compile(workload)?;
-    let ctx = GridCtx::new(&cs, spec);
-    let rejected = std::sync::atomic::AtomicUsize::new(0);
     // Pre-flight: the deadlock verdict is a property of the workload
     // alone (it depends on neither calibration nor GPU count), so it is
     // decided once here; the OOM verdict depends on (calibration, gpus)
@@ -691,14 +673,8 @@ fn sweep_impl(
     let pre = preflight.then(|| Preflight {
         nodes: &workload.nodes,
         deadlock: crate::analyze::predict_deadlock(&workload.nodes).map(|e| e.to_string()),
-        rejected: &rejected,
     });
-    let mut points = ctx.blank_points();
-    points
-        .par_iter_mut()
-        .enumerate()
-        .for_each(|(i, pt)| ctx.eval(i, pt, pre.as_ref()));
-    Ok(ctx.finish(points, rejected.into_inner()))
+    Ok(cs.run_with(spec, pre))
 }
 
 /// A workload compiled once into the engine's calibration-invariant
@@ -727,13 +703,14 @@ impl<'w> CompiledSweep<'w> {
     /// Evaluate a full grid against the shared arena — [`sweep`] minus
     /// the compile.
     pub fn run(&self, spec: &SweepSpec) -> SweepResult {
-        let ctx = GridCtx::new(self, spec);
+        self.run_with(spec, None)
+    }
+
+    fn run_with(&self, spec: &SweepSpec, pre: Option<Preflight<'_>>) -> SweepResult {
+        let ctx = GridCtx::new(self, spec, pre);
         let mut points = ctx.blank_points();
-        points
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, pt)| ctx.eval(i, pt, None));
-        ctx.finish(points, 0)
+        ctx.eval_slots(&mut points, 0);
+        ctx.finish(points)
     }
 
     /// [`CompiledSweep::run`] in resumable chunks: adopt an
@@ -753,7 +730,7 @@ impl<'w> CompiledSweep<'w> {
         chunk: usize,
         on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
     ) -> Result<SweepResult, SweepResumeError> {
-        let ctx = GridCtx::new(self, spec);
+        let ctx = GridCtx::new(self, spec, None);
         let mut points = ctx.blank_points();
         let total = points.len();
         if completed.len() > total {
@@ -780,40 +757,73 @@ impl<'w> CompiledSweep<'w> {
         while hi < total {
             let lo = hi;
             hi = (lo + chunk).min(total);
-            points[lo..hi]
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(j, pt)| ctx.eval(lo + j, pt, None));
+            ctx.eval_slots(&mut points[lo..hi], lo);
             on_checkpoint(&points[..hi]);
         }
-        Ok(ctx.finish(points, 0))
+        Ok(ctx.finish(points))
     }
 }
 
-/// Resumable sweep over a fresh compile — the one-shot convenience form
-/// of [`CompiledSweep::run_resumable`].
-pub fn sweep_resumable(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-    completed: &[SweepPoint],
-    chunk: usize,
-    on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
-) -> Result<SweepResult, SweepResumeError> {
-    CompiledSweep::compile(workload)?.run_resumable(spec, completed, chunk, on_checkpoint)
+/// Worker threads for one grid evaluation: `RAYON_NUM_THREADS` when set
+/// to a positive count, else the machine's available parallelism. Read
+/// on every call, so a caller may change it between sweeps.
+fn worker_count() -> usize {
+    std::env::var("RAYON_NUM_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&n: &usize| n > 0)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// The static pre-flight context threaded through [`GridCtx::eval`] by
-/// [`sweep_preflight`].
+/// Run `eval(first + j, &mut slots[j])` for every slot on up to `workers`
+/// threads (capped at the slot count): the caller plus scoped helpers.
+/// Workers pull the next slot from a shared cursor, so cheap (pruned) and
+/// expensive (many-GPU) points balance. Each call touches only its own
+/// slot, so the result is the sequential loop's for every worker count.
+/// One worker runs every slot on the caller's thread and spawns nothing.
+/// A panicking `eval` re-raises its own payload.
+fn fan_out<T: Send>(
+    slots: &mut [T],
+    first: usize,
+    workers: usize,
+    eval: impl Fn(usize, &mut T) + Sync,
+) {
+    let helpers = workers.min(slots.len()).saturating_sub(1);
+    // The guard lives only across `next()`, which cannot panic, so the
+    // cursor is never poisoned; `into_inner` spares an unreachable panic.
+    let cursor = Mutex::new(slots.iter_mut().enumerate());
+    let worker = || loop {
+        let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
+        let Some((j, slot)) = next else { return };
+        eval(first + j, slot);
+    };
+    // Join every helper (an unjoined panicked thread would make `scope`
+    // raise its own generic panic), then re-raise the first payload. A
+    // panic on the caller's own share unwinds through `scope`, which
+    // re-raises it after the helpers finish.
+    let panicked = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(worker)).collect();
+        worker();
+        handles
+            .into_iter()
+            .fold(None, |first, h| first.or(h.join().err()))
+    });
+    if let Some(payload) = panicked {
+        std::panic::resume_unwind(payload);
+    }
+}
+
+/// The static pre-flight context [`sweep_preflight`] hands the grid.
 struct Preflight<'a> {
     nodes: &'a [Vec<RankTrace>],
     deadlock: Option<String>,
-    rejected: &'a std::sync::atomic::AtomicUsize,
 }
 
 /// Everything one grid evaluation needs: the shared arena, one cost
-/// table per calibration, and the spec. Both the all-at-once fan-out and
-/// the chunked resumable path go through the same [`GridCtx::eval`] and
-/// [`GridCtx::finish`], which is what makes them bit-identical.
+/// table per calibration, the spec and the optional pre-flight. The
+/// whole-grid and the chunked resumable paths go through the same
+/// [`GridCtx::eval_slots`] and [`GridCtx::finish`], which is what makes
+/// them bit-identical.
 struct GridCtx<'a> {
     spec: &'a SweepSpec,
     meta: &'a RecordMeta,
@@ -823,10 +833,13 @@ struct GridCtx<'a> {
     tables: Vec<Result<Vec<CSeg>, EngineError>>,
     per_calib: usize,
     nodes: usize,
+    pre: Option<Preflight<'a>>,
+    /// Points the pre-flight rejected, counted across fan-out workers.
+    rejected: AtomicUsize,
 }
 
 impl<'a> GridCtx<'a> {
-    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec) -> Self {
+    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec, pre: Option<Preflight<'a>>) -> Self {
         let meta = &cs.workload.meta;
         let tables = spec
             .calibs
@@ -840,11 +853,19 @@ impl<'a> GridCtx<'a> {
             tables,
             per_calib: spec.gpus.len() * spec.schedules.len(),
             nodes: cs.workload.nodes.len().max(1),
+            pre,
+            rejected: AtomicUsize::new(0),
         }
     }
 
-    /// Pre-allocate every point in grid order (calibration-major); the
-    /// parallel fan-out writes only its own slot, so output order — and
+    /// Evaluate `slots`, the grid points from index `first` on, across
+    /// the fan-out workers.
+    fn eval_slots(&self, slots: &mut [SweepPoint], first: usize) {
+        fan_out(slots, first, worker_count(), |i, pt| self.eval(i, pt));
+    }
+
+    /// Pre-allocate every point in grid order (calibration-major); each
+    /// fan-out worker writes only the slot it took, so output order — and
     /// therefore the serialized result — is thread-count-independent.
     fn blank_points(&self) -> Vec<SweepPoint> {
         let mut points = Vec::with_capacity(self.spec.point_count());
@@ -867,7 +888,7 @@ impl<'a> GridCtx<'a> {
         points
     }
 
-    fn eval(&self, i: usize, pt: &mut SweepPoint, pre: Option<&Preflight<'_>>) {
+    fn eval(&self, i: usize, pt: &mut SweepPoint) {
         let calib = &self.spec.calibs[i / self.per_calib];
         let costs = match &self.tables[i / self.per_calib] {
             Ok(t) => t,
@@ -883,7 +904,7 @@ impl<'a> GridCtx<'a> {
                 return;
             }
         }
-        if let Some(pre) = pre {
+        if let Some(pre) = &self.pre {
             // Same order as the engine: the OOM admission check runs
             // before the first event, a deadlock only after replaying
             // to quiescence.
@@ -892,8 +913,7 @@ impl<'a> GridCtx<'a> {
                 .or_else(|| pre.deadlock.clone());
             if let Some(e) = verdict {
                 pt.error = Some(e);
-                pre.rejected
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.rejected.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }
@@ -919,7 +939,7 @@ impl<'a> GridCtx<'a> {
         }
     }
 
-    fn finish(&self, points: Vec<SweepPoint>, rejected: usize) -> SweepResult {
+    fn finish(self, points: Vec<SweepPoint>) -> SweepResult {
         let pareto = pareto_front(&points);
         let best_under_deadline = self.spec.deadline.and_then(|d| {
             points
@@ -943,7 +963,7 @@ impl<'a> GridCtx<'a> {
             compiled_segments: self.compiled.segment_count(),
             evaluated,
             pruned,
-            rejected,
+            rejected: self.rejected.into_inner(),
         }
     }
 }
@@ -1378,7 +1398,8 @@ mod tests {
         // Swapped axis order: point 0 claims gpus=2 where the grid has 1.
         let mut wrong = res.points.clone();
         wrong.reverse();
-        let err = sweep_resumable(&w, &spec, &wrong, 8, &mut |_| {}).unwrap_err();
+        let cs = CompiledSweep::compile(&w).unwrap();
+        let err = cs.run_resumable(&spec, &wrong, 8, &mut |_| {}).unwrap_err();
         assert!(
             matches!(err, SweepResumeError::CursorMismatch { index: 0, .. }),
             "{err}"
@@ -1386,7 +1407,7 @@ mod tests {
         // Oversized cursor.
         let mut long = res.points.clone();
         long.extend(res.points.iter().cloned());
-        let err = sweep_resumable(&w, &spec, &long, 8, &mut |_| {}).unwrap_err();
+        let err = cs.run_resumable(&spec, &long, 8, &mut |_| {}).unwrap_err();
         assert!(
             matches!(err, SweepResumeError::CursorBeyondGrid { .. }),
             "{err}"
@@ -1413,5 +1434,71 @@ mod tests {
         // Physical rates are scale-free.
         assert_eq!(c.node.gpu.fp64_peak, paper.node.gpu.fp64_peak);
         assert!(SweepCalib::resolve("bogus", &meta).is_err());
+    }
+
+    #[test]
+    fn fan_out_evaluates_every_slot_once_like_the_sequential_loop() {
+        let value = |i: usize| (i as f64 + 0.5).sqrt().to_bits();
+        for len in [0usize, 1, 2, 16] {
+            let sequential: Vec<(usize, u32, u64)> =
+                (0..len).map(|j| (7 + j, 1, value(7 + j))).collect();
+            for workers in [1usize, 2, 3, 8] {
+                let mut slots = vec![(usize::MAX, 0u32, 0u64); len];
+                let threads = Mutex::new(std::collections::HashSet::new());
+                fan_out(&mut slots, 7, workers, |i, slot| {
+                    threads.lock().unwrap().insert(std::thread::current().id());
+                    *slot = (i, slot.1 + 1, value(i));
+                });
+                assert_eq!(slots, sequential, "len={len} workers={workers}");
+                let threads = threads.into_inner().unwrap();
+                assert!(
+                    threads.len() <= workers.min(len),
+                    "len={len} workers={workers}"
+                );
+                if workers == 1 && len > 0 {
+                    // One worker runs inline on the caller's thread.
+                    assert!(threads.contains(&std::thread::current().id()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_slots_concurrently() {
+        // Two slots rendezvous: each waits (bounded) for the other to
+        // start. A sequential loop times out and fails instead of hanging.
+        let started = (Mutex::new(0usize), std::sync::Condvar::new());
+        let mut met = [false; 2];
+        fan_out(&mut met, 0, 2, |_, met| {
+            let (count, cv) = &started;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            cv.notify_all();
+            let (n, _) = cv
+                .wait_timeout_while(n, std::time::Duration::from_secs(20), |n| *n < 2)
+                .unwrap();
+            *met = *n == 2;
+        });
+        assert_eq!(met, [true, true], "slots did not run side by side");
+    }
+
+    #[test]
+    fn a_panicking_slot_reraises_its_own_payload() {
+        for workers in [1usize, 2, 3, 8] {
+            let mut slots = vec![0u8; 16];
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                fan_out(&mut slots, 0, workers, |i, _| {
+                    if i == 11 {
+                        panic!("grid point {i} exploded");
+                    }
+                })
+            }))
+            .expect_err("the panic must propagate");
+            assert_eq!(
+                err.downcast_ref::<String>().map(String::as_str),
+                Some("grid point 11 exploded"),
+                "workers={workers}"
+            );
+        }
     }
 }

@@ -497,11 +497,6 @@ impl RecordedWorkload {
     pub fn read(path: &Path) -> Result<Self, WhatifError> {
         Self::parse_jsonl(&fs::read_to_string(path)?)
     }
-
-    /// Total ranks actually present in the recording (Σ per node).
-    pub fn rank_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.len()).sum()
-    }
 }
 
 pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> WhatifError {
@@ -883,7 +878,7 @@ mod tests {
         w.write(&path).unwrap();
         let r = RecordedWorkload::read(&path).unwrap();
         assert_eq!(r.meta, w.meta);
-        assert_eq!(r.rank_count(), 4);
+        assert_eq!(r.nodes.iter().map(Vec::len).sum::<usize>(), 4);
         std::fs::remove_file(&path).ok();
     }
 

@@ -118,29 +118,3 @@ fn apply_overrides(s: &mut Scenario) {
         s.output.record_out = Some(v);
     }
 }
-
-/// Parse `--scale <f64>` from argv, with a default. Retained for the
-/// binaries that have no run configuration at all (LoC counts, the
-/// allocator ablation); everything else goes through
-/// [`scenario_from_args`].
-pub fn scale_from_args(default: f64) -> f64 {
-    parsed_value("--scale").unwrap_or(default)
-}
-
-/// Parse `--nodes <n>` from argv: replay `n` whole nodes through the
-/// cluster engine. `None` (flag absent) keeps the legacy single-node
-/// replay with analytic comm pricing.
-pub fn nodes_from_args() -> Option<u32> {
-    let n: u32 = parsed_value("--nodes")?;
-    if n < 1 {
-        bail("--nodes expects a positive integer");
-    }
-    Some(n)
-}
-
-/// Parse `--schedule <policy>` from argv
-/// (auto | mps | timeslice | fifo | priority); defaults to `auto`,
-/// which follows the MPS flag.
-pub fn schedule_from_args() -> accel_sim::SchedulePolicyKind {
-    parsed_value("--schedule").unwrap_or(accel_sim::SchedulePolicyKind::Auto)
-}

@@ -128,11 +128,13 @@ fn same_scenario_twice_exports_byte_identical_traces() {
 
 #[test]
 fn thread_count_does_not_change_the_exported_trace() {
-    // The engine parallelises over per-node shards via the rayon facade
-    // and merges shard results in node order, so worker-thread count must
-    // not leak into results. RAYON_NUM_THREADS is the knob real rayon
-    // honours (the offline facade runs sequentially either way); the
-    // contract this test locks is that nothing in the engine observes it.
+    // The engine iterates per-node shards through the rayon facade and
+    // merges shard results in node order. The facade is the sequential
+    // in-tree shim and the engine deliberately stays on it (see the shim's
+    // crate doc), so this test is vacuous today: nothing in the engine
+    // reads RAYON_NUM_THREADS. It locks that contract for the day the
+    // shard loop runs in parallel; only the sweep fan-out above the
+    // engine uses the knob now.
     let baseline = {
         std::env::set_var("RAYON_NUM_THREADS", "1");
         run()

@@ -248,34 +248,49 @@ fn whatif_record_sweep_matches_the_golden_file_byte_for_byte() {
     // Through the JSONL codec, as the CLI reads it.
     let mut workload = RecordedWorkload::parse_jsonl(&recorded.to_jsonl()).expect("parses");
 
-    // Overlap off (as recorded), then on: transfers are recorded the same
-    // either way, so flipping the replay flag equals recording with
-    // `--overlap`, whose live makespan the identity replay must hit.
-    let mut jsonl = String::new();
-    for (overlap, live_bits) in [
-        (false, GOLDEN_WHATIF_LIVE.to_bits()),
-        (true, GOLDEN_WHATIF_LIVE_OVERLAP.to_bits()),
-    ] {
-        workload.meta.overlap_transfers = overlap;
-        let identity = workload.replay_identity().expect("identity replay fits");
-        assert_eq!(
-            identity.cluster.wall_seconds.to_bits(),
-            live_bits,
-            "overlap {overlap}: identity replay {:?}",
-            identity.cluster.wall_seconds
-        );
-        let spec = SweepSpec::parse_grid(GOLDEN_GRID, &workload.meta).expect("grid parses");
-        jsonl.push_str(&sweep(&workload, &spec).expect("sweep compiles").to_jsonl());
-    }
     assert_eq!(
         recorded.meta.live_wall_seconds.to_bits(),
         GOLDEN_WHATIF_LIVE.to_bits()
     );
     let golden = include_str!("golden/sweep_whatif_record.jsonl");
-    for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
-        assert_eq!(got, want, "golden sweep line {} differs", i + 1);
+    // The sweep fans points out over `RAYON_NUM_THREADS` workers; the
+    // file pins every worker count, including uneven shares.
+    for threads in ["1", "2", "3", "8"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        // Overlap off (as recorded), then on: transfers are recorded the
+        // same either way, so flipping the replay flag equals recording
+        // with `--overlap`, whose live makespan the identity replay must
+        // hit.
+        let mut jsonl = String::new();
+        for (overlap, live_bits) in [
+            (false, GOLDEN_WHATIF_LIVE.to_bits()),
+            (true, GOLDEN_WHATIF_LIVE_OVERLAP.to_bits()),
+        ] {
+            workload.meta.overlap_transfers = overlap;
+            let identity = workload.replay_identity().expect("identity replay fits");
+            assert_eq!(
+                identity.cluster.wall_seconds.to_bits(),
+                live_bits,
+                "overlap {overlap}: identity replay {:?}",
+                identity.cluster.wall_seconds
+            );
+            let spec = SweepSpec::parse_grid(GOLDEN_GRID, &workload.meta).expect("grid parses");
+            jsonl.push_str(&sweep(&workload, &spec).expect("sweep compiles").to_jsonl());
+        }
+        for (i, (got, want)) in jsonl.lines().zip(golden.lines()).enumerate() {
+            assert_eq!(
+                got,
+                want,
+                "golden sweep line {} differs at {threads} workers",
+                i + 1
+            );
+        }
+        assert_eq!(
+            jsonl, golden,
+            "golden sweep length differs at {threads} workers"
+        );
     }
-    assert_eq!(jsonl, golden, "golden sweep length differs");
+    std::env::remove_var("RAYON_NUM_THREADS");
 }
 
 // Pre-refactor makespans, recorded from the analytic replay (see module

@@ -1,12 +1,13 @@
 //! Sweep determinism: the batched evaluator fans grid points out across
-//! the rayon facade, but every point writes only its own pre-allocated
-//! slot and every reduction (Pareto front, best-under-deadline, counters)
-//! walks points in grid order — so the serialized result must be
-//! byte-identical whatever `RAYON_NUM_THREADS` says. This is the same
-//! contract the engine determinism suite locks for a single replay,
-//! lifted to the whole sweep.
+//! worker threads (`RAYON_NUM_THREADS` of them when set), but every point
+//! writes only its own pre-allocated slot and every reduction (Pareto
+//! front, best-under-deadline, counters) walks points in grid order — so
+//! the serialized result must be byte-identical whatever the worker
+//! count. This is the same contract the engine determinism suite locks
+//! for a single replay, lifted to the whole sweep and to every grid entry
+//! point: plain, preflight, compiled and resumable.
 
-use accel_sim::sweep::{sweep, SweepResult, SweepSpec};
+use accel_sim::sweep::{sweep, sweep_preflight, CompiledSweep, SweepResult, SweepSpec};
 use accel_sim::{
     KernelProfile, RankTrace, RecordMeta, RecordedWorkload, SchedulePolicyKind, Segment,
     TransferDir,
@@ -57,8 +58,7 @@ fn workload() -> RecordedWorkload {
     RecordedWorkload::capture(vec![node_a, node_b], meta)
 }
 
-fn run() -> SweepResult {
-    let w = workload();
+fn spec(w: &RecordedWorkload) -> SweepSpec {
     // The default grid already spans identity plus every preset.
     let mut spec = SweepSpec::default_grid(&w.meta);
     spec.gpus = vec![1, 2, 4];
@@ -69,14 +69,39 @@ fn run() -> SweepResult {
     ];
     // A deadline in the middle of the grid so the pruner fires on some
     // points and not others — pruning decisions must be deterministic too.
-    let probe = sweep(&w, &spec).expect("probe sweep");
+    let probe = sweep(w, &spec).expect("probe sweep");
     let max_lb = probe
         .points
         .iter()
         .map(|p| p.lower_bound)
         .fold(0.0, f64::max);
     spec.deadline = Some(max_lb * 0.99);
-    sweep(&w, &spec).expect("sweep")
+    spec
+}
+
+fn run() -> SweepResult {
+    let w = workload();
+    sweep(&w, &spec(&w)).expect("sweep")
+}
+
+/// The other grid entry points over the same grid, serialized: preflight,
+/// the compiled run, and a resumable run from a mid-grid cursor in
+/// chunks that do not divide the remaining points.
+fn other_entry_points(baseline: &SweepResult) -> [(&'static str, String); 3] {
+    let w = workload();
+    let spec = spec(&w);
+    let cs = CompiledSweep::compile(&w).expect("compile");
+    let resumed = cs
+        .run_resumable(&spec, &baseline.points[..7], 5, &mut |_| {})
+        .expect("resume");
+    [
+        (
+            "preflight",
+            sweep_preflight(&w, &spec).expect("preflight").to_jsonl(),
+        ),
+        ("compiled", cs.run(&spec).to_jsonl()),
+        ("resumed", resumed.to_jsonl()),
+    ]
 }
 
 #[test]
@@ -87,8 +112,14 @@ fn sweep_output_is_byte_identical_across_thread_counts() {
     assert!(baseline.evaluated > 0);
     assert!(baseline.pruned > 0, "deadline should prune something");
 
-    for threads in ["2", "8"] {
+    for threads in ["1", "2", "3", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
+        for (path, jsonl) in other_entry_points(&baseline) {
+            assert_eq!(
+                jsonl, baseline_jsonl,
+                "{path} sweep JSONL diverged at RAYON_NUM_THREADS={threads}"
+            );
+        }
         let other = run();
         assert_eq!(
             other.to_jsonl(),

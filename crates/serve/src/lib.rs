@@ -36,9 +36,10 @@
 //! the exact error text its replay would have produced. A `drain` takes
 //! the whole queue as one batch; sweep jobs sharing a recording (by
 //! content digest) share one [`accel_sim::CompiledSweep`] arena, and
-//! every grid fans out over the deterministic rayon pool. Long sweeps
-//! write a [`accel_sim::SweepCheckpoint`] cursor after every chunk
-//! (atomic tmp+rename), and a restarted service with `resume` enabled
+//! every grid chunk fans out over the sweep's worker threads, with
+//! byte-identical output for any worker count. Long sweeps write a
+//! [`accel_sim::SweepCheckpoint`] cursor after every chunk (atomic and
+//! durable: fsynced tmp + rename + directory fsync), and a restarted service with `resume` enabled
 //! adopts a digest-matching cursor — producing output byte-identical to
 //! an uninterrupted run, the same determinism contract the engine suite
 //! locks.
@@ -57,6 +58,7 @@ mod net;
 
 pub use service::{
     Flow, QueueFull, ScenarioExec, ScenarioOutcome, ServeConfig, ServeStats, Service,
+    MAX_LINE_BYTES,
 };
 
 #[cfg(unix)]

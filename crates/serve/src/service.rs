@@ -9,7 +9,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -42,6 +42,9 @@ impl fmt::Display for QueueFull {
 }
 
 impl std::error::Error for QueueFull {}
+
+/// Longest request line [`Service::serve`] reads, in bytes.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
@@ -243,14 +246,32 @@ impl<E: ScenarioExec> Service<E> {
     /// `true` when the client requested shutdown — socket servers stop
     /// accepting — and `false` on EOF, after draining whatever was
     /// admitted (closing the pipe never drops accepted work).
-    pub fn serve<R: BufRead, W: Write>(&mut self, reader: R, mut w: W) -> io::Result<bool> {
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            if self.handle_line(&line, &mut w)? == Flow::Shutdown {
-                return Ok(true);
+    /// A line longer than [`MAX_LINE_BYTES`] or not valid UTF-8 gets an
+    /// `error` event and the connection keeps serving; the long line's
+    /// excess is skipped, never buffered.
+    pub fn serve<R: BufRead, W: Write>(&mut self, mut reader: R, mut w: W) -> io::Result<bool> {
+        let mut buf = Vec::new();
+        loop {
+            buf.clear();
+            let cap = MAX_LINE_BYTES as u64 + 1;
+            let n = (&mut reader).take(cap).read_until(b'\n', &mut buf)?;
+            let line = if n == 0 {
+                break;
+            } else if n > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+                reader.skip_until(b'\n')?;
+                Err(format!("request line exceeds {MAX_LINE_BYTES} bytes"))
+            } else {
+                std::str::from_utf8(&buf)
+                    .map_err(|e| format!("request line is not valid UTF-8: {e}"))
+            };
+            match line.map(str::trim_end) {
+                Err(e) => error_event(&mut w, &e)?,
+                Ok("") => {}
+                Ok(line) => {
+                    if self.handle_line(line, &mut w)? == Flow::Shutdown {
+                        return Ok(true);
+                    }
+                }
             }
         }
         self.drain(&mut w)?;
@@ -279,13 +300,7 @@ impl<E: ScenarioExec> Service<E> {
                         ),
                     )?;
                 } else {
-                    emit(
-                        w,
-                        &format!(
-                            "{{\"type\":\"error\",\"error\":\"{}\"}}",
-                            esc(&e.to_string())
-                        ),
-                    )?;
+                    error_event(w, &e.to_string())?;
                 }
                 return Ok(Flow::Continue);
             }
@@ -675,6 +690,14 @@ fn run_sweep_job<W: Write>(
 fn emit<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
     writeln!(w, "{line}")?;
     w.flush()
+}
+
+/// A protocol error not tied to any job id.
+fn error_event<W: Write>(w: &mut W, error: &str) -> io::Result<()> {
+    emit(
+        w,
+        &format!("{{\"type\":\"error\",\"error\":\"{}\"}}", esc(error)),
+    )
 }
 
 fn status<W: Write>(w: &mut W, id: &str, state: &str, extra: &str) -> io::Result<()> {

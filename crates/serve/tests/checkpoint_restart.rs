@@ -2,7 +2,9 @@
 //! SIGKILLed mid-sweep at a checkpoint boundary, restarted with
 //! `--resume`, and must produce sweep output byte-identical to an
 //! uninterrupted run — the service-level face of the engine's
-//! resumable-sweep bit-identity contract.
+//! resumable-sweep bit-identity contract. The three runs use different
+//! sweep worker counts (`RAYON_NUM_THREADS`), so the cursor must be
+//! worker-count-independent too.
 
 mod common;
 
@@ -85,7 +87,11 @@ fn killed_and_resumed_sweep_output_is_byte_identical() {
     ];
 
     // Oracle: the same job, never interrupted.
-    let lines = run_simd(&[], &[], &sweep_req("ck", &rec, &out_a));
+    let lines = run_simd(
+        &[],
+        &[("RAYON_NUM_THREADS", "1")],
+        &sweep_req("ck", &rec, &out_a),
+    );
     let done = event(&lines, "ck", "done");
     assert_eq!(raw_field(done, "points"), "40");
     let oracle = std::fs::read(&out_a).expect("uninterrupted output");
@@ -93,7 +99,14 @@ fn killed_and_resumed_sweep_output_is_byte_identical() {
     // Interrupted run: checkpoint every 8 points, with a long post-
     // checkpoint pause so the SIGKILL deterministically lands between
     // the first cursor write and the next chunk.
-    let mut child = spawn_simd(&ck_args, &[("SIMD_SERVE_CHUNK_SLEEP_MS", "2000")], &dir);
+    let mut child = spawn_simd(
+        &ck_args,
+        &[
+            ("SIMD_SERVE_CHUNK_SLEEP_MS", "2000"),
+            ("RAYON_NUM_THREADS", "3"),
+        ],
+        &dir,
+    );
     let mut stdin = child.stdin.take().unwrap();
     writeln!(
         stdin,
@@ -120,26 +133,36 @@ fn killed_and_resumed_sweep_output_is_byte_identical() {
     assert!(ckpt.exists(), "killed run must leave its cursor behind");
     assert!(!out_b.exists(), "killed run must not have written output");
 
-    // Restart with --resume: adopts the cursor, finishes the grid.
+    // Restart with --resume: adopts the cursor, finishes the grid. Each
+    // worker count resumes from the same cursor.
+    let cursor = std::fs::read(&ckpt).unwrap();
     let args: Vec<&str> = ck_args.iter().copied().chain(["--resume"]).collect();
-    let lines = run_simd(&args, &[], &sweep_req("ck", &rec, &out_b));
-    let running = event(&lines, "ck", "running");
-    let resumed: usize = raw_field(running, "resumed").parse().unwrap();
-    assert!(
-        (8..40).contains(&resumed),
-        "expected a partial cursor, resumed {resumed} of 40"
-    );
-    event(&lines, "ck", "done");
+    for threads in ["2", "3", "8"] {
+        std::fs::write(&ckpt, &cursor).unwrap();
+        std::fs::remove_file(&out_b).ok();
+        let lines = run_simd(
+            &args,
+            &[("RAYON_NUM_THREADS", threads)],
+            &sweep_req("ck", &rec, &out_b),
+        );
+        let running = event(&lines, "ck", "running");
+        let resumed: usize = raw_field(running, "resumed").parse().unwrap();
+        assert!(
+            (8..40).contains(&resumed),
+            "expected a partial cursor, resumed {resumed} of 40"
+        );
+        event(&lines, "ck", "done");
 
-    assert_eq!(
-        std::fs::read(&out_b).expect("resumed output"),
-        oracle,
-        "resumed sweep output diverged from the uninterrupted run"
-    );
-    assert!(
-        !ckpt.exists(),
-        "completed sweep must remove its cursor file"
-    );
+        assert_eq!(
+            std::fs::read(&out_b).expect("resumed output"),
+            oracle,
+            "resumed sweep output diverged from the uninterrupted run at {threads} workers"
+        );
+        assert!(
+            !ckpt.exists(),
+            "completed sweep must remove its cursor file"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

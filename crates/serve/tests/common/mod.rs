@@ -50,13 +50,18 @@ pub fn spawn_simd(args: &[&str], envs: &[(&str, &str)], cwd: &std::path::Path) -
 /// Run one full `simd` session: write `input` to its stdin, close it,
 /// collect every event line, and require a clean exit.
 pub fn run_simd(args: &[&str], envs: &[(&str, &str)], input: &str) -> Vec<String> {
+    run_simd_bytes(args, envs, input.as_bytes())
+}
+
+/// [`run_simd`] over raw request bytes, which need not be UTF-8.
+pub fn run_simd_bytes(args: &[&str], envs: &[(&str, &str)], input: &[u8]) -> Vec<String> {
     let cwd = std::env::current_dir().expect("cwd");
     let mut child = spawn_simd(args, envs, &cwd);
     child
         .stdin
         .take()
         .expect("stdin")
-        .write_all(input.as_bytes())
+        .write_all(input)
         .expect("write requests");
     let lines: Vec<String> = BufReader::new(child.stdout.take().expect("stdout"))
         .lines()

@@ -203,7 +203,7 @@ fn per_job_results_are_identical_across_arrival_order_threads_and_batching() {
         vec![4, 3, 2, 1, 0],
         vec![2, 0, 4, 1, 3],
     ];
-    for threads in ["1", "2", "8"] {
+    for threads in ["1", "2", "3", "8"] {
         std::env::set_var("RAYON_NUM_THREADS", threads);
         for order in &orders {
             std::fs::remove_file(dir.join("swp-1.jsonl")).ok();

@@ -6,11 +6,12 @@
 //! scenario is rejected at admission carrying the exact simlint
 //! diagnostics the `lint` binary would print; overfilling the bounded
 //! queue yields the typed `queue_full` backpressure rejection, and the
-//! overflow costs the admitted jobs nothing.
+//! overflow costs the admitted jobs nothing. A line of garbage bytes or
+//! one past the length cap is a protocol error, not a dropped client.
 
 mod common;
 
-use common::{event, raw_field, run_simd};
+use common::{event, raw_field, run_simd, run_simd_bytes};
 use repro_bench::{run_config, runner::RunConfig};
 use scenario::{check_scenario, ImplKind, NetCalib, NodeCalib, ProblemSize, Scenario};
 use std::path::Path;
@@ -123,4 +124,37 @@ fn overfilling_the_queue_is_a_typed_backpressure_rejection() {
             .any(|l| l.contains("\"id\":\"q3\"") && l.contains("\"state\":\"done\"")),
         "{lines:#?}"
     );
+}
+
+#[test]
+fn garbage_bytes_and_oversized_lines_do_not_end_the_connection() {
+    let s = golden_scenario();
+    let cap = simd_serve::MAX_LINE_BYTES;
+    let mut input = b"{\"type\":\"stats\",\"id\":\"\xff\xfe\"}\n".to_vec();
+    input.extend_from_slice(submit("after-garbage", &s).as_bytes());
+    // Twice the cap: a reader that stops at the cap without skipping the
+    // rest would parse the remainder as a further request.
+    input.extend(std::iter::repeat_n(b'x', 2 * cap + 1));
+    input.push(b'\n');
+    input.extend_from_slice(submit("after-oversized", &s).as_bytes());
+    let lines = run_simd_bytes(&[], &[], &input);
+
+    let errors: Vec<&String> = lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"error\""))
+        .collect();
+    assert_eq!(errors.len(), 2, "{lines:#?}");
+    assert!(
+        errors[0].contains("request line is not valid UTF-8"),
+        "{}",
+        errors[0]
+    );
+    assert!(
+        errors[1].contains(&format!("request line exceeds {cap} bytes")),
+        "{}",
+        errors[1]
+    );
+    for id in ["after-garbage", "after-oversized"] {
+        event(&lines, id, "done");
+    }
 }

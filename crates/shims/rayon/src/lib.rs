@@ -9,8 +9,22 @@
 //!
 //! Correctness is unaffected: the simulator's *virtual* clock charges
 //! thread-level parallelism through its cost model, never through host
-//! wall time. Only host-side wall time of the harness itself is lost, and
-//! the tier-1 suite stays fast enough without it.
+//! wall time. Host wall time is another matter, so the one site where
+//! parallelism pays does not use this shim: the what-if sweep evaluates
+//! its independent grid points on scoped std threads (`fan_out` in
+//! `accel_sim::sweep`, `RAYON_NUM_THREADS` workers when set).
+//!
+//! The sites that stay on these sequential iterators do so on purpose:
+//! the engine's per-shard loop, the `run_config` rank loop and the cpu
+//! kernels' `par_chunks_mut`. A prototype that made this whole shim
+//! parallel with scoped threads lifted the `live` wall-clock workload
+//! from 19.1 to 31.6 runs/s on two cores, but its peak RSS rose from
+//! 23.7 to 29.4 MB (+24 %). The live heap peak was the same at one and
+//! two threads (16.3 MB); the extra resident memory is the worker
+//! thread's glibc malloc arena keeping freed pages (~4.7 MB), and with
+//! fixed malloc thresholds it was still +2.2 MB (~10 %). Parallel ranks
+//! in a ~23 MB process therefore cost about a tenth more memory by
+//! construction.
 
 #![forbid(unsafe_code)]
 
