@@ -92,8 +92,10 @@ for f in scenarios/*.json; do
 done
 
 echo "== fig5 cluster smoke (scenarios/fig5_4node.json)"
+# The JSONL traces it writes are checked line by line further down.
+rm -f target/ci_fig5_trace-*.jsonl
 cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
-  --scenario scenarios/fig5_4node.json >/dev/null
+  --scenario scenarios/fig5_4node.json --trace-out target/ci_fig5_trace.jsonl >/dev/null
 
 echo "== engine-throughput bench (smoke mode)"
 # Validates the bench harness end to end and the shape of the JSON it
@@ -271,5 +273,42 @@ diff target/ci_simd_a.jsonl target/ci_simd_b.jsonl || {
 }
 rm -rf "$ckdir" target/ci_simd_a.jsonl target/ci_simd_b.jsonl
 rm -f "$workload"
+
+echo "== JSON validity of every written line (hostile scenario name)"
+# A scenario named with control characters, a quote and a backslash must
+# come out of every writer as one valid JSON object per line: the
+# recording, the sweep result, the fig5 JSONL traces and the simd event
+# stream. jq -R reads each line on its own, so a record split by a raw
+# newline fails. The identity replay of that recording stays exact.
+hostile_name='"a\n\t\u0001\"\\b"'
+hostile="target/ci_hostile"
+rm -rf "$hostile"
+mkdir -p "$hostile"
+jq ".name = $hostile_name" scenarios/whatif_record.json >"$hostile/scenario.json"
+cargo run --release -p repro-bench --bin whatif -- \
+  --scenario "$hostile/scenario.json" --record "$hostile/rec.jsonl" >/dev/null
+cargo run --release -p repro-bench --bin whatif -- --replay "$hostile/rec.jsonl" \
+  | grep "identity check: .* delta 0.000000000" >/dev/null
+cargo run --release -p repro-bench --bin whatif -- sweep \
+  --record "$hostile/rec.jsonl" --gpus 1..4 --calib identity,h100 \
+  --out "$hostile/sweep.jsonl" >/dev/null
+{
+  jq -c "{type:\"submit\", id:$hostile_name, scenario:(.output={})}" "$hostile/scenario.json"
+  printf '{"type":"sweep","id":"ci-hostile","recording":"%s"}\n' "$hostile/rec.jsonl"
+  echo 'not json'
+  echo '{"type":"stats"}'
+} | "$simd" >"$hostile/events.jsonl"
+[ "$(grep -c '"state":"done"' "$hostile/events.jsonl")" = 2 ] || {
+  echo "simd did not complete both hostile-named jobs:" >&2
+  cat "$hostile/events.jsonl" >&2
+  exit 1
+}
+for f in "$hostile"/rec.jsonl "$hostile"/sweep.jsonl "$hostile"/events.jsonl target/ci_fig5_trace-*.jsonl; do
+  jq -enR 'all(inputs; fromjson | type == "object")' "$f" >/dev/null || {
+    echo "$f holds a line that is not one JSON object" >&2
+    exit 1
+  }
+done
+rm -rf "$hostile" target/ci_fig5_trace-*.jsonl
 
 echo "CI OK"

@@ -233,9 +233,9 @@ impl Diagnostic {
     }
 
     /// One machine-readable JSON object (no trailing newline), in the
-    /// workspace's hand-rolled lossless style.
+    /// workspace's lossless style, escaped through [`crate::json::esc`].
     pub fn to_json(&self) -> String {
-        use crate::whatif::esc;
+        use crate::json::esc;
         let mut out = format!(
             "{{\"code\":\"{}\",\"severity\":\"{}\"",
             self.code.as_str(),

@@ -39,6 +39,8 @@
 //! entire calibration × GPU-count × schedule grid (each point materializes
 //! only a per-calibration cost vector), with lower-bound pruning against a
 //! deadline and Pareto-front extraction over makespan vs hardware cost.
+//! Recordings, sweep results and checkpoints, and every other file the
+//! workspace reads or writes, go through one JSON codec, [`json`].
 //!
 //! Everything the engine would reject at replay time is also *statically
 //! decidable* from the recorded work description: [`analyze`] checks a
@@ -54,6 +56,7 @@ pub mod calib;
 pub mod comm;
 pub mod context;
 pub mod engine;
+pub mod json;
 pub mod node;
 pub mod profile;
 pub mod sweep;

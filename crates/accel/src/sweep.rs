@@ -58,11 +58,12 @@ use std::sync::{Mutex, PoisonError};
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload, Reprice};
 use crate::engine::{EngineError, SchedulePolicyKind};
+use crate::json::{self, as_opt_f64, as_str, esc, num, Fields};
 use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
-    bool_field, esc, int_field, num, num_field, parse_err, preset, presets, str_field, RecordMeta,
-    RecordedWorkload, UnknownPreset, WhatifCalib, WhatifError,
+    parse_err, preset, presets, RecordMeta, RecordedWorkload, UnknownPreset, WhatifCalib,
+    WhatifError,
 };
 
 /// One calibration axis value of a sweep grid: a resolved node + network
@@ -263,37 +264,33 @@ impl SweepPoint {
         out
     }
 
-    /// Parse a `point` line back (the checkpoint reader). Lossless: the
-    /// shortest-round-trip float encoding restores the exact bits, so a
-    /// parsed point re-serializes byte-identically. The `pareto` field is
-    /// ignored — front membership is recomputed when the sweep finishes.
+    /// Parse a `point` line back (the checkpoint reader); `ln` is its
+    /// line in the enclosing file. Lossless: the shortest-round-trip
+    /// float encoding restores the exact bits, so a parsed point
+    /// re-serializes byte-identically. The `pareto` value is checked and
+    /// dropped, because front membership is recomputed when the sweep
+    /// finishes.
     pub fn parse(line: &str, ln: usize) -> Result<Self, WhatifError> {
-        let calib = str_field(line, "calib")
-            .ok_or_else(|| parse_err(ln, "missing string field 'calib'"))?;
-        let gpus = int_field(line, "gpus", ln)?;
-        let schedule: SchedulePolicyKind = str_field(line, "schedule")
-            .ok_or_else(|| parse_err(ln, "missing string field 'schedule'"))?
-            .parse()
-            .map_err(|e: String| parse_err(ln, e))?;
-        let lower_bound = num_field(line, "lower_bound", ln)?;
-        let pruned = bool_field(line, "pruned", ln)?;
-        let opt = |field: &str| -> Result<Option<f64>, WhatifError> {
-            if line.contains(&format!("\"{field}\":null")) {
-                Ok(None)
-            } else {
-                num_field(line, field, ln).map(Some)
-            }
+        let mut f = Fields::of(json::parse_line(line, ln)?, "point line", ln)?;
+        if f.str("type")? != "point" {
+            return Err(parse_err(ln, "not a point line"));
+        }
+        let point = SweepPoint {
+            calib: f.str("calib")?,
+            gpus: f.int("gpus")?,
+            schedule: f
+                .str("schedule")?
+                .parse()
+                .map_err(|e: String| parse_err(ln, e))?,
+            lower_bound: f.f64("lower_bound")?,
+            pruned: f.bool("pruned")?,
+            makespan: as_opt_f64(f.require("makespan")?, "makespan")?,
+            cost: as_opt_f64(f.require("cost")?, "cost")?,
+            error: f.opt("error", as_str)?,
         };
-        Ok(SweepPoint {
-            calib,
-            gpus,
-            schedule,
-            lower_bound,
-            makespan: opt("makespan")?,
-            cost: opt("cost")?,
-            pruned,
-            error: str_field(line, "error"),
-        })
+        f.bool("pareto")?;
+        f.finish()?;
+        Ok(point)
     }
 }
 
@@ -399,29 +396,29 @@ impl SweepCheckpoint {
     /// one, but a cursor is exactly the file one reads after a crash).
     pub fn parse_jsonl(text: &str) -> Result<Self, WhatifError> {
         let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or_else(|| parse_err(1, "empty checkpoint"))?;
-        if !header.contains("\"type\":\"sweep_checkpoint\"") {
+        let header = lines.next().map_or("", |(_, l)| l);
+        let mut f = Fields::of(json::parse_line(header, 1)?, "checkpoint header", 1)?;
+        if f.str("type")? != "sweep_checkpoint" {
             return Err(parse_err(1, "not a sweep checkpoint (bad header line)"));
         }
-        let version: u64 = int_field(header, "version", 1)?;
+        let version: u64 = f.int("version")?;
         if version != 1 {
             return Err(parse_err(
                 1,
                 format!("unsupported checkpoint version {version} (this build reads version 1)"),
             ));
         }
-        let digest: u64 = int_field(header, "digest", 1)?;
-        let total: usize = int_field(header, "total", 1)?;
-        let completed: usize = int_field(header, "completed", 1)?;
+        let digest: u64 = f.int("digest")?;
+        let total: usize = f.int("total")?;
+        let completed: usize = f.int("completed")?;
+        f.finish()?;
         if completed > total {
             return Err(parse_err(
                 1,
                 format!("checkpoint cursor {completed} exceeds grid size {total}"),
             ));
         }
-        let mut points = Vec::with_capacity(completed);
+        let mut points = Vec::new();
         for (i, line) in lines {
             if line.trim().is_empty() {
                 continue;
@@ -1383,6 +1380,13 @@ mod tests {
             "{\"type\":\"sweep_checkpoint\",\"version\":2,\"digest\":0,\"total\":0,\"completed\":0}\n"
         )
         .is_err());
+        // A huge declared count is a torn file, not an allocation.
+        let huge = format!(
+            "{{\"type\":\"sweep_checkpoint\",\"version\":1,\"digest\":0,\"total\":{0},\"completed\":{0}}}\n",
+            usize::MAX
+        );
+        let err = SweepCheckpoint::parse_jsonl(&huge).unwrap_err();
+        assert!(err.to_string().contains("carries 0"), "{err}");
     }
 
     #[test]

@@ -20,12 +20,12 @@
 //! module down (`crates/bench/tests/whatif_differential.rs`, and the
 //! `whatif` binary's identity smoke in `ci.sh`).
 //!
-//! The on-disk format is JSONL (one meta line, then one line per rank
-//! declaration and per segment), hand-rolled like the trace export in
-//! `repro-bench` because the workspace builds without registry
-//! dependencies. Parsing returns a typed [`WhatifError`] — a malformed
-//! line reports its line number instead of panicking — and
-//! serialize → parse → re-serialize is byte-identical.
+//! The on-disk format is JSONL: one meta line, then one line per rank
+//! declaration and per segment, each written and read through the
+//! workspace's one JSON codec ([`crate::json`]). Parsing is strict and
+//! returns a typed [`WhatifError`] naming the line: malformed JSON, a
+//! missing or mistyped key, or a key the writer never emits.
+//! Serialize → parse → re-serialize is byte-identical.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -37,6 +37,7 @@ use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
 use crate::comm::allreduce_seconds;
 use crate::context::LabelStats;
 use crate::engine::{simulate_cluster, ClusterResult, EngineError, SchedulePolicyKind};
+use crate::json::{self, as_str, esc, num, Fields, JsonError};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
 use crate::trace::{RankTrace, Segment, TransferDir};
@@ -133,6 +134,12 @@ impl std::error::Error for WhatifError {}
 impl From<io::Error> for WhatifError {
     fn from(e: io::Error) -> Self {
         WhatifError::Io(e)
+    }
+}
+
+impl From<JsonError> for WhatifError {
+    fn from(e: JsonError) -> Self {
+        parse_err(e.line(), e.to_string())
     }
 }
 
@@ -423,31 +430,31 @@ impl RecordedWorkload {
         out
     }
 
-    /// Parse the JSONL workload format.
+    /// Parse the JSONL workload format. Every line is one JSON object
+    /// read through [`crate::json`]; a key the writer does not emit is an
+    /// error naming its line.
     pub fn parse_jsonl(text: &str) -> Result<Self, WhatifError> {
         let mut meta: Option<RecordMeta> = None;
         let mut nodes: Vec<Vec<RankTrace>> = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
+        for (i, line) in text.lines().enumerate() {
             let ln = i + 1;
-            let line = raw.trim();
-            if line.is_empty() {
+            if line.trim().is_empty() {
                 continue;
             }
-            let ty = str_field(line, "type")
-                .ok_or_else(|| parse_err(ln, "missing string field 'type'"))?;
-            match ty.as_str() {
+            let mut f = Fields::of(json::parse_line(line, ln)?, "workload line", ln)?;
+            match f.str("type")?.as_str() {
                 "meta" => {
                     if meta.is_some() {
                         return Err(parse_err(ln, "duplicate meta line"));
                     }
-                    meta = Some(parse_meta(line, ln)?);
+                    meta = Some(parse_meta(&mut f, ln)?);
                 }
                 "rank" => {
                     if meta.is_none() {
                         return Err(parse_err(ln, "rank line before meta"));
                     }
-                    let node: usize = int_field(line, "node", ln)?;
-                    let rank: usize = int_field(line, "rank", ln)?;
+                    let node: usize = f.int("node")?;
+                    let rank: usize = f.int("rank")?;
                     if node > nodes.len() {
                         return Err(parse_err(ln, format!("node {node} declared out of order")));
                     }
@@ -461,25 +468,26 @@ impl RecordedWorkload {
                         ));
                     }
                     nodes[node].push(RankTrace {
-                        peak_device_bytes: int_field(line, "peak_device_bytes", ln)?,
+                        peak_device_bytes: f.int("peak_device_bytes")?,
                         ..RankTrace::default()
                     });
                 }
                 "seg" => {
-                    let node: usize = int_field(line, "node", ln)?;
-                    let rank: usize = int_field(line, "rank", ln)?;
+                    let node: usize = f.int("node")?;
+                    let rank: usize = f.int("rank")?;
                     let trace = nodes
                         .get_mut(node)
                         .and_then(|n| n.get_mut(rank))
                         .ok_or_else(|| {
                             parse_err(ln, format!("segment for undeclared rank {node}/{rank}"))
                         })?;
-                    trace.segments.push(parse_segment(line, ln)?);
+                    trace.segments.push(parse_segment(&mut f, ln)?);
                 }
                 other => return Err(parse_err(ln, format!("unknown line type '{other}'"))),
             }
+            f.finish()?;
         }
-        let meta = meta.ok_or_else(|| parse_err(text.lines().count() + 1, "no meta line"))?;
+        let meta = meta.ok_or_else(|| parse_err(1, "no meta line"))?;
         Ok(Self { meta, nodes })
     }
 
@@ -504,19 +512,6 @@ pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> WhatifError {
         line,
         msg: msg.into(),
     }
-}
-
-/// Minimal JSON string escape (labels are plain identifiers, but quotes
-/// and backslashes must survive). Shared with the sweep's JSONL writer.
-pub(crate) fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// `{:?}` on f64 is the shortest representation that parses back to the
-/// identical bits — the property the lossless round-trip test locks.
-/// Shared with the sweep's JSONL writer.
-pub(crate) fn num(v: f64) -> String {
-    format!("{v:?}")
 }
 
 fn write_meta(m: &RecordMeta, out: &mut String) {
@@ -630,168 +625,103 @@ fn write_segment(node: usize, rank: usize, seg: &Segment, out: &mut String) {
     }
 }
 
-/// Pull a `"field":"value"` string out of one JSON line (unescaping).
-/// Shared with the sweep's checkpoint reader.
-pub(crate) fn str_field(line: &str, field: &str) -> Option<String> {
-    let key = format!("\"{field}\":\"");
-    let start = line.find(&key)? + key.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Pull a `"field":number` out of one JSON line.
-pub(crate) fn raw_num_field<'a>(line: &'a str, field: &str) -> Option<&'a str> {
-    let key = format!("\"{field}\":");
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    if end == 0 {
-        return None;
-    }
-    Some(&rest[..end])
-}
-
-pub(crate) fn num_field(line: &str, field: &str, ln: usize) -> Result<f64, WhatifError> {
-    raw_num_field(line, field)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse_err(ln, format!("missing or invalid numeric field '{field}'")))
-}
-
-pub(crate) fn int_field<T: std::str::FromStr>(
-    line: &str,
-    field: &str,
-    ln: usize,
-) -> Result<T, WhatifError> {
-    raw_num_field(line, field)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| parse_err(ln, format!("missing or invalid integer field '{field}'")))
-}
-
-pub(crate) fn bool_field(line: &str, field: &str, ln: usize) -> Result<bool, WhatifError> {
-    let key = format!("\"{field}\":");
-    let start = line
-        .find(&key)
-        .ok_or_else(|| parse_err(ln, format!("missing boolean field '{field}'")))?
-        + key.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err(parse_err(ln, format!("invalid boolean field '{field}'")))
-    }
-}
-
-fn req_str(line: &str, field: &str, ln: usize) -> Result<String, WhatifError> {
-    str_field(line, field).ok_or_else(|| parse_err(ln, format!("missing string field '{field}'")))
-}
-
-fn parse_meta(line: &str, ln: usize) -> Result<RecordMeta, WhatifError> {
-    let version: u32 = int_field(line, "version", ln)?;
+fn parse_meta(f: &mut Fields, ln: usize) -> Result<RecordMeta, WhatifError> {
+    let version: u32 = f.int("version")?;
     if version != 1 {
         return Err(parse_err(ln, format!("unsupported version {version}")));
     }
-    let schedule: SchedulePolicyKind = req_str(line, "schedule", ln)?
+    let label = f.str("label")?;
+    let gpus = f.int("gpus")?;
+    let mps = f.bool("mps")?;
+    let schedule: SchedulePolicyKind = f
+        .str("schedule")?
         .parse()
         .map_err(|e: String| parse_err(ln, e))?;
     Ok(RecordMeta {
         version,
-        label: req_str(line, "label", ln)?,
-        gpus: int_field(line, "gpus", ln)?,
-        mps: bool_field(line, "mps", ln)?,
+        label,
+        gpus,
+        mps,
         schedule,
-        overlap_transfers: bool_field(line, "overlap_transfers", ln)?,
-        total_ranks: int_field(line, "total_ranks", ln)?,
-        work_scale: num_field(line, "work_scale", ln)?,
-        live_wall_seconds: num_field(line, "live_wall_seconds", ln)?,
+        overlap_transfers: f.bool("overlap_transfers")?,
+        total_ranks: f.int("total_ranks")?,
+        work_scale: f.f64("work_scale")?,
+        live_wall_seconds: f.f64("live_wall_seconds")?,
         node_calib: NodeCalib {
             cpu: crate::calib::CpuCalib {
-                cores: int_field(line, "cpu.cores", ln)?,
-                core_flops: num_field(line, "cpu.core_flops", ln)?,
-                socket_bw: num_field(line, "cpu.socket_bw", ln)?,
-                mem_bytes: int_field(line, "cpu.mem_bytes", ln)?,
-                thread_overhead: num_field(line, "cpu.thread_overhead", ln)?,
+                cores: f.int("cpu.cores")?,
+                core_flops: f.f64("cpu.core_flops")?,
+                socket_bw: f.f64("cpu.socket_bw")?,
+                mem_bytes: f.int("cpu.mem_bytes")?,
+                thread_overhead: f.f64("cpu.thread_overhead")?,
             },
             gpu: DeviceCalib {
-                fp64_peak: num_field(line, "gpu.fp64_peak", ln)?,
-                hbm_bw: num_field(line, "gpu.hbm_bw", ln)?,
-                mem_bytes: int_field(line, "gpu.mem_bytes", ln)?,
-                launch_latency: num_field(line, "gpu.launch_latency", ln)?,
-                saturation_items: num_field(line, "gpu.saturation_items", ln)?,
-                pcie_bw: num_field(line, "gpu.pcie_bw", ln)?,
-                pcie_latency: num_field(line, "gpu.pcie_latency", ln)?,
-                context_switch: num_field(line, "gpu.context_switch", ln)?,
-                mps_crowding: num_field(line, "gpu.mps_crowding", ln)?,
-                alloc_latency: num_field(line, "gpu.alloc_latency", ln)?,
+                fp64_peak: f.f64("gpu.fp64_peak")?,
+                hbm_bw: f.f64("gpu.hbm_bw")?,
+                mem_bytes: f.int("gpu.mem_bytes")?,
+                launch_latency: f.f64("gpu.launch_latency")?,
+                saturation_items: f.f64("gpu.saturation_items")?,
+                pcie_bw: f.f64("gpu.pcie_bw")?,
+                pcie_latency: f.f64("gpu.pcie_latency")?,
+                context_switch: f.f64("gpu.context_switch")?,
+                mps_crowding: f.f64("gpu.mps_crowding")?,
+                alloc_latency: f.f64("gpu.alloc_latency")?,
             },
             framework: crate::calib::FrameworkCalib {
-                jit_dispatch: num_field(line, "fw.jit_dispatch", ln)?,
-                jit_compile: num_field(line, "fw.jit_compile", ln)?,
-                omp_region: num_field(line, "fw.omp_region", ln)?,
-                jit_mem_overhead: num_field(line, "fw.jit_mem_overhead", ln)?,
-                jit_process_device_bytes: num_field(line, "fw.jit_process_device_bytes", ln)?,
-                omp_process_device_bytes: num_field(line, "fw.omp_process_device_bytes", ln)?,
-                jit_runtime_factor: num_field(line, "fw.jit_runtime_factor", ln)?,
-                jit_cpu_backend_eff: num_field(line, "fw.jit_cpu_backend_eff", ln)?,
+                jit_dispatch: f.f64("fw.jit_dispatch")?,
+                jit_compile: f.f64("fw.jit_compile")?,
+                omp_region: f.f64("fw.omp_region")?,
+                jit_mem_overhead: f.f64("fw.jit_mem_overhead")?,
+                jit_process_device_bytes: f.f64("fw.jit_process_device_bytes")?,
+                omp_process_device_bytes: f.f64("fw.omp_process_device_bytes")?,
+                jit_runtime_factor: f.f64("fw.jit_runtime_factor")?,
+                jit_cpu_backend_eff: f.f64("fw.jit_cpu_backend_eff")?,
             },
         },
         net_calib: NetCalib {
-            bw: num_field(line, "net.bw", ln)?,
-            latency: num_field(line, "net.latency", ln)?,
+            bw: f.f64("net.bw")?,
+            latency: f.f64("net.latency")?,
         },
-        scenario: str_field(line, "scenario"),
+        // Recordings made before the field existed have no key.
+        scenario: f.opt("scenario", as_str)?,
     })
 }
 
-fn parse_segment(line: &str, ln: usize) -> Result<Segment, WhatifError> {
-    let kind = req_str(line, "kind", ln)?;
-    match kind.as_str() {
-        "host" => Ok(Segment::Host {
-            seconds: num_field(line, "seconds", ln)?,
-            label: req_str(line, "label", ln)?,
-        }),
-        "kernel" => Ok(Segment::Kernel {
+fn parse_segment(f: &mut Fields, ln: usize) -> Result<Segment, WhatifError> {
+    Ok(match f.str("kind")?.as_str() {
+        "host" => Segment::Host {
+            seconds: f.f64("seconds")?,
+            label: f.str("label")?,
+        },
+        "kernel" => Segment::Kernel {
             profile: KernelProfile {
-                name: req_str(line, "name", ln)?,
-                items: num_field(line, "items", ln)?,
-                flops_per_item: num_field(line, "flops_per_item", ln)?,
-                bytes_per_item: num_field(line, "bytes_per_item", ln)?,
-                divergence: num_field(line, "divergence", ln)?,
+                name: f.str("name")?,
+                items: f.f64("items")?,
+                flops_per_item: f.f64("flops_per_item")?,
+                bytes_per_item: f.f64("bytes_per_item")?,
+                divergence: f.f64("divergence")?,
             },
-            dispatch: num_field(line, "dispatch", ln)?,
-        }),
-        "transfer" => Ok(Segment::Transfer {
-            bytes: num_field(line, "bytes", ln)?,
-            dir: match req_str(line, "dir", ln)?.as_str() {
+            dispatch: f.f64("dispatch")?,
+        },
+        "transfer" => Segment::Transfer {
+            bytes: f.f64("bytes")?,
+            dir: match f.str("dir")?.as_str() {
                 "h2d" => TransferDir::HostToDevice,
                 "d2h" => TransferDir::DeviceToHost,
-                other => {
-                    return Err(parse_err(ln, format!("unknown transfer dir '{other}'")));
-                }
+                other => return Err(parse_err(ln, format!("unknown transfer dir '{other}'"))),
             },
-            label: req_str(line, "label", ln)?,
-        }),
-        "alloc" => Ok(Segment::DeviceAlloc {
-            seconds: num_field(line, "seconds", ln)?,
-        }),
-        "collective" => Ok(Segment::Collective {
-            seconds: num_field(line, "seconds", ln)?,
-            bytes: num_field(line, "bytes", ln)?,
-            label: req_str(line, "label", ln)?,
-        }),
-        other => Err(parse_err(ln, format!("unknown segment kind '{other}'"))),
-    }
+            label: f.str("label")?,
+        },
+        "alloc" => Segment::DeviceAlloc {
+            seconds: f.f64("seconds")?,
+        },
+        "collective" => Segment::Collective {
+            seconds: f.f64("seconds")?,
+            bytes: f.f64("bytes")?,
+            label: f.str("label")?,
+        },
+        other => return Err(parse_err(ln, format!("unknown segment kind '{other}'"))),
+    })
 }
 
 #[cfg(test)]
@@ -886,19 +816,29 @@ mod tests {
     fn malformed_lines_are_typed_errors() {
         let w = sample_workload();
         let mut lines: Vec<String> = w.to_jsonl().lines().map(String::from).collect();
-        // Corrupt a segment's numeric field.
+        // Give a segment's numeric field the wrong type, then break its
+        // JSON, then add a key the writer never emits.
         let seg_idx = lines
             .iter()
             .position(|l| l.contains("\"kind\":\"host\""))
             .unwrap();
-        lines[seg_idx] = lines[seg_idx].replace("\"seconds\":", "\"seconds\":oops");
-        let err = RecordedWorkload::parse_jsonl(&lines.join("\n")).unwrap_err();
-        match err {
-            WhatifError::Parse { line, ref msg } => {
-                assert_eq!(line, seg_idx + 1);
-                assert!(msg.contains("seconds"), "{msg}");
+        let host = lines[seg_idx].clone();
+        for (bad, names) in [
+            (
+                host.replace("\"seconds\":", "\"seconds\":\"oops\",\"x\":"),
+                "seconds",
+            ),
+            (host.replace("\"seconds\":", "\"seconds\":oops"), "'o'"),
+            (host.replace("\"kind\":", "\"extra\":1,\"kind\":"), "extra"),
+        ] {
+            lines[seg_idx] = bad;
+            match RecordedWorkload::parse_jsonl(&lines.join("\n")).unwrap_err() {
+                WhatifError::Parse { line, ref msg } => {
+                    assert_eq!(line, seg_idx + 1);
+                    assert!(msg.contains(names), "{msg}");
+                }
+                other => panic!("expected parse error, got {other:?}"),
             }
-            other => panic!("expected parse error, got {other:?}"),
         }
         // Unknown line type.
         let err = RecordedWorkload::parse_jsonl("{\"type\":\"mystery\"}").unwrap_err();

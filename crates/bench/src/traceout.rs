@@ -7,9 +7,11 @@
 //! the contention-resolved node timeline under pid 1, and per-GPU
 //! occupancy as counter events under pid 2.
 //!
-//! The module also parses its own output ([`span_seconds_from_file`]) so
-//! tests can prove the export round-trips: summed per-label durations of
-//! the timed spans equal the simulator's per-label `LabelStats::seconds`.
+//! Both formats are written and read through the workspace's one JSON
+//! codec ([`accel_sim::json`]). The module also reads its own output
+//! back ([`span_seconds_from_file`]) so tests can prove the export
+//! round-trips: summed per-label durations of the timed spans equal the
+//! simulator's per-label `LabelStats::seconds`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -17,6 +19,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
+use accel_sim::json::{self, esc, Fields, JsonError, Value};
 use accel_sim::{NodeTimeline, RankTrace, TimelineKind};
 
 /// On-disk trace flavour.
@@ -37,12 +40,6 @@ impl TraceFormat {
             _ => TraceFormat::Chrome,
         }
     }
-}
-
-/// Minimal JSON string escape (labels are plain ASCII identifiers, but be
-/// safe about quotes and backslashes).
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn secs_to_us(s: f64) -> f64 {
@@ -173,71 +170,65 @@ pub fn write_trace(
     )
 }
 
-/// Pull a `"field":"value"` string out of one JSON line. Line-based on
-/// purpose: both exporters emit one event per line, which keeps the
-/// round-trip parser free of a JSON dependency.
-fn json_str_field(line: &str, field: &str) -> Option<String> {
-    let key = format!(r#""{field}":""#);
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Pull a `"field":number` out of one JSON line.
-fn json_num_field(line: &str, field: &str) -> Option<f64> {
-    let key = format!(r#""{field}":"#);
-    let start = line.find(&key)? + key.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 const TIMED_KINDS: [&str; 5] = ["host", "kernel", "transfer", "alloc", "collective"];
 
 /// Parse a written trace back into summed per-label seconds over the
 /// timed virtual-rank spans — the round-trip check against
-/// `Context::stats()`. Handles both formats.
+/// `Context::stats()`. The format follows the extension, as in
+/// [`write_trace`]. A malformed file is an [`io::ErrorKind::InvalidData`]
+/// error whose inner [`JsonError`] names the line.
 pub fn span_seconds_from_file(path: &Path) -> io::Result<BTreeMap<String, f64>> {
     let text = fs::read_to_string(path)?;
-    let mut out: BTreeMap<String, f64> = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let (label, kind, dur_s) = if line.contains(r#""type":"span""#) {
-            // JSONL span record: start/dur in seconds.
-            let (Some(label), Some(kind), Some(dur)) = (
-                json_str_field(line, "label"),
-                json_str_field(line, "kind"),
-                json_num_field(line, "dur"),
-            ) else {
+    let chrome = TraceFormat::from_path(path) == TraceFormat::Chrome;
+    span_seconds(&text, chrome).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
+fn span_seconds(text: &str, chrome: bool) -> Result<BTreeMap<String, f64>, JsonError> {
+    // Every record with the line it starts on; a Chrome event's line is
+    // that of its first key.
+    let records: Vec<(Value, usize)> = if chrome {
+        let Value::Arr(events) = json::parse(text)? else {
+            return Err(JsonError::Malformed {
+                line: 1,
+                msg: "a Chrome trace must be a JSON array".into(),
+            });
+        };
+        events
+            .into_iter()
+            .map(|e| {
+                let line = match &e {
+                    Value::Obj(kv) => kv.first().map_or(1, |k| k.2),
+                    _ => 1,
+                };
+                (e, line)
+            })
+            .collect()
+    } else {
+        let lines = text
+            .lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim().is_empty());
+        lines
+            .map(|(i, l)| json::parse_line(l, i + 1).map(|v| (v, i + 1)))
+            .collect::<Result<_, _>>()?
+    };
+    let mut out = BTreeMap::new();
+    for (v, line) in records {
+        let mut f = Fields::of(v, "trace record", line)?;
+        let (label, kind, seconds) = if chrome {
+            // Complete events on the virtual-rank track, in µs.
+            if f.int::<u64>("pid")? != 0 || f.str("ph")? != "X" {
                 continue;
-            };
-            (label, kind, dur)
-        } else if line.contains(r#""pid":0"#) && line.contains(r#""ph":"X""#) {
-            // Chrome complete event on the virtual-rank track: µs.
-            let (Some(label), Some(kind), Some(dur)) = (
-                json_str_field(line, "name"),
-                json_str_field(line, "cat"),
-                json_num_field(line, "dur"),
-            ) else {
-                continue;
-            };
-            (label, kind, dur / 1e6)
+            }
+            (f.str("name")?, f.str("cat")?, f.f64("dur")? / 1e6)
         } else {
-            continue;
+            if f.str("type")? != "span" {
+                continue;
+            }
+            (f.str("label")?, f.str("kind")?, f.f64("dur")?)
         };
         if TIMED_KINDS.contains(&kind.as_str()) {
-            *out.entry(label).or_insert(0.0) += dur_s;
+            *out.entry(label).or_insert(0.0) += seconds;
         }
     }
     Ok(out)
@@ -309,11 +300,19 @@ mod tests {
     }
 
     #[test]
-    fn escaped_labels_survive_the_round_trip() {
-        assert_eq!(
-            json_str_field(r#"{"label":"a\"b"}"#, "label").unwrap(),
-            "a\"b"
-        );
-        assert_eq!(json_num_field(r#"{"dur":2.5e-3}"#, "dur").unwrap(), 2.5e-3);
+    fn malformed_trace_files_name_their_line() {
+        for (text, chrome, line) in [
+            ("{\"type\":\"span\"}\n\n{\"type\":", false, 3),
+            (
+                "{\"type\":\"span\",\"kind\":\"host\",\"label\":\"a\",\"dur\":\"x\"}",
+                false,
+                1,
+            ),
+            ("[\n{\"pid\":0},\n{\"pid\":0,\"ph\":\"X\"}\n]", true, 2),
+            ("{}", true, 1),
+        ] {
+            let e = span_seconds(text, chrome).unwrap_err();
+            assert_eq!(e.line(), line, "{text}: {e}");
+        }
     }
 }

@@ -59,10 +59,10 @@ impl JobRequest {
     pub fn parse(line: &str) -> Result<Self, ScenarioError> {
         let root = json::parse(line)?;
         let mut f = Fields::of(root, "request", 1)?;
-        let kind = as_str(f.require("type")?, "type")?;
+        let kind = f.str("type")?;
         let req = match kind.as_str() {
             "submit" => {
-                let id = as_str(f.require("id")?, "id")?;
+                let id = f.str("id")?;
                 let (sv, line) = f.require("scenario")?;
                 let scenario = Scenario::from_value(sv, line)?;
                 JobRequest::Submit {
@@ -71,14 +71,11 @@ impl JobRequest {
                 }
             }
             "sweep" => JobRequest::Sweep {
-                id: as_str(f.require("id")?, "id")?,
-                recording: as_str(f.require("recording")?, "recording")?,
-                grid: f.take("grid").map(|v| as_str(v, "grid")).transpose()?,
-                deadline: f
-                    .take("deadline")
-                    .map(|v| as_f64(v, "deadline"))
-                    .transpose()?,
-                out: f.take("out").map(|v| as_str(v, "out")).transpose()?,
+                id: f.str("id")?,
+                recording: f.str("recording")?,
+                grid: f.opt("grid", as_str)?,
+                deadline: f.opt("deadline", as_f64)?,
+                out: f.opt("out", as_str)?,
             },
             "stats" => JobRequest::Stats,
             "drain" => JobRequest::Drain,
@@ -101,6 +98,7 @@ impl JobRequest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonError;
     use crate::{ImplKind, ProblemSize};
 
     fn tiny() -> Scenario {
@@ -180,10 +178,14 @@ mod tests {
         assert!(e.to_string().contains("frobnicate"), "{e}");
         // Unknown envelope field.
         let e = JobRequest::parse("{\"type\":\"stats\",\"bogus\":1}").unwrap_err();
-        assert!(matches!(e, ScenarioError::UnknownField { ref field, .. } if field == "bogus"));
+        assert!(
+            matches!(e, ScenarioError::Json(JsonError::UnknownField { ref field, .. }) if field == "bogus")
+        );
         // Missing required field.
         let e = JobRequest::parse("{\"type\":\"sweep\",\"id\":\"x\"}").unwrap_err();
-        assert!(matches!(e, ScenarioError::MissingField { ref field } if field == "recording"));
+        assert!(
+            matches!(e, ScenarioError::Json(JsonError::MissingField { ref field, .. }) if field == "recording")
+        );
         // An invalid embedded scenario surfaces the scenario's own error.
         let mut s = tiny();
         s.procs_per_node = 7;

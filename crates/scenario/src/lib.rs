@@ -29,12 +29,16 @@ use accel_sim::{CpuCalib, DeviceCalib, SweepSpec};
 
 pub mod analyze;
 pub mod envelope;
-pub mod json;
+
+/// The workspace's one JSON codec, which scenario files and job requests
+/// are read and written through. Its errors convert into
+/// [`ScenarioError`]s that keep their line.
+pub use accel_sim::json;
 
 pub use analyze::check_scenario;
 pub use envelope::JobRequest;
 
-use json::{as_bool, as_f64, as_int, as_str, Fields, Value};
+use json::{as_f64, as_int, as_str, Fields, JsonError, Value};
 
 // Re-export the types a Scenario is made of, so downstream code can build
 // and match scenarios with `use scenario::…` alone.
@@ -53,14 +57,11 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub enum ScenarioError {
     /// File-level I/O failure.
     Io(std::io::Error),
-    /// Structurally malformed JSON.
-    Json { line: usize, msg: String },
+    /// Malformed JSON, a mistyped value, or a missing or unknown field
+    /// (a typo, or a file from a newer schema), naming its line.
+    Json(JsonError),
     /// A `schema_version` this build does not read.
     UnknownVersion { version: u64 },
-    /// A field no version-1 scenario defines — typo or newer schema.
-    UnknownField { field: String, line: usize },
-    /// A required field is absent.
-    MissingField { field: String },
     /// A field is present but holds a value outside its domain.
     InvalidValue { field: String, msg: String },
     /// `procs_per_node` does not evenly partition the node's cores.
@@ -73,20 +74,11 @@ impl std::fmt::Display for ScenarioError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ScenarioError::Io(e) => write!(f, "scenario I/O error: {e}"),
-            ScenarioError::Json { line, msg } => {
-                write!(f, "scenario JSON error at line {line}: {msg}")
-            }
+            ScenarioError::Json(e) => write!(f, "scenario error at line {}: {e}", e.line()),
             ScenarioError::UnknownVersion { version } => write!(
                 f,
                 "unsupported scenario schema_version {version} (this build reads version {SCHEMA_VERSION})"
             ),
-            ScenarioError::UnknownField { field, line } => write!(
-                f,
-                "unknown scenario field '{field}' at line {line} (typo, or a file from a newer schema?)"
-            ),
-            ScenarioError::MissingField { field } => {
-                write!(f, "missing required scenario field '{field}'")
-            }
             ScenarioError::InvalidValue { field, msg } => {
                 write!(f, "invalid value for scenario field '{field}': {msg}")
             }
@@ -103,6 +95,7 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Io(e) => Some(e),
+            ScenarioError::Json(e) => Some(e),
             ScenarioError::UnknownPreset(e) => Some(e),
             _ => None,
         }
@@ -112,6 +105,12 @@ impl std::error::Error for ScenarioError {
 impl From<std::io::Error> for ScenarioError {
     fn from(e: std::io::Error) -> Self {
         ScenarioError::Io(e)
+    }
+}
+
+impl From<JsonError> for ScenarioError {
+    fn from(e: JsonError) -> Self {
+        ScenarioError::Json(e)
     }
 }
 
@@ -489,20 +488,20 @@ impl Scenario {
     /// enclosing document, for error context.
     pub fn from_value(root: Value, line: usize) -> Result<Self, ScenarioError> {
         let mut f = Fields::of(root, "scenario", line)?;
-        let version: u64 = as_int(f.require("schema_version")?, "schema_version")?;
+        let version: u64 = f.int("schema_version")?;
         if version != SCHEMA_VERSION {
             return Err(ScenarioError::UnknownVersion { version });
         }
-        let name = as_str(f.require("name")?, "name")?;
+        let name = f.str("name")?;
         let problem = decode_problem(f.require("problem")?)?;
         let kind = decode_enum::<ImplKind>(f.require("impl")?, "impl")?;
-        let procs_per_node = as_int(f.require("procs_per_node")?, "procs_per_node")?;
-        let gpus = as_int(f.require("gpus")?, "gpus")?;
-        let mps = as_bool(f.require("mps")?, "mps")?;
+        let procs_per_node = f.int("procs_per_node")?;
+        let gpus = f.int("gpus")?;
+        let mps = f.bool("mps")?;
         let movement = decode_enum::<MovementPolicy>(f.require("movement")?, "movement")?;
         let schedule = decode_enum::<SchedulePolicyKind>(f.require("schedule")?, "schedule")?;
-        let nodes = f.take("nodes").map(|v| as_int(v, "nodes")).transpose()?;
-        let overlap_transfers = as_bool(f.require("overlap_transfers")?, "overlap_transfers")?;
+        let nodes = f.opt("nodes", as_int)?;
+        let overlap_transfers = f.bool("overlap_transfers")?;
         let calib = decode_calib(f.require("calib")?)?;
         let output = match f.take("output") {
             Some(v) => decode_output(v)?,
@@ -688,7 +687,7 @@ fn decode_enum<T: FromStr<Err = String>>(
 fn decode_problem(v: (Value, usize)) -> Result<ProblemSpec, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "problem", line)?;
-    let size = match as_str(f.require("size")?, "problem.size")?.as_str() {
+    let size = match f.str("size")?.as_str() {
         "medium" => ProblemSize::Medium,
         "large" => ProblemSize::Large,
         other => {
@@ -698,31 +697,13 @@ fn decode_problem(v: (Value, usize)) -> Result<ProblemSpec, ScenarioError> {
             })
         }
     };
-    let scale = as_f64(f.require("scale")?, "problem.scale")?;
-    let total_samples = f
-        .take("total_samples")
-        .map(|v| as_f64(v, "problem.total_samples"))
-        .transpose()?;
-    let n_det_total = f
-        .take("n_det_total")
-        .map(|v| as_int(v, "problem.n_det_total"))
-        .transpose()?;
-    let nside = f
-        .take("nside")
-        .map(|v| as_int(v, "problem.nside"))
-        .transpose()?;
-    let n_obs = f
-        .take("n_obs")
-        .map(|v| as_int(v, "problem.n_obs"))
-        .transpose()?;
-    let passes = f
-        .take("passes")
-        .map(|v| as_int(v, "problem.passes"))
-        .transpose()?;
-    let seed = f
-        .take("seed")
-        .map(|v| as_int(v, "problem.seed"))
-        .transpose()?;
+    let scale = f.f64("scale")?;
+    let total_samples = f.opt("total_samples", as_f64)?;
+    let n_det_total = f.opt("n_det_total", as_int)?;
+    let nside = f.opt("nside", as_int)?;
+    let n_obs = f.opt("n_obs", as_int)?;
+    let passes = f.opt("passes", as_int)?;
+    let seed = f.opt("seed", as_int)?;
     f.finish()?;
     Ok(ProblemSpec {
         size,
@@ -762,53 +743,41 @@ fn decode_node_calib(v: (Value, usize)) -> Result<NodeCalib, ScenarioError> {
     let (cpu_v, cpu_line) = f.require("cpu")?;
     let mut c = Fields::of(cpu_v, "calib.node.cpu", cpu_line)?;
     let cpu = CpuCalib {
-        cores: as_int(c.require("cores")?, "cpu.cores")?,
-        core_flops: as_f64(c.require("core_flops")?, "cpu.core_flops")?,
-        socket_bw: as_f64(c.require("socket_bw")?, "cpu.socket_bw")?,
-        mem_bytes: as_int(c.require("mem_bytes")?, "cpu.mem_bytes")?,
-        thread_overhead: as_f64(c.require("thread_overhead")?, "cpu.thread_overhead")?,
+        cores: c.int("cores")?,
+        core_flops: c.f64("core_flops")?,
+        socket_bw: c.f64("socket_bw")?,
+        mem_bytes: c.int("mem_bytes")?,
+        thread_overhead: c.f64("thread_overhead")?,
     };
     c.finish()?;
 
     let (gpu_v, gpu_line) = f.require("gpu")?;
     let mut g = Fields::of(gpu_v, "calib.node.gpu", gpu_line)?;
     let gpu = DeviceCalib {
-        fp64_peak: as_f64(g.require("fp64_peak")?, "gpu.fp64_peak")?,
-        hbm_bw: as_f64(g.require("hbm_bw")?, "gpu.hbm_bw")?,
-        mem_bytes: as_int(g.require("mem_bytes")?, "gpu.mem_bytes")?,
-        launch_latency: as_f64(g.require("launch_latency")?, "gpu.launch_latency")?,
-        saturation_items: as_f64(g.require("saturation_items")?, "gpu.saturation_items")?,
-        pcie_bw: as_f64(g.require("pcie_bw")?, "gpu.pcie_bw")?,
-        pcie_latency: as_f64(g.require("pcie_latency")?, "gpu.pcie_latency")?,
-        context_switch: as_f64(g.require("context_switch")?, "gpu.context_switch")?,
-        mps_crowding: as_f64(g.require("mps_crowding")?, "gpu.mps_crowding")?,
-        alloc_latency: as_f64(g.require("alloc_latency")?, "gpu.alloc_latency")?,
+        fp64_peak: g.f64("fp64_peak")?,
+        hbm_bw: g.f64("hbm_bw")?,
+        mem_bytes: g.int("mem_bytes")?,
+        launch_latency: g.f64("launch_latency")?,
+        saturation_items: g.f64("saturation_items")?,
+        pcie_bw: g.f64("pcie_bw")?,
+        pcie_latency: g.f64("pcie_latency")?,
+        context_switch: g.f64("context_switch")?,
+        mps_crowding: g.f64("mps_crowding")?,
+        alloc_latency: g.f64("alloc_latency")?,
     };
     g.finish()?;
 
     let (fw_v, fw_line) = f.require("framework")?;
     let mut w = Fields::of(fw_v, "calib.node.framework", fw_line)?;
     let framework = accel_sim::calib::FrameworkCalib {
-        jit_dispatch: as_f64(w.require("jit_dispatch")?, "framework.jit_dispatch")?,
-        jit_compile: as_f64(w.require("jit_compile")?, "framework.jit_compile")?,
-        omp_region: as_f64(w.require("omp_region")?, "framework.omp_region")?,
-        jit_mem_overhead: as_f64(w.require("jit_mem_overhead")?, "framework.jit_mem_overhead")?,
-        jit_process_device_bytes: as_f64(
-            w.require("jit_process_device_bytes")?,
-            "framework.jit_process_device_bytes",
-        )?,
-        omp_process_device_bytes: as_f64(
-            w.require("omp_process_device_bytes")?,
-            "framework.omp_process_device_bytes",
-        )?,
-        jit_runtime_factor: as_f64(
-            w.require("jit_runtime_factor")?,
-            "framework.jit_runtime_factor",
-        )?,
-        jit_cpu_backend_eff: as_f64(
-            w.require("jit_cpu_backend_eff")?,
-            "framework.jit_cpu_backend_eff",
-        )?,
+        jit_dispatch: w.f64("jit_dispatch")?,
+        jit_compile: w.f64("jit_compile")?,
+        omp_region: w.f64("omp_region")?,
+        jit_mem_overhead: w.f64("jit_mem_overhead")?,
+        jit_process_device_bytes: w.f64("jit_process_device_bytes")?,
+        omp_process_device_bytes: w.f64("omp_process_device_bytes")?,
+        jit_runtime_factor: w.f64("jit_runtime_factor")?,
+        jit_cpu_backend_eff: w.f64("jit_cpu_backend_eff")?,
     };
     w.finish()?;
 
@@ -824,8 +793,8 @@ fn decode_net_calib(v: (Value, usize)) -> Result<NetCalib, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "calib.net", line)?;
     let net = NetCalib {
-        bw: as_f64(f.require("bw")?, "net.bw")?,
-        latency: as_f64(f.require("latency")?, "net.latency")?,
+        bw: f.f64("bw")?,
+        latency: f.f64("latency")?,
     };
     f.finish()?;
     Ok(net)
@@ -834,14 +803,8 @@ fn decode_net_calib(v: (Value, usize)) -> Result<NetCalib, ScenarioError> {
 fn decode_output(v: (Value, usize)) -> Result<OutputSpec, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "output", line)?;
-    let trace_out = f
-        .take("trace_out")
-        .map(|v| as_str(v, "output.trace_out"))
-        .transpose()?;
-    let record_out = f
-        .take("record_out")
-        .map(|v| as_str(v, "output.record_out"))
-        .transpose()?;
+    let trace_out = f.opt("trace_out", as_str)?;
+    let record_out = f.opt("record_out", as_str)?;
     f.finish()?;
     Ok(OutputSpec {
         trace_out,
@@ -953,7 +916,7 @@ mod tests {
             .to_json()
             .replace("\"mps\": true", "\"mps\": true,\n  \"turbo\": true");
         match Scenario::parse(&text) {
-            Err(ScenarioError::UnknownField { field, line }) => {
+            Err(ScenarioError::Json(JsonError::UnknownField { field, line })) => {
                 assert_eq!(field, "turbo");
                 assert!(line > 1, "line {line}");
             }
@@ -965,7 +928,9 @@ mod tests {
     fn missing_field_and_bad_enum_values_are_typed() {
         let text = base().to_json().replace("  \"impl\": \"omp\",\n", "");
         match Scenario::parse(&text) {
-            Err(ScenarioError::MissingField { field }) => assert_eq!(field, "impl"),
+            Err(ScenarioError::Json(JsonError::MissingField { field, line: 1 })) => {
+                assert_eq!(field, "impl")
+            }
             other => panic!("expected MissingField, got {other:?}"),
         }
 

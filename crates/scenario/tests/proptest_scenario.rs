@@ -5,6 +5,7 @@
 //! the golden files under `scenarios/`.
 
 use proptest::prelude::*;
+use scenario::json::JsonError;
 use scenario::{
     CalibSpec, ImplKind, MovementPolicy, NetCalib, NodeCalib, ProblemSize, Scenario, ScenarioError,
     SchedulePolicyKind,
@@ -200,7 +201,7 @@ proptest! {
             .to_json()
             .replacen("\"name\":", "\"mystery_knob\": true,\n  \"name\":", 1);
         match Scenario::parse(&doc) {
-            Err(ScenarioError::UnknownField { field, line }) => {
+            Err(ScenarioError::Json(JsonError::UnknownField { field, line })) => {
                 prop_assert_eq!(field, "mystery_knob");
                 prop_assert_eq!(line, 3);
             }
@@ -237,7 +238,7 @@ proptest! {
         prop_assume!(cut < doc.len());
         let maimed = &doc[..cut];
         match Scenario::parse(maimed) {
-            Err(ScenarioError::Json { line, .. }) => {
+            Err(ScenarioError::Json(JsonError::Malformed { line, .. })) => {
                 prop_assert!(
                     line >= 1 && line <= maimed.lines().count() + 1,
                     "line {} out of range",
@@ -245,7 +246,7 @@ proptest! {
                 );
             }
             // Cutting between fields can also surface as a missing field.
-            Err(ScenarioError::MissingField { .. }) => {}
+            Err(ScenarioError::Json(JsonError::MissingField { .. })) => {}
             other => prop_assert!(false, "expected Json error, got {:?}", other.err()),
         }
     }

@@ -13,11 +13,11 @@ use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use accel_sim::json::{self, esc, num, Value};
 use accel_sim::{
     check_workload, sweep_digest, workload_digest, CompiledSweep, RecordedWorkload, Report,
     SweepCheckpoint, SweepPoint, SweepSpec,
 };
-use scenario::json::{esc, num};
 use scenario::{check_scenario, JobRequest, Scenario};
 
 /// Typed backpressure error: the bounded queue is at capacity. Carried
@@ -283,10 +283,10 @@ impl<E: ScenarioExec> Service<E> {
         let req = match JobRequest::parse(line) {
             Ok(req) => req,
             Err(e) => {
-                // A malformed job that still names an id keeps the
-                // queued → rejected state machine; anonymous garbage
-                // gets a bare protocol error.
-                if let Some(id) = scrape_id(line) {
+                // A line that names an id before it goes wrong keeps the
+                // queued → rejected state machine; anything else gets a
+                // bare protocol error.
+                if let Some(id) = request_id(line) {
                     self.stats.submitted += 1;
                     self.stats.rejected_invalid += 1;
                     status(w, &id, "queued", "")?;
@@ -512,10 +512,7 @@ impl<E: ScenarioExec> Service<E> {
                                 ),
                             )?;
                         }
-                        Err(e) => {
-                            self.stats.failed += 1;
-                            status(w, id, "failed", &format!(",\"error\":\"{}\"", esc(&e)))?;
-                        }
+                        Err(e) => fail(&mut self.stats, w, id, &e)?,
                     }
                 }
                 Job::Sweep(sj) => {
@@ -535,10 +532,7 @@ impl<E: ScenarioExec> Service<E> {
                     };
                     match &compiled[idx].1 {
                         Ok(cs) => run_sweep_job(&self.cfg, &mut self.stats, cs, sj, w)?,
-                        Err(e) => {
-                            self.stats.failed += 1;
-                            status(w, &sj.id, "failed", &format!(",\"error\":\"{}\"", esc(e)))?;
-                        }
+                        Err(e) => fail(&mut self.stats, w, &sj.id, e)?,
                     }
                 }
             }
@@ -587,12 +581,14 @@ fn run_sweep_job<W: Write>(
             completed.len()
         ),
     )?;
-    // The checkpoint callback runs inside the sweep; I/O failures are
-    // captured and re-raised as the service's own error after it ends.
+    // The checkpoint callback runs inside the sweep, so failures are
+    // captured and handled after it ends: a failed checkpoint write fails
+    // this job, a failed write to the client ends the service.
+    let mut ck_err: Option<String> = None;
     let mut io_err: Option<io::Error> = None;
     let result = {
         let mut on_checkpoint = |pts: &[SweepPoint]| {
-            if io_err.is_some() {
+            if ck_err.is_some() || io_err.is_some() {
                 return;
             }
             if let Some(path) = &ckpt_path {
@@ -602,7 +598,7 @@ fn run_sweep_job<W: Write>(
                     points: pts.to_vec(),
                 };
                 if let Err(e) = ck.write(path) {
-                    io_err = Some(e);
+                    ck_err = Some(format!("cannot write checkpoint '{}': {e}", path.display()));
                     return;
                 }
             }
@@ -629,6 +625,9 @@ fn run_sweep_job<W: Write>(
     if let Some(e) = io_err {
         return Err(e);
     }
+    if let Some(e) = ck_err {
+        return fail(stats, w, &sj.id, &e);
+    }
     match result {
         Ok(res) => {
             stats.points_evaluated += res.evaluated as u64;
@@ -653,17 +652,7 @@ fn run_sweep_job<W: Write>(
             );
             if let Some(path) = &sj.out {
                 if let Err(e) = std::fs::write(path, res.to_jsonl()) {
-                    stats.failed += 1;
-                    return status(
-                        w,
-                        &sj.id,
-                        "failed",
-                        &format!(
-                            ",\"error\":\"cannot write '{}': {}\"",
-                            esc(path),
-                            esc(&e.to_string())
-                        ),
-                    );
+                    return fail(stats, w, &sj.id, &format!("cannot write '{path}': {e}"));
                 }
                 extra.push_str(&format!(",\"out\":\"{}\"", esc(path)));
             }
@@ -674,16 +663,14 @@ fn run_sweep_job<W: Write>(
             stats.completed += 1;
             status(w, &sj.id, "done", &extra)
         }
-        Err(e) => {
-            stats.failed += 1;
-            status(
-                w,
-                &sj.id,
-                "failed",
-                &format!(",\"error\":\"{}\"", esc(&e.to_string())),
-            )
-        }
+        Err(e) => fail(stats, w, &sj.id, &e.to_string()),
     }
+}
+
+/// Count a failed job and emit its `failed` event.
+fn fail<W: Write>(stats: &mut ServeStats, w: &mut W, id: &str, error: &str) -> io::Result<()> {
+    stats.failed += 1;
+    status(w, id, "failed", &format!(",\"error\":\"{}\"", esc(error)))
 }
 
 /// Write one event line and flush — clients follow progress live.
@@ -719,20 +706,16 @@ fn diags_json(report: &Report) -> String {
         .join(",")
 }
 
-/// Best-effort id extraction from a line that failed envelope parsing,
-/// so even a rejected-at-parse job gets addressable status events.
-fn scrape_id(line: &str) -> Option<String> {
-    let start = line.find("\"id\":\"")? + 6;
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => out.push(chars.next()?),
-            c => out.push(c),
-        }
-    }
-    None
+/// The string `id` of a line that failed envelope decoding, read from
+/// the members that parse before any JSON error, so a job that names
+/// itself still gets addressable status events.
+fn request_id(line: &str) -> Option<String> {
+    json::leading_members(line)
+        .into_iter()
+        .find_map(|(key, value, _)| match value {
+            Value::Str(id) if key == "id" => Some(id),
+            _ => None,
+        })
 }
 
 /// Checkpoint files are named after job ids; keep them path-safe.
@@ -950,9 +933,16 @@ mod tests {
     }
 
     #[test]
-    fn scraped_ids_unescape_and_sanitize() {
-        assert_eq!(scrape_id("{\"id\":\"a b\\\"c\""), Some("a b\"c".into()));
-        assert_eq!(scrape_id("{\"type\":\"stats\"}"), None);
+    fn rejected_ids_come_from_the_parsed_line_and_sanitize() {
+        assert_eq!(
+            request_id("{\"id\":\"a b\\\"c\\u0001\",\"x\":"),
+            Some("a b\"c\u{1}".into())
+        );
+        // An id cut off, a non-string id and no id at all name no job.
+        assert_eq!(request_id("{\"type\":\"sweep\",\"id\":\"a b"), None);
+        assert_eq!(request_id("{\"id\":7}"), None);
+        assert_eq!(request_id("{\"type\":\"stats\"}"), None);
+        assert_eq!(request_id("not json, \"id\":\"x\""), None);
         assert_eq!(sanitize("job/7:x"), "job_7_x");
     }
 }

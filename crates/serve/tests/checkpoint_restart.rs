@@ -4,11 +4,12 @@
 //! uninterrupted run — the service-level face of the engine's
 //! resumable-sweep bit-identity contract. The three runs use different
 //! sweep worker counts (`RAYON_NUM_THREADS`), so the cursor must be
-//! worker-count-independent too.
+//! worker-count-independent too. A checkpoint that cannot be written
+//! fails its job and nothing else.
 
 mod common;
 
-use common::{event, raw_field, run_simd, spawn_simd};
+use common::{event, golden_scenario, raw_field, run_simd, spawn_simd, submit};
 use std::io::{BufRead, BufReader, Write};
 use std::path::Path;
 
@@ -217,6 +218,42 @@ fn a_stale_cursor_for_a_different_grid_is_ignored() {
         std::fs::read(&out_a).unwrap(),
         "a refused cursor must not change the output"
     );
+
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn an_unwritable_checkpoint_fails_its_job_and_the_service_keeps_serving() {
+    let dir = std::env::temp_dir().join(format!("simd-unwritable-{}", std::process::id()));
+    let ckdir = dir.join("ckpt");
+    std::fs::create_dir_all(&ckdir).unwrap();
+    let rec = dir.join("recording.jsonl");
+    std::fs::write(&rec, recording().to_jsonl()).unwrap();
+
+    let mut child = spawn_simd(&["--checkpoint-dir", ckdir.to_str().unwrap()], &[], &dir);
+    let mut stdin = child.stdin.take().unwrap();
+    let mut reader = BufReader::new(child.stdout.take().unwrap());
+    // Once simd answers, it has set up its checkpoint directory; turn
+    // that into a regular file, so writing under it fails even as root.
+    writeln!(stdin, "{{\"type\":\"stats\"}}").unwrap();
+    stdin.flush().unwrap();
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"type\":\"stats\""), "{line}");
+    std::fs::remove_dir(&ckdir).unwrap();
+    std::fs::write(&ckdir, "not a directory").unwrap();
+
+    let out = dir.join("out.jsonl");
+    write!(stdin, "{}", sweep_req("ck", &rec, &out)).unwrap();
+    write!(stdin, "{}", submit("golden", &golden_scenario())).unwrap();
+    drop(stdin);
+    let lines: Vec<String> = reader.lines().map(Result::unwrap).collect();
+    assert!(child.wait().unwrap().success(), "{lines:#?}");
+
+    let failed = event(&lines, "ck", "failed");
+    assert!(failed.contains("cannot write checkpoint"), "{failed}");
+    assert!(!out.exists(), "a failed job writes no output");
+    event(&lines, "golden", "done");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -5,8 +5,24 @@
 #![allow(dead_code)]
 
 use std::io::{BufRead, BufReader, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+
+use scenario::Scenario;
+
+/// The golden what-if scenario under `scenarios/`.
+pub fn golden_scenario() -> Scenario {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/whatif_record.json");
+    Scenario::read(&path).expect("golden scenario")
+}
+
+/// One `submit` request line for `s` under `id`.
+pub fn submit(id: &str, s: &Scenario) -> String {
+    format!(
+        "{{\"type\":\"submit\",\"id\":\"{id}\",\"scenario\":{}}}\n",
+        s.to_json_compact()
+    )
+}
 
 /// Path to the `simd` binary for the active profile. Integration tests
 /// of `simd-serve` cannot use `CARGO_BIN_EXE_*` (the binary belongs to
@@ -34,7 +50,7 @@ pub fn simd_bin() -> PathBuf {
 }
 
 /// Spawn `simd` with piped stdio in `cwd`.
-pub fn spawn_simd(args: &[&str], envs: &[(&str, &str)], cwd: &std::path::Path) -> Child {
+pub fn spawn_simd(args: &[&str], envs: &[(&str, &str)], cwd: &Path) -> Child {
     let mut cmd = Command::new(simd_bin());
     cmd.args(args)
         .current_dir(cwd)

@@ -7,26 +7,15 @@
 //! diagnostics the `lint` binary would print; overfilling the bounded
 //! queue yields the typed `queue_full` backpressure rejection, and the
 //! overflow costs the admitted jobs nothing. A line of garbage bytes or
-//! one past the length cap is a protocol error, not a dropped client.
+//! one past the length cap is a protocol error, not a dropped client. A
+//! line that names an id before it goes wrong is rejected under that id;
+//! one that names none gets a bare error.
 
 mod common;
 
-use common::{event, raw_field, run_simd, run_simd_bytes};
+use common::{event, golden_scenario, raw_field, run_simd, run_simd_bytes, submit};
 use repro_bench::{run_config, runner::RunConfig};
 use scenario::{check_scenario, ImplKind, NetCalib, NodeCalib, ProblemSize, Scenario};
-use std::path::Path;
-
-fn golden_scenario() -> Scenario {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/whatif_record.json");
-    Scenario::read(&path).expect("golden scenario")
-}
-
-fn submit(id: &str, s: &Scenario) -> String {
-    format!(
-        "{{\"type\":\"submit\",\"id\":\"{id}\",\"scenario\":{}}}\n",
-        s.to_json_compact()
-    )
-}
 
 #[test]
 fn served_golden_scenario_is_bit_identical_to_the_standalone_run() {
@@ -157,4 +146,48 @@ fn garbage_bytes_and_oversized_lines_do_not_end_the_connection() {
     for id in ["after-garbage", "after-oversized"] {
         event(&lines, id, "done");
     }
+}
+
+#[test]
+fn a_line_that_names_its_id_is_rejected_under_it() {
+    // Valid JSON with an escaped id but a key no request has, then a
+    // line cut off after its id.
+    let input = concat!(
+        r#"{"type":"sweep","id":"bad\u002denvelope","recording":"r.jsonl","bogus":1}"#,
+        "\n",
+        r#"{"type":"sweep","id":"cut-short","recording":"#,
+        "\n",
+    );
+    let lines = run_simd(&[], &[], input);
+    for id in ["bad-envelope", "cut-short"] {
+        event(&lines, id, "queued");
+        let rejected = event(&lines, id, "rejected");
+        assert!(rejected.contains("\"reason\":\"invalid\""), "{rejected}");
+    }
+    assert!(event(&lines, "bad-envelope", "rejected").contains("bogus"));
+    assert!(
+        !lines.iter().any(|l| l.contains("\"type\":\"error\"")),
+        "{lines:#?}"
+    );
+}
+
+#[test]
+fn a_line_that_names_no_id_gets_a_bare_error() {
+    // Cut off inside its id, and not JSON at all.
+    let input = "{\"type\":\"submit\",\"id\":\"cu\nnot json, \"id\":\"x\"\n{\"type\":\"stats\"}\n";
+    let lines = run_simd(&[], &[], input);
+    let errors = lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"error\""))
+        .count();
+    assert_eq!(errors, 2, "{lines:#?}");
+    assert!(
+        !lines.iter().any(|l| l.contains("\"type\":\"status\"")),
+        "{lines:#?}"
+    );
+    let stats = lines
+        .iter()
+        .find(|l| l.contains("\"type\":\"stats\""))
+        .expect("the service kept serving");
+    assert!(stats.contains("\"rejected_invalid\":0"), "{stats}");
 }
