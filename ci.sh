@@ -60,6 +60,12 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== wallbench build and tests"
+# The benchmark is a workspace of its own over path dependencies on
+# crates/*, so the workspace steps above neither build nor test it: a
+# library change that breaks it shows here, not first in a benchmark run.
+cargo test --offline -q --manifest-path wallbench/Cargo.toml
+
 echo "== scenario golden round-trip (--dump-scenario)"
 # Every golden scenario file must load, re-serialize byte-identically,
 # and be accepted by its binary: the scenario spec's fixed-point check.

@@ -13,7 +13,7 @@ use accel_sim::EngineError;
 use rayon::prelude::*;
 use scenario::{CalibSpec, Scenario, ScenarioError};
 use toast_core::dispatch::ImplKind;
-use toast_core::kernels::ExecCtx;
+use toast_core::kernels::{ExecCtx, JitKernels};
 use toast_core::pipeline::{benchmark_pipeline_passes, MovementPolicy};
 use toast_satsim::Problem;
 
@@ -197,13 +197,20 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
     let net = cfg.net_calib();
     let collective_solo = allreduce_seconds(&net, total_ranks, map_bytes) * cfg.problem.scale;
 
+    // What no rank differs in is built once per run: the sky map, focal
+    // plane and boresight, and the JIT programs. Each rank still owns its
+    // workspace and JIT handles, so its virtual clock is charged every
+    // compile a process of its own would make.
+    let inputs = cfg.problem.run_inputs(procs);
+    let programs = JitKernels::new();
+
     // Ranks are independent simulated processes: run them in parallel on
     // the host (the simulation's virtual clocks are per-rank; sharing is
     // resolved afterwards by the node replay).
     let rank_results: Vec<Result<Context, String>> = (0..procs)
         .into_par_iter()
         .map(|rank| {
-            let mut ws = cfg.problem.rank_workspace(rank, procs);
+            let mut ws = inputs.rank_workspace(rank);
             let mut ctx = Context::new(calib);
 
             // Fixed per-process device footprint (CUDA context, runtime
@@ -218,7 +225,7 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
                     .map_err(|e| format!("rank {rank}: {e}"))?;
             }
 
-            let mut exec = ExecCtx::new(cfg.kind, threads);
+            let mut exec = ExecCtx::with_jits(cfg.kind, threads, programs.share());
             let host = cfg.problem.host_seconds_per_rank(&ws, procs);
             let pipe =
                 benchmark_pipeline_passes(host, cfg.problem.passes).with_policy(cfg.movement);

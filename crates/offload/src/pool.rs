@@ -13,7 +13,7 @@
 //! allocator makes, which is why the paper observes JAX's higher memory
 //! footprint.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use accel_sim::{Context, MemoryError};
 
@@ -35,8 +35,9 @@ pub struct PoolStats {
 /// A size-class pool of device buffers of element type `T`.
 #[derive(Debug, Default)]
 pub struct Pool<T: DeviceElem> {
-    /// Free lists keyed by capacity class (element count, power of two).
-    free: HashMap<usize, Vec<Vec<T>>>,
+    /// Free lists keyed by capacity class (element count, power of two),
+    /// ordered so [`Pool::trim`] frees in the same order on every run.
+    free: BTreeMap<usize, Vec<Vec<T>>>,
     stats: PoolStats,
     /// When false, every allocation goes to the device allocator and every
     /// free returns capacity immediately — the "no pool" ablation.
@@ -47,7 +48,7 @@ impl<T: DeviceElem> Pool<T> {
     /// A pooling allocator (the production configuration).
     pub fn new() -> Self {
         Self {
-            free: HashMap::new(),
+            free: BTreeMap::new(),
             stats: PoolStats::default(),
             enabled: true,
         }
@@ -56,7 +57,7 @@ impl<T: DeviceElem> Pool<T> {
     /// A pass-through allocator for the ablation bench.
     pub fn disabled() -> Self {
         Self {
-            free: HashMap::new(),
+            free: BTreeMap::new(),
             stats: PoolStats::default(),
             enabled: false,
         }
@@ -101,7 +102,7 @@ impl<T: DeviceElem> Pool<T> {
 
     /// Release all cached capacity back to the device.
     pub fn trim(&mut self, ctx: &mut Context) {
-        for (class, list) in self.free.drain() {
+        for (class, list) in std::mem::take(&mut self.free) {
             for storage in list {
                 debug_assert_eq!(storage.len(), class);
                 let bytes = (class * T::SIZE) as u64;

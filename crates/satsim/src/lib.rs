@@ -24,4 +24,4 @@ pub mod problem;
 pub mod scan;
 pub mod sky;
 
-pub use problem::{Problem, ProblemSize};
+pub use problem::{Problem, ProblemSize, RunInputs};

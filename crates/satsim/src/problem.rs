@@ -13,7 +13,7 @@
 //! (DESIGN.md § 10).
 
 use accel_sim::NodeCalib;
-use toast_core::data::SkyGeometry;
+use toast_core::data::{FocalPlane, Observation, SkyGeometry};
 use toast_core::dispatch::KernelId;
 use toast_core::kernels::cost_constants;
 use toast_core::workspace::Workspace;
@@ -153,33 +153,28 @@ impl Problem {
         }
     }
 
-    /// Build one rank's workspace: focal-plane share, boresight, varied
-    /// intervals, synthetic sky, simulated sky signal + noise.
-    pub fn rank_workspace(&self, rank: u32, ranks_per_node: u32) -> Workspace {
+    /// The rank-invariant inputs of a run with `ranks_per_node` processes
+    /// per node, from which every rank's workspace is derived.
+    pub fn run_inputs(&self, ranks_per_node: u32) -> RunInputs<'_> {
         let n_det = self.detectors_per_rank(ranks_per_node);
         let n_samp = self.samples_per_detector();
-        let scan = ScanStrategy::default();
+        let mut boresight = vec![0.0; n_samp * 4];
+        ScanStrategy::default().fill_boresight(&mut boresight);
+        RunInputs {
+            problem: self,
+            ranks_per_node,
+            focal_plane: build_focal_plane(n_det * ranks_per_node as usize),
+            boresight,
+            sky_map: synthesize_sky(&self.geometry(), self.seed),
+        }
+    }
 
-        // Each rank owns a distinct detector block of the shared focal
-        // plane; the boresight is common.
-        let full_fp = build_focal_plane(n_det * ranks_per_node as usize);
-        let lo = (rank as usize % ranks_per_node as usize) * n_det;
-        let fp = toast_core::data::FocalPlane {
-            detectors: full_fp.detectors[lo..lo + n_det].to_vec(),
-        };
-
-        let nominal = (n_samp / 12).max(4);
-        let intervals = science_intervals(n_samp, nominal, self.seed + rank as u64);
-        let mut obs =
-            toast_core::data::Observation::new(&fp, n_samp, scan.sample_rate, intervals, 3);
-        scan.fill_boresight(&mut obs.boresight);
-        simulate_noise(&mut obs, &fp, self.seed * 1000 + rank as u64);
-
-        let geom = self.geometry();
-        let step = ((self.step_seconds * scan.sample_rate * self.scale) as usize).max(2);
-        let mut ws = Workspace::new(obs, geom, step);
-        ws.sky_map = synthesize_sky(&geom, self.seed);
-        ws
+    /// Build one rank's workspace: focal-plane share, boresight, varied
+    /// intervals, synthetic sky, simulated sky signal + noise. A run
+    /// builds [`Problem::run_inputs`] once and derives every rank from it;
+    /// this is the same path for a single rank.
+    pub fn rank_workspace(&self, rank: u32, ranks_per_node: u32) -> Workspace {
+        self.run_inputs(ranks_per_node).rank_workspace(rank)
     }
 
     /// Estimated CPU seconds for one pass of the benchmark kernels over
@@ -216,6 +211,55 @@ impl Problem {
             * self.passes as f64;
         node_kernel
             * (self.serial_host_fraction + self.parallel_host_fraction / ranks_per_node as f64)
+    }
+}
+
+/// What every rank of a run shares: the node's full focal plane, the
+/// common boresight and the input sky map. None of it depends on the rank,
+/// so a run builds it once ([`Problem::run_inputs`]) and each rank copies
+/// its share into its own [`Workspace`].
+#[derive(Debug)]
+pub struct RunInputs<'a> {
+    problem: &'a Problem,
+    ranks_per_node: u32,
+    /// Every rank's detectors; rank `r` owns block `r` of them.
+    focal_plane: FocalPlane,
+    /// Boresight quaternions, `[n_samp × 4]`.
+    boresight: Vec<f64>,
+    /// Input sky map, `[n_pix × nnz]`.
+    sky_map: Vec<f64>,
+}
+
+impl RunInputs<'_> {
+    /// Build rank `rank`'s workspace: its detector block, its own science
+    /// intervals and noise (seeded by problem seed and rank), the shared
+    /// boresight and sky.
+    pub fn rank_workspace(&self, rank: u32) -> Workspace {
+        let p = self.problem;
+        let n_det = p.detectors_per_rank(self.ranks_per_node);
+        let n_samp = p.samples_per_detector();
+        let scan = ScanStrategy::default();
+
+        let lo = (rank as usize % self.ranks_per_node as usize) * n_det;
+        let fp = FocalPlane {
+            detectors: self.focal_plane.detectors[lo..lo + n_det].to_vec(),
+        };
+
+        // Seeds wrap: a scenario may set any u64 seed.
+        let nominal = (n_samp / 12).max(4);
+        let intervals = science_intervals(n_samp, nominal, p.seed.wrapping_add(rank as u64));
+        let mut obs = Observation::new(&fp, n_samp, scan.sample_rate, intervals, 3);
+        obs.boresight.copy_from_slice(&self.boresight);
+        simulate_noise(
+            &mut obs,
+            &fp,
+            p.seed.wrapping_mul(1000).wrapping_add(rank as u64),
+        );
+
+        let step = ((p.step_seconds * scan.sample_rate * p.scale) as usize).max(2);
+        let mut ws = Workspace::new(obs, p.geometry(), step);
+        ws.sky_map.copy_from_slice(&self.sky_map);
+        ws
     }
 }
 
@@ -265,6 +309,20 @@ mod tests {
         assert_ne!(a.obs.fp_quats, b.obs.fp_quats);
         // Same scan: shared boresight.
         assert_eq!(a.obs.boresight.len(), b.obs.boresight.len());
+    }
+
+    #[test]
+    fn seeds_wrap_instead_of_overflowing() {
+        // A scenario may set any u64 seed: rank 1 of seed u64::MAX draws
+        // its intervals from seed 0, like rank 0 of seed 0.
+        let mut max = tiny();
+        max.seed = u64::MAX;
+        let mut zero = tiny();
+        zero.seed = 0;
+        assert_eq!(
+            max.rank_workspace(1, 4).obs.intervals,
+            zero.rank_workspace(0, 4).obs.intervals
+        );
     }
 
     #[test]
