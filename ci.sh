@@ -145,15 +145,19 @@ rm -f "$sweep_json"
 
 echo "== whatif record->replay differential smoke"
 # The identity replay must reproduce the recorded makespan bit for bit
-# (the repricer's differential oracle); an H100-like preset must complete
-# from the recorded charges alone.
+# (the repricer's differential oracle); an H100-like preset at 2 GPUs per
+# node must reproduce the checked-in report byte for byte from line 2 on
+# (line 1 names the recording's path).
 workload="target/ci_whatif_workload.jsonl"
 cargo run --release -p repro-bench --bin whatif -- \
   --scenario scenarios/whatif_record.json --record "$workload" >/dev/null
 cargo run --release -p repro-bench --bin whatif -- --replay "$workload" \
   | grep "identity check: .* delta 0.000000000" >/dev/null
-cargo run --release -p repro-bench --bin whatif -- --replay "$workload" --calib h100 \
-  | grep "^makespan: " >/dev/null
+cargo run --release -p repro-bench --bin whatif -- --replay "$workload" --calib h100 --gpus 2 \
+  | tail -n +2 | diff - crates/bench/tests/golden/replay_whatif_record_h100.txt || {
+  echo "replay report diverged from crates/bench/tests/golden/replay_whatif_record_h100.txt" >&2
+  exit 1
+}
 
 echo "== record->lint smoke"
 # A fresh recording straight off the runner must pass the workload-level

@@ -41,7 +41,7 @@ pub struct ClusterResult {
 }
 
 impl ClusterResult {
-    fn from_output(out: SimOutput, nodes: usize) -> Self {
+    pub(crate) fn from_output(out: SimOutput, nodes: usize) -> Self {
         ClusterResult {
             wall_seconds: out.wall_seconds(),
             rank_seconds: out.rank_seconds,
@@ -55,30 +55,30 @@ impl ClusterResult {
     }
 }
 
-/// Replay `node_traces` (one `Vec<RankTrace>` per node, every node using
-/// the same [`NodeConfig`]) through the discrete-event engine.
+/// Replay `node_traces` (one slice of rank traces per node, every node
+/// using the same [`NodeConfig`]) through the discrete-event engine.
 ///
 /// Collective segments in the traces synchronise across *all* ranks of
 /// all nodes; everything else contends only for its own node's GPUs,
 /// PCIe links and NIC. Returns a typed [`EngineError`] — an OOM (with a
 /// global GPU index) if any GPU's co-located peak footprints exceed its
 /// memory, a `NonFiniteCharge` if a recorded duration is NaN/infinite.
-pub fn simulate_cluster(
-    node_traces: &[Vec<RankTrace>],
+pub fn simulate_cluster<T: AsRef<[RankTrace]>>(
+    node_traces: &[T],
     cfg: &NodeConfig,
 ) -> Result<ClusterResult, EngineError> {
-    let slices: Vec<&[RankTrace]> = node_traces.iter().map(|v| v.as_slice()).collect();
+    let slices: Vec<&[RankTrace]> = node_traces.iter().map(AsRef::as_ref).collect();
     let out = simulate(&slices, cfg, false)?;
     Ok(ClusterResult::from_output(out, node_traces.len()))
 }
 
 /// Like [`simulate_cluster`], but also records the merged wall-clock
 /// timeline (rank spans and GPU occupancy samples use global indices).
-pub fn simulate_cluster_traced(
-    node_traces: &[Vec<RankTrace>],
+pub fn simulate_cluster_traced<T: AsRef<[RankTrace]>>(
+    node_traces: &[T],
     cfg: &NodeConfig,
 ) -> Result<(ClusterResult, NodeTimeline), EngineError> {
-    let slices: Vec<&[RankTrace]> = node_traces.iter().map(|v| v.as_slice()).collect();
+    let slices: Vec<&[RankTrace]> = node_traces.iter().map(AsRef::as_ref).collect();
     let mut out = simulate(&slices, cfg, true)?;
     let timeline = std::mem::take(&mut out.timeline);
     Ok((ClusterResult::from_output(out, node_traces.len()), timeline))

@@ -13,15 +13,18 @@
 //! every active flow drains at a constant rate, and each event is a
 //! predicted flow completion. [`event`] holds at most one prediction per
 //! (rank, flow), re-keyed in place or cancelled when resource membership
-//! changes, so the queue never carries a superseded entry. Traces are compiled to a flat per-node segment arena with interned
-//! labels before the loop starts — split into calibration-invariant
-//! recorded quantities and a per-calibration cost table, so one compile
-//! can be replayed under many calibrations (the [`mod@crate::sweep`] hot
-//! path) — accounting is settled lazily per resource, and nodes are
-//! stepped as independent shards between collective barriers, so the
-//! loop is allocation-free and touches only what each event changes.
-//! Replays are deterministic — independent of shard scheduling — and, for the legacy single-node configurations,
-//! match the analytic replay they replaced to ≤ 1e-9.
+//! changes, so the queue never carries a superseded entry. Traces are
+//! compiled to a flat per-node segment arena with interned labels before
+//! the loop starts — split into calibration-invariant recorded quantities
+//! and a per-calibration cost table, the one place a workload is priced,
+//! so one compile can be replayed under many calibrations (a
+//! [`crate::whatif`] replay and the [`mod@crate::sweep`] hot path) —
+//! accounting is settled lazily per resource, and nodes are stepped as
+//! independent shards between collective barriers, so the loop is
+//! allocation-free and touches only what each event changes. Replays are
+//! deterministic — independent of shard scheduling — and, for the legacy
+//! single-node configurations, match the analytic replay they replaced
+//! to ≤ 1e-9.
 //!
 //! Failures are typed: every entry point returns [`EngineError`] instead
 //! of panicking mid-replay or folding NaN charges into the makespan.

@@ -3,7 +3,7 @@
 //! Each resource tracks its *current membership* (which flows want it
 //! right now) and its *accumulated accounting* (busy seconds, switch
 //! charges), which survives the whole replay and feeds
-//! [`crate::node::NodeResult`] / [`crate::engine::ClusterResult`].
+//! [`crate::engine::ClusterResult`].
 //!
 //! Accounting is **settle-on-change**: membership is piecewise-constant
 //! between events, so instead of folding `load × dt` into the totals at

@@ -27,13 +27,17 @@
 //!   work-item counts, recorded charges) with every label interned as a
 //!   [`LabelId`], plus the per-node segment ranges and barrier topology.
 //!   A cheap second pass ([`CompiledWorkload::cost_table`]) materializes
-//!   a `Vec<CSeg>` of plain-old-data *costs* for one calibration, so a
-//!   what-if sweep compiles the workload once and prices each grid point
-//!   with a small cost vector — no `String` re-interning, no segment
-//!   graph re-allocation. The loop never chases `String`s or recomputes
-//!   kernel models. Recorded charges are validated finite at compile and
-//!   derived costs at table time; a NaN duration is a typed
-//!   [`EngineError::NonFiniteCharge`], not a silently-bogus makespan.
+//!   a `Vec<CSeg>` of plain-old-data *costs* for one calibration. It is
+//!   the only place a recorded workload is priced: the live replay, a
+//!   what-if replay and every sweep point differ only in the [`Reprice`]
+//!   they pass, and [`CompiledWorkload::label_stats`] reads the per-label
+//!   report off the same table. A sweep therefore compiles the workload
+//!   once and prices each grid point with a small cost vector — no
+//!   `String` re-interning, no segment graph re-allocation. The loop
+//!   never chases `String`s or recomputes kernel models. Recorded charges
+//!   are validated finite at compile and derived costs at table time; a
+//!   NaN duration is a typed [`EngineError::NonFiniteCharge`], not a
+//!   silently-bogus makespan.
 //! * **Settle-on-change flows.** A flow's `remaining` is only brought up
 //!   to date (`remaining -= rate · Δt`) when its rate is about to change
 //!   or it completes. Rates change exactly when a *resource membership*
@@ -72,12 +76,13 @@
 //! the determinism suite asserts byte-identical exported traces across
 //! repeated runs and thread counts.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use rayon::prelude::*;
 
 use crate::calib::{DeviceCalib, NetCalib};
 use crate::comm::allreduce_seconds;
+use crate::context::LabelStats;
 use crate::engine::error::EngineError;
 use crate::engine::event::{EventQueue, FlowId};
 use crate::engine::policy::{GpuSchedContext, KernelReq, SchedulePolicy};
@@ -128,7 +133,7 @@ impl SimOutput {
 pub(crate) enum QSeg {
     /// Host work. `alloc` marks a recorded device-allocation charge,
     /// which reprices by the allocator-latency ratio instead of the CPU
-    /// throughput ratio (mirrors the whatif repricer).
+    /// throughput ratio.
     Host {
         seconds: f64,
         alloc: bool,
@@ -191,8 +196,14 @@ pub(crate) struct CNode {
 pub(crate) struct CompiledWorkload {
     pub(crate) labels: LabelTable,
     qsegs: Vec<QSeg>,
-    /// Provenance of each arena entry — `(global rank, original segment
-    /// index)` — so cost-table errors report the recorded segment.
+    /// Host and alloc segments charged ≤ 0 s: the engine has nothing to
+    /// replay for them, so they stay out of the arena, but the cost table
+    /// prices them after the arena entries and [`Self::label_stats`]
+    /// counts them. Each carries the arena index it preceded.
+    skipped: Vec<(u32, QSeg)>,
+    /// Provenance of each arena entry, then of each skipped segment —
+    /// `(global rank, original segment index)` — so cost-table errors
+    /// report the recorded segment.
     src: Vec<(u32, u32)>,
     pub(crate) nodes: Vec<CNode>,
     lbl_stream_sync: LabelId,
@@ -201,15 +212,16 @@ pub(crate) struct CompiledWorkload {
 
 /// How record-time-priced charges (host seconds, allocation latency,
 /// collective solo cost) are rescaled when a cost table is materialized.
-/// Mirrors [`crate::whatif::RecordedWorkload::reprice`] term for term so
-/// a sweep point and a standalone replay of the same calibration produce
-/// bit-identical cost tables.
+/// [`crate::whatif`] builds the one `Scaled` value a recording and a
+/// target calibration call for; a standalone replay and a sweep point of
+/// the same calibration therefore price through identical cost tables.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Reprice {
     /// Keep the compiled charges untouched (the live path, and bitwise
     /// exact for it).
     Identity,
-    /// Rescale for a what-if calibration.
+    /// Rescale for a what-if calibration. Under the recorded calibration
+    /// every ratio is exactly 1.0, so this is as exact as `Identity`.
     Scaled {
         /// Recorded / target CPU per-core throughput.
         host_ratio: f64,
@@ -246,6 +258,8 @@ impl CompiledWorkload {
             .sum();
         let mut qsegs: Vec<QSeg> = Vec::with_capacity(total);
         let mut src: Vec<(u32, u32)> = Vec::with_capacity(total);
+        let mut skipped: Vec<(u32, QSeg)> = Vec::new();
+        let mut skipped_src: Vec<(u32, u32)> = Vec::new();
         let mut nodes: Vec<CNode> = Vec::with_capacity(node_traces.len());
         let mut rank_base = 0usize;
         for traces in node_traces {
@@ -268,16 +282,11 @@ impl CompiledWorkload {
                         }
                     };
                     let q = match seg {
-                        Segment::Host { seconds, label } => {
-                            if check(*seconds)? <= 0.0 {
-                                continue;
-                            }
-                            QSeg::Host {
-                                seconds: *seconds,
-                                alloc: false,
-                                label: labels.intern(label),
-                            }
-                        }
+                        Segment::Host { seconds, label } => QSeg::Host {
+                            seconds: check(*seconds)?,
+                            alloc: false,
+                            label: labels.intern(label),
+                        },
                         Segment::Kernel { profile, dispatch } => {
                             let name = labels.intern(&profile.name);
                             if dispatch_labels.len() <= name.index() {
@@ -301,16 +310,11 @@ impl CompiledWorkload {
                             bytes: check(*bytes)?,
                             label: labels.intern(label),
                         },
-                        Segment::DeviceAlloc { seconds } => {
-                            if check(*seconds)? <= 0.0 {
-                                continue;
-                            }
-                            QSeg::Host {
-                                seconds: *seconds,
-                                alloc: true,
-                                label: lbl_alloc,
-                            }
-                        }
+                        Segment::DeviceAlloc { seconds } => QSeg::Host {
+                            seconds: check(*seconds)?,
+                            alloc: true,
+                            label: lbl_alloc,
+                        },
                         Segment::Collective {
                             seconds,
                             bytes,
@@ -325,8 +329,14 @@ impl CompiledWorkload {
                             }
                         }
                     };
+                    let origin = ((rank_base + local) as u32, i as u32);
+                    if matches!(q, QSeg::Host { seconds, .. } if seconds <= 0.0) {
+                        skipped.push((qsegs.len() as u32, q));
+                        skipped_src.push(origin);
+                        continue;
+                    }
                     qsegs.push(q);
-                    src.push(((rank_base + local) as u32, i as u32));
+                    src.push(origin);
                 }
                 ranks.push(CRank {
                     seg_start,
@@ -372,9 +382,11 @@ impl CompiledWorkload {
                 node.local_expected.resize(global_seq, participants);
             }
         }
+        src.extend(skipped_src);
         Ok(Self {
             labels,
             qsegs,
+            skipped,
             src,
             nodes,
             lbl_stream_sync,
@@ -388,16 +400,18 @@ impl CompiledWorkload {
     }
 
     /// Materialize the per-calibration cost table: one [`CSeg`] per arena
-    /// entry, kernel and transfer costs priced from `gpu`, record-time
-    /// charges rescaled per `reprice`. Every derived cost is validated
-    /// finite — a broken calibration cannot smuggle NaN into the replay.
+    /// entry, then one per skipped segment, kernel and transfer costs
+    /// priced from `gpu`, record-time charges rescaled per `reprice`.
+    /// Every derived cost is validated finite — a broken calibration
+    /// cannot smuggle NaN into the replay.
     pub(crate) fn cost_table(
         &self,
         gpu: &DeviceCalib,
         reprice: &Reprice,
     ) -> Result<Vec<CSeg>, EngineError> {
-        let mut costs: Vec<CSeg> = Vec::with_capacity(self.qsegs.len());
-        for (idx, q) in self.qsegs.iter().enumerate() {
+        let skipped = self.skipped.iter().map(|(_, q)| q);
+        let mut costs: Vec<CSeg> = Vec::with_capacity(self.src.len());
+        for (idx, q) in self.qsegs.iter().chain(skipped).enumerate() {
             let check = |value: f64, label: LabelId| -> Result<f64, EngineError> {
                 if value.is_finite() {
                     Ok(value)
@@ -482,6 +496,61 @@ impl CompiledWorkload {
             costs.push(c);
         }
         Ok(costs)
+    }
+
+    /// Per-label solo-estimate stats under one cost table — the
+    /// accounting [`crate::Context`] keeps while recording: kernels
+    /// `device_seconds / util + dispatch + launch latency`, transfers
+    /// their link time and bytes, host, alloc and collective segments
+    /// their (repriced) charge and bytes. Segments are summed in recorded
+    /// order, skipped ones included; under the recorded calibration each
+    /// term is bit-identical to the charge `Context` recorded for it.
+    pub(crate) fn label_stats(
+        &self,
+        costs: &[CSeg],
+        gpu: &DeviceCalib,
+    ) -> BTreeMap<String, LabelStats> {
+        let mut by_label = vec![LabelStats::default(); self.labels.len()];
+        let mut add = |q: &QSeg, c: &CSeg| {
+            let (dispatch, bytes) = match *q {
+                QSeg::Kernel { dispatch, .. } => (dispatch, 0.0),
+                QSeg::Transfer { bytes, .. } | QSeg::Collective { bytes, .. } => (0.0, bytes),
+                QSeg::Host { .. } => (0.0, 0.0),
+            };
+            let (label, seconds) = match *c {
+                CSeg::Host { seconds, label }
+                | CSeg::Transfer { seconds, label }
+                | CSeg::Collective { seconds, label, .. } => (label, seconds),
+                CSeg::Kernel {
+                    device_seconds,
+                    util,
+                    name,
+                    ..
+                } => (name, device_seconds / util + dispatch + gpu.launch_latency),
+            };
+            let e = &mut by_label[label.index()];
+            e.calls += 1;
+            e.seconds += seconds;
+            e.bytes += bytes;
+        };
+        let (arena, tail) = costs.split_at(self.qsegs.len());
+        let mut skipped = self.skipped.iter().zip(tail).peekable();
+        for (i, (q, c)) in self.qsegs.iter().zip(arena).enumerate() {
+            while let Some(((_, sq), sc)) = skipped.next_if(|((at, _), _)| *at as usize == i) {
+                add(sq, sc);
+            }
+            add(q, c);
+        }
+        for ((_, sq), sc) in skipped {
+            add(sq, sc);
+        }
+        self.labels
+            .names()
+            .iter()
+            .zip(by_label)
+            .filter(|(_, s)| s.calls > 0)
+            .map(|(name, s)| (name.clone(), s))
+            .collect()
     }
 }
 
@@ -686,7 +755,7 @@ pub(crate) fn simulate_compiled(
     cfg: &NodeConfig,
     record: bool,
 ) -> Result<SimOutput, EngineError> {
-    debug_assert_eq!(costs.len(), compiled.segment_count());
+    debug_assert_eq!(costs.len(), compiled.src.len());
     let gpus = cfg.gpus.max(1) as usize;
 
     // Memory feasibility per physical GPU: peak footprints of co-located

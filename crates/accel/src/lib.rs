@@ -35,10 +35,14 @@
 //! later re-priced under a different calibration without re-running any
 //! numerics: [`whatif`] serializes the charges as JSONL and replays them
 //! through the engine under H100-like, NVLink-like or faster-NIC presets.
-//! [`mod@sweep`] batches that: one compile of the recorded workload serves an
-//! entire calibration × GPU-count × schedule grid (each point materializes
-//! only a per-calibration cost vector), with lower-bound pruning against a
-//! deadline and Pareto-front extraction over makespan vs hardware cost.
+//! There is one pricing path: the engine compiles a workload once into a
+//! calibration-invariant arena and prices it per calibration with a cost
+//! table, for the live replay, a what-if replay and every sweep point
+//! alike. [`mod@sweep`] batches replays: one compile of the recorded
+//! workload serves an entire calibration × GPU-count × schedule grid (each
+//! point materializes only a per-calibration cost vector), with
+//! lower-bound pruning against a deadline and Pareto-front extraction
+//! over makespan vs hardware cost.
 //! Recordings, sweep results and checkpoints, and every other file the
 //! workspace reads or writes, go through one JSON codec, [`json`].
 //!
@@ -74,7 +78,7 @@ pub use engine::{
     SchedulePolicyKind,
 };
 pub use node::{
-    simulate_node, simulate_node_traced, GpuSample, NodeConfig, NodeOom, NodeResult, NodeTimeline,
+    simulate_node, simulate_node_traced, GpuSample, NodeConfig, NodeOom, NodeTimeline,
     TimelineEvent, TimelineKind,
 };
 pub use profile::KernelProfile;

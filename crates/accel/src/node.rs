@@ -18,12 +18,12 @@
 //!   transfer stream that overlaps data movement with host work, and
 //!   kernels synchronise on it before launching.
 //! * **Collective segments** barrier across all ranks and then occupy the
-//!   node NIC (see [`crate::engine::simulate_cluster`] for the multi-node
-//!   entry point).
+//!   node NIC (see [`simulate_cluster`] for the multi-node entry point).
 
 use crate::calib::NodeCalib;
-use crate::engine::sim::simulate;
-use crate::engine::{EngineError, SchedulePolicyKind};
+use crate::engine::{
+    simulate_cluster, simulate_cluster_traced, ClusterResult, EngineError, SchedulePolicyKind,
+};
 use crate::trace::RankTrace;
 
 /// Node configuration for a replay.
@@ -53,19 +53,6 @@ impl Default for NodeConfig {
             overlap_transfers: false,
         }
     }
-}
-
-/// Result of a node replay.
-#[derive(Debug, Clone)]
-pub struct NodeResult {
-    /// Wall-clock seconds until the last rank finished.
-    pub wall_seconds: f64,
-    /// Per-rank completion times.
-    pub rank_seconds: Vec<f64>,
-    /// Per-GPU busy seconds (device actually computing).
-    pub gpu_busy: Vec<f64>,
-    /// Per-GPU seconds lost to context switches (zero under MPS).
-    pub switch_seconds: Vec<f64>,
 }
 
 /// Kind of a wall-clock [`TimelineEvent`].
@@ -185,13 +172,13 @@ impl std::fmt::Display for NodeOom {
 impl std::error::Error for NodeOom {}
 
 /// Replay `traces` (one per rank) on a node through the discrete-event
-/// engine. Rank `r` uses GPU `r % gpus`. Returns the emergent wall time
-/// or a typed [`EngineError`] — an OOM if the combined peak footprints
-/// of the ranks sharing a GPU exceed its memory, a `NonFiniteCharge` if
-/// a recorded duration is NaN or infinite.
-pub fn simulate_node(traces: &[RankTrace], cfg: &NodeConfig) -> Result<NodeResult, EngineError> {
-    let out = simulate(&[traces], cfg, false)?;
-    Ok(node_result(out))
+/// engine: [`simulate_cluster`] over one node. Rank `r` uses GPU
+/// `r % gpus`. Returns the emergent wall time or a typed [`EngineError`]
+/// — an OOM if the combined peak footprints of the ranks sharing a GPU
+/// exceed its memory, a `NonFiniteCharge` if a recorded duration is NaN
+/// or infinite.
+pub fn simulate_node(traces: &[RankTrace], cfg: &NodeConfig) -> Result<ClusterResult, EngineError> {
+    simulate_cluster(&[traces], cfg)
 }
 
 /// [`simulate_node`], additionally recording the contention-resolved
@@ -199,19 +186,8 @@ pub fn simulate_node(traces: &[RankTrace], cfg: &NodeConfig) -> Result<NodeResul
 pub fn simulate_node_traced(
     traces: &[RankTrace],
     cfg: &NodeConfig,
-) -> Result<(NodeResult, NodeTimeline), EngineError> {
-    let mut out = simulate(&[traces], cfg, true)?;
-    let timeline = std::mem::take(&mut out.timeline);
-    Ok((node_result(out), timeline))
-}
-
-fn node_result(out: crate::engine::sim::SimOutput) -> NodeResult {
-    NodeResult {
-        wall_seconds: out.wall_seconds(),
-        rank_seconds: out.rank_seconds,
-        gpu_busy: out.gpu_busy,
-        switch_seconds: out.switch_seconds,
-    }
+) -> Result<(ClusterResult, NodeTimeline), EngineError> {
+    simulate_cluster_traced(&[traces], cfg)
 }
 
 #[cfg(test)]

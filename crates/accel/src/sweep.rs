@@ -33,9 +33,10 @@
 //!   every worker count — the same contract the engine's determinism
 //!   suite locks.
 //!
-//! Repricing inside the cost table mirrors
-//! [`crate::whatif::RecordedWorkload::reprice`] term for term, so a grid
-//! point containing the identity calibration is **bit-identical** to
+//! A grid point prices its calibration exactly as
+//! [`crate::whatif::RecordedWorkload::replay`] does — the same arena, the
+//! same `cost_table` call, the same repricing function — so the identity
+//! point is **bit-identical** to
 //! [`crate::whatif::RecordedWorkload::replay_identity`], and any preset
 //! point is bit-identical to a standalone `replay` of that preset — the
 //! differential oracle extended to the batched path.
@@ -46,9 +47,11 @@
 //! recording share one compile, and [`CompiledSweep::run_resumable`]
 //! evaluates the grid in chunks, surfacing the completed prefix after
 //! each chunk as a [`SweepCheckpoint`] cursor (lossless JSONL, guarded
-//! by a content digest). Because every grid point is a pure function of
-//! (workload, spec), a sweep resumed from any cursor produces a result
-//! byte-identical to an uninterrupted run.
+//! by a content digest). Every entry point — [`sweep`],
+//! [`sweep_preflight`], [`CompiledSweep::run`] and `run_resumable` —
+//! goes through one grid driver, and every grid point is a pure function
+//! of (workload, spec), so a sweep resumed from any cursor produces a
+//! result byte-identical to an uninterrupted run.
 
 use std::io::{self, Write};
 use std::path::Path;
@@ -56,13 +59,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
-use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload, Reprice};
+use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload};
 use crate::engine::{EngineError, SchedulePolicyKind};
 use crate::json::{self, as_opt_f64, as_str, esc, num, Fields};
 use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
-    parse_err, preset, presets, RecordMeta, RecordedWorkload, UnknownPreset, WhatifCalib,
+    parse_err, preset, presets, reprice, RecordMeta, RecordedWorkload, UnknownPreset, WhatifCalib,
     WhatifError,
 };
 
@@ -536,30 +539,6 @@ impl std::fmt::Display for SweepResumeError {
 
 impl std::error::Error for SweepResumeError {}
 
-/// Build the [`Reprice`] mirroring what
-/// [`crate::whatif::RecordedWorkload::reprice`] would do to the recorded
-/// charges for this calibration. The identity calibration maps to
-/// [`Reprice::Identity`] (bitwise no-op); for presets the ratios are the
-/// repricer's exact expressions, so the resulting cost table is
-/// bit-identical to compiling the repriced traces.
-fn reprice_for(meta: &RecordMeta, calib: &SweepCalib) -> Reprice {
-    if calib.name == "identity" {
-        return Reprice::Identity;
-    }
-    let old = &meta.node_calib;
-    Reprice::Scaled {
-        host_ratio: old.cpu.core_flops / calib.node.cpu.core_flops,
-        alloc_ratio: if old.gpu.alloc_latency > 0.0 {
-            calib.node.gpu.alloc_latency / old.gpu.alloc_latency
-        } else {
-            1.0
-        },
-        recorded_net: meta.net_calib,
-        net: calib.net,
-        total_ranks: meta.total_ranks,
-    }
-}
-
 /// Analytic makespan lower bound for one (calibration, gpus) pair,
 /// computed from the cost table without running the event loop.
 ///
@@ -638,7 +617,7 @@ pub(crate) fn lower_bound(
 /// fails the whole sweep; per-point failures (OOM, a preset deriving a
 /// non-finite cost) are captured on their [`SweepPoint`].
 pub fn sweep(workload: &RecordedWorkload, spec: &SweepSpec) -> Result<SweepResult, EngineError> {
-    sweep_impl(workload, spec, false)
+    Ok(CompiledSweep::compile(workload)?.run(spec))
 }
 
 /// [`sweep`] with the static pre-flight gate enabled: before replaying a
@@ -652,26 +631,8 @@ pub fn sweep_preflight(
     workload: &RecordedWorkload,
     spec: &SweepSpec,
 ) -> Result<SweepResult, EngineError> {
-    sweep_impl(workload, spec, true)
-}
-
-fn sweep_impl(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-    preflight: bool,
-) -> Result<SweepResult, EngineError> {
     let cs = CompiledSweep::compile(workload)?;
-    // Pre-flight: the deadlock verdict is a property of the workload
-    // alone (it depends on neither calibration nor GPU count), so it is
-    // decided once here; the OOM verdict depends on (calibration, gpus)
-    // and is re-derived per point inside the fan-out. Both predictors
-    // replicate the engine's own checks exactly, so the recorded error
-    // text matches what a replay would have produced.
-    let pre = preflight.then(|| Preflight {
-        nodes: &workload.nodes,
-        deadlock: crate::analyze::predict_deadlock(&workload.nodes).map(|e| e.to_string()),
-    });
-    Ok(cs.run_with(spec, pre))
+    Ok(cs.drive(spec, true, blank_points(spec), 0, usize::MAX, &mut |_| {}))
 }
 
 /// A workload compiled once into the engine's calibration-invariant
@@ -687,8 +648,7 @@ pub struct CompiledSweep<'w> {
 impl<'w> CompiledSweep<'w> {
     /// Compile the recording's traces into the shared arena.
     pub fn compile(workload: &'w RecordedWorkload) -> Result<Self, EngineError> {
-        let slices: Vec<&[RankTrace]> = workload.nodes.iter().map(|v| v.as_slice()).collect();
-        let compiled = CompiledWorkload::compile(&slices)?;
+        let compiled = workload.compile()?;
         Ok(Self { workload, compiled })
     }
 
@@ -700,14 +660,7 @@ impl<'w> CompiledSweep<'w> {
     /// Evaluate a full grid against the shared arena — [`sweep`] minus
     /// the compile.
     pub fn run(&self, spec: &SweepSpec) -> SweepResult {
-        self.run_with(spec, None)
-    }
-
-    fn run_with(&self, spec: &SweepSpec, pre: Option<Preflight<'_>>) -> SweepResult {
-        let ctx = GridCtx::new(self, spec, pre);
-        let mut points = ctx.blank_points();
-        ctx.eval_slots(&mut points, 0);
-        ctx.finish(points)
+        self.drive(spec, false, blank_points(spec), 0, usize::MAX, &mut |_| {})
     }
 
     /// [`CompiledSweep::run`] in resumable chunks: adopt an
@@ -727,8 +680,7 @@ impl<'w> CompiledSweep<'w> {
         chunk: usize,
         on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
     ) -> Result<SweepResult, SweepResumeError> {
-        let ctx = GridCtx::new(self, spec, None);
-        let mut points = ctx.blank_points();
+        let mut points = blank_points(spec);
         let total = points.len();
         if completed.len() > total {
             return Err(SweepResumeError::CursorBeyondGrid {
@@ -749,16 +701,56 @@ impl<'w> CompiledSweep<'w> {
             }
             points[i] = done.clone();
         }
-        let chunk = chunk.max(1);
-        let mut hi = completed.len();
+        Ok(self.drive(spec, false, points, completed.len(), chunk, on_checkpoint))
+    }
+
+    /// The one grid driver: evaluate `points[done..]` `chunk` points at a
+    /// time, handing the completed prefix to `on_checkpoint` after each
+    /// chunk, with the static pre-flight gate when `preflight` is set.
+    fn drive(
+        &self,
+        spec: &SweepSpec,
+        preflight: bool,
+        mut points: Vec<SweepPoint>,
+        done: usize,
+        chunk: usize,
+        on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
+    ) -> SweepResult {
+        let ctx = GridCtx::new(self, spec, preflight);
+        let total = points.len();
+        let mut hi = done;
         while hi < total {
             let lo = hi;
-            hi = (lo + chunk).min(total);
+            hi = lo + chunk.clamp(1, total - lo);
             ctx.eval_slots(&mut points[lo..hi], lo);
             on_checkpoint(&points[..hi]);
         }
-        Ok(ctx.finish(points))
+        ctx.finish(points)
     }
+}
+
+/// Every point of `spec` in grid order (calibration-major), blank. Each
+/// fan-out worker writes only the slot it took, so output order — and
+/// therefore the serialized result — is thread-count-independent.
+fn blank_points(spec: &SweepSpec) -> Vec<SweepPoint> {
+    let mut points = Vec::with_capacity(spec.point_count());
+    for c in &spec.calibs {
+        for &g in &spec.gpus {
+            for &s in &spec.schedules {
+                points.push(SweepPoint {
+                    calib: c.name.clone(),
+                    gpus: g,
+                    schedule: s,
+                    lower_bound: 0.0,
+                    makespan: None,
+                    cost: None,
+                    pruned: false,
+                    error: None,
+                });
+            }
+        }
+    }
+    points
 }
 
 /// Worker threads for one grid evaluation: `RAYON_NUM_THREADS` when set
@@ -810,17 +802,14 @@ fn fan_out<T: Send>(
     }
 }
 
-/// The static pre-flight context [`sweep_preflight`] hands the grid.
+/// The static pre-flight context of a [`sweep_preflight`] grid.
 struct Preflight<'a> {
     nodes: &'a [Vec<RankTrace>],
     deadlock: Option<String>,
 }
 
 /// Everything one grid evaluation needs: the shared arena, one cost
-/// table per calibration, the spec and the optional pre-flight. The
-/// whole-grid and the chunked resumable paths go through the same
-/// [`GridCtx::eval_slots`] and [`GridCtx::finish`], which is what makes
-/// them bit-identical.
+/// table per calibration, the spec and the optional pre-flight.
 struct GridCtx<'a> {
     spec: &'a SweepSpec,
     meta: &'a RecordMeta,
@@ -836,20 +825,34 @@ struct GridCtx<'a> {
 }
 
 impl<'a> GridCtx<'a> {
-    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec, pre: Option<Preflight<'a>>) -> Self {
+    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec, preflight: bool) -> Self {
         let meta = &cs.workload.meta;
         let tables = spec
             .calibs
             .iter()
-            .map(|c| cs.compiled.cost_table(&c.node.gpu, &reprice_for(meta, c)))
+            .map(|c| {
+                cs.compiled
+                    .cost_table(&c.node.gpu, &reprice(meta, &c.node, &c.net))
+            })
             .collect();
+        // Pre-flight: the deadlock verdict is a property of the workload
+        // alone (it depends on neither calibration nor GPU count), so it
+        // is decided once here; the OOM verdict depends on (calibration,
+        // gpus) and is re-derived per point inside the fan-out. Both
+        // predictors replicate the engine's own checks exactly, so the
+        // recorded error text matches what a replay would have produced.
+        let nodes = &cs.workload.nodes;
+        let pre = preflight.then(|| Preflight {
+            nodes,
+            deadlock: crate::analyze::predict_deadlock(nodes).map(|e| e.to_string()),
+        });
         GridCtx {
             spec,
             meta,
             compiled: &cs.compiled,
             tables,
             per_calib: spec.gpus.len() * spec.schedules.len(),
-            nodes: cs.workload.nodes.len().max(1),
+            nodes: nodes.len().max(1),
             pre,
             rejected: AtomicUsize::new(0),
         }
@@ -859,30 +862,6 @@ impl<'a> GridCtx<'a> {
     /// the fan-out workers.
     fn eval_slots(&self, slots: &mut [SweepPoint], first: usize) {
         fan_out(slots, first, worker_count(), |i, pt| self.eval(i, pt));
-    }
-
-    /// Pre-allocate every point in grid order (calibration-major); each
-    /// fan-out worker writes only the slot it took, so output order — and
-    /// therefore the serialized result — is thread-count-independent.
-    fn blank_points(&self) -> Vec<SweepPoint> {
-        let mut points = Vec::with_capacity(self.spec.point_count());
-        for c in &self.spec.calibs {
-            for &g in &self.spec.gpus {
-                for &s in &self.spec.schedules {
-                    points.push(SweepPoint {
-                        calib: c.name.clone(),
-                        gpus: g,
-                        schedule: s,
-                        lower_bound: 0.0,
-                        makespan: None,
-                        cost: None,
-                        pruned: false,
-                        error: None,
-                    });
-                }
-            }
-        }
-        points
     }
 
     fn eval(&self, i: usize, pt: &mut SweepPoint) {

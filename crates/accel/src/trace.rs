@@ -148,6 +148,11 @@ impl LabelTable {
         &self.names[id.0 as usize]
     }
 
+    /// Every interned string, in id order.
+    pub(crate) fn names(&self) -> &[String] {
+        &self.names
+    }
+
     /// Number of distinct labels interned.
     pub fn len(&self) -> usize {
         self.names.len()

@@ -10,10 +10,16 @@
 //! it back through [`RecordedWorkload::replay`] with a different
 //! [`NodeCalib`]/[`NetCalib`] (an H100-like device, an NVLink-like host
 //! link, a faster NIC, more GPUs) re-prices the run **without re-running
-//! any kernel numerics**: the engine recomputes kernel and transfer
-//! times from the new calibration, and [`RecordedWorkload::reprice`]
-//! rescales the charges whose cost was baked in at record time (host
-//! work, allocation latency, collective solo cost).
+//! any kernel numerics**.
+//!
+//! A replay takes the same path as every point of a sweep
+//! ([`mod@crate::sweep`]): the recording is compiled once into the
+//! engine's calibration-invariant arena, and one cost table prices it.
+//! The engine computes kernel and transfer times from the new
+//! calibration, and the one `Reprice` this module builds for the
+//! calibration rescales the charges whose cost was baked in at record
+//! time (host work, allocation latency, collective solo cost). The
+//! per-label report comes from the same cost table.
 //!
 //! Replaying under the *identical* calibration must reproduce the live
 //! run's makespan exactly — the differential-test oracle that locks this
@@ -34,9 +40,9 @@ use std::io;
 use std::path::Path;
 
 use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
-use crate::comm::allreduce_seconds;
 use crate::context::LabelStats;
-use crate::engine::{simulate_cluster, ClusterResult, EngineError, SchedulePolicyKind};
+use crate::engine::sim::{simulate_compiled, CompiledWorkload, Reprice};
+use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_str, esc, num, Fields, JsonError};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
@@ -244,46 +250,34 @@ pub fn preset(name: &str) -> Result<WhatifCalib, UnknownPreset> {
         })
 }
 
-/// Per-label solo-estimate stats for a set of rank traces under an
-/// arbitrary calibration — the same accounting [`crate::Context`] keeps
-/// while recording (kernels: solo wall + dispatch + launch latency;
-/// transfers: PCIe time; host/alloc/collective: their seconds), so
-/// live-run stats and repriced stats are directly comparable.
-pub fn solo_label_stats(
-    nodes: &[Vec<RankTrace>],
-    calib: &NodeCalib,
-) -> BTreeMap<String, LabelStats> {
-    let mut out: BTreeMap<String, LabelStats> = BTreeMap::new();
-    let mut add = |label: &str, seconds: f64, bytes: f64| {
-        let e = out.entry(label.to_string()).or_default();
-        e.calls += 1;
-        e.seconds += seconds;
-        e.bytes += bytes;
-    };
-    for trace in nodes.iter().flatten() {
-        for seg in &trace.segments {
-            match seg {
-                Segment::Host { seconds, label } => add(label, *seconds, 0.0),
-                Segment::Kernel { profile, dispatch } => add(
-                    &profile.name,
-                    profile.solo_seconds(&calib.gpu) + dispatch + calib.gpu.launch_latency,
-                    0.0,
-                ),
-                Segment::Transfer { bytes, label, .. } => add(
-                    label,
-                    calib.gpu.pcie_latency + bytes / calib.gpu.pcie_bw,
-                    *bytes,
-                ),
-                Segment::DeviceAlloc { seconds } => add("accel_data_alloc", *seconds, 0.0),
-                Segment::Collective {
-                    seconds,
-                    bytes,
-                    label,
-                } => add(label, *seconds, *bytes),
-            }
-        }
+/// The [`Reprice`] that carries a recording's record-time charges over
+/// to `node`/`net`:
+///
+/// * **host seconds** scale by the CPU throughput ratio (host work is
+///   modelled compute-bound on the host cores);
+/// * **allocation latency** scales by the allocator-latency ratio;
+/// * **collective solo cost** scales by the ratio of the analytic
+///   allreduce formula under the new vs recorded [`NetCalib`] (exact
+///   because the recorded cost is that formula times a scale factor).
+///
+/// Kernel and transfer segments carry pure work descriptors that the
+/// cost table prices from `node` directly, and kernel `dispatch` is a
+/// framework overhead, not a hardware cost, so it is kept. Under the
+/// recorded calibration every ratio is exactly 1.0. Every replay and
+/// sweep point prices through this one function.
+pub(crate) fn reprice(meta: &RecordMeta, node: &NodeCalib, net: &NetCalib) -> Reprice {
+    let old = &meta.node_calib;
+    Reprice::Scaled {
+        host_ratio: old.cpu.core_flops / node.cpu.core_flops,
+        alloc_ratio: if old.gpu.alloc_latency > 0.0 {
+            node.gpu.alloc_latency / old.gpu.alloc_latency
+        } else {
+            1.0
+        },
+        recorded_net: meta.net_calib,
+        net: *net,
+        total_ranks: meta.total_ranks,
     }
-    out
 }
 
 impl RecordedWorkload {
@@ -306,86 +300,25 @@ impl RecordedWorkload {
         Self { meta, nodes }
     }
 
-    /// Re-express every recorded charge under a new calibration.
-    ///
-    /// Kernel and transfer segments carry pure work descriptors (items,
-    /// flops, bytes) — the engine prices them from `NodeConfig.calib` at
-    /// replay time, so they pass through unchanged. Three charges were
-    /// priced at record time and are rescaled here:
-    ///
-    /// * **host seconds** by the CPU throughput ratio (host work is
-    ///   modelled compute-bound on the host cores);
-    /// * **allocation latency** by the allocator-latency ratio;
-    /// * **collective solo cost** by the ratio of the analytic allreduce
-    ///   formula under the new vs recorded [`NetCalib`] (exact because
-    ///   the recorded cost is that formula times a scale factor).
-    ///
-    /// Kernel `dispatch` is a framework overhead, not a hardware cost,
-    /// and is preserved. Under the identity calibration every ratio is
-    /// exactly 1.0, so repricing is bitwise lossless.
-    pub fn reprice(&self, node: &NodeCalib, net: &NetCalib) -> Vec<Vec<RankTrace>> {
-        let old = &self.meta.node_calib;
-        let host_ratio = old.cpu.core_flops / node.cpu.core_flops;
-        let alloc_ratio = if old.gpu.alloc_latency > 0.0 {
-            node.gpu.alloc_latency / old.gpu.alloc_latency
-        } else {
-            1.0
-        };
-        let ranks = self.meta.total_ranks;
-        self.nodes
-            .iter()
-            .map(|ranks_of_node| {
-                ranks_of_node
-                    .iter()
-                    .map(|t| RankTrace {
-                        segments: t
-                            .segments
-                            .iter()
-                            .map(|seg| match seg {
-                                Segment::Host { seconds, label } => Segment::Host {
-                                    seconds: seconds * host_ratio,
-                                    label: label.clone(),
-                                },
-                                Segment::DeviceAlloc { seconds } => Segment::DeviceAlloc {
-                                    seconds: seconds * alloc_ratio,
-                                },
-                                Segment::Collective {
-                                    seconds,
-                                    bytes,
-                                    label,
-                                } => {
-                                    let was =
-                                        allreduce_seconds(&self.meta.net_calib, ranks, *bytes);
-                                    let now = allreduce_seconds(net, ranks, *bytes);
-                                    let ratio = if was > 0.0 { now / was } else { 1.0 };
-                                    Segment::Collective {
-                                        seconds: seconds * ratio,
-                                        bytes: *bytes,
-                                        label: label.clone(),
-                                    }
-                                }
-                                other => other.clone(),
-                            })
-                            .collect(),
-                        events: Vec::new(),
-                        peak_device_bytes: t.peak_device_bytes,
-                    })
-                    .collect()
-            })
-            .collect()
+    /// Compile the recording into the engine's calibration-invariant
+    /// arena (one slice of rank traces per node).
+    pub(crate) fn compile(&self) -> Result<CompiledWorkload, EngineError> {
+        let slices: Vec<&[RankTrace]> = self.nodes.iter().map(Vec::as_slice).collect();
+        CompiledWorkload::compile(&slices)
     }
 
-    /// Reprice and replay through the discrete-event engine under the
-    /// given calibration. `gpus` overrides the recorded per-node GPU
-    /// count (a "what if the node had 8 GPUs" knob); `None` keeps it.
-    /// No kernel numerics run — only the recorded charges are replayed.
+    /// Replay through the discrete-event engine under the given
+    /// calibration. `gpus` overrides the recorded per-node GPU count (a
+    /// "what if the node had 8 GPUs" knob); `None` keeps it. No kernel
+    /// numerics run — only the recorded charges are priced and replayed.
     pub fn replay(
         &self,
         node: &NodeCalib,
         net: &NetCalib,
         gpus: Option<u32>,
     ) -> Result<Replayed, EngineError> {
-        let repriced = self.reprice(node, net);
+        let compiled = self.compile()?;
+        let costs = compiled.cost_table(&node.gpu, &reprice(&self.meta, node, net))?;
         let cfg = NodeConfig {
             calib: *node,
             gpus: gpus.unwrap_or(self.meta.gpus),
@@ -393,23 +326,20 @@ impl RecordedWorkload {
             schedule: self.meta.schedule,
             overlap_transfers: self.meta.overlap_transfers,
         };
-        let cluster = simulate_cluster(&repriced, &cfg)?;
-        let per_label = solo_label_stats(&repriced, node);
-        Ok(Replayed { cluster, per_label })
+        let out = simulate_compiled(&compiled, &costs, &cfg, false)?;
+        Ok(Replayed {
+            cluster: ClusterResult::from_output(out, self.nodes.len()),
+            per_label: compiled.label_stats(&costs, &node.gpu),
+        })
     }
 
     /// Replay under the recorded calibration — the differential oracle:
-    /// the result must reproduce the live run exactly.
+    /// the result must reproduce the live run exactly, and its
+    /// `per_label` is the "original" column of a side-by-side report.
     pub fn replay_identity(&self) -> Result<Replayed, EngineError> {
         let node = self.meta.node_calib;
         let net = self.meta.net_calib;
         self.replay(&node, &net, None)
-    }
-
-    /// Per-label solo stats of the recording under its own calibration
-    /// (the "original" column of a side-by-side report).
-    pub fn live_label_stats(&self) -> BTreeMap<String, LabelStats> {
-        solo_label_stats(&self.nodes, &self.meta.node_calib)
     }
 
     /// Serialize to the JSONL workload format.
@@ -858,16 +788,49 @@ mod tests {
     }
 
     #[test]
-    fn identity_reprice_is_bitwise_lossless() {
+    fn identity_replay_reports_the_recorded_charges_bit_for_bit() {
         let w = sample_workload();
-        let repriced = w.reprice(&w.meta.node_calib, &w.meta.net_calib);
-        for (a, b) in repriced.iter().flatten().zip(w.nodes.iter().flatten()) {
-            assert_eq!(a.segments, b.segments);
+        let id = w.replay_identity().unwrap().per_label;
+        // Host, alloc and collective rows are the recorded seconds, summed
+        // in recorded order; transfers keep their recorded bytes.
+        let sum = |f: &dyn Fn(&Segment) -> Option<f64>| {
+            w.nodes
+                .iter()
+                .flatten()
+                .flat_map(|t| &t.segments)
+                .filter_map(f)
+                .fold(0.0, |acc, v| acc + v)
+        };
+        let host = sum(&|s| match s {
+            Segment::Host { seconds, .. } => Some(*seconds),
+            _ => None,
+        });
+        let alloc = sum(&|s| match s {
+            Segment::DeviceAlloc { seconds } => Some(*seconds),
+            _ => None,
+        });
+        let coll = sum(&|s| match s {
+            Segment::Collective { seconds, .. } => Some(*seconds),
+            _ => None,
+        });
+        let h2d = sum(&|s| match s {
+            Segment::Transfer { bytes, .. } => Some(*bytes),
+            _ => None,
+        });
+        assert_eq!(id["serial"].seconds.to_bits(), host.to_bits());
+        assert_eq!(id["accel_data_alloc"].seconds.to_bits(), alloc.to_bits());
+        assert_eq!(id["mpi_allreduce_zmap"].seconds.to_bits(), coll.to_bits());
+        assert_eq!(
+            id["accel_data_update_device"].bytes.to_bits(),
+            h2d.to_bits()
+        );
+        for stat in id.values() {
+            assert_eq!(stat.calls, 4);
         }
     }
 
     #[test]
-    fn reprice_rescales_host_alloc_and_collective() {
+    fn replay_rescales_host_alloc_and_collective() {
         let w = sample_workload();
         let mut fast = w.meta.node_calib;
         fast.cpu.core_flops *= 2.0;
@@ -876,32 +839,49 @@ mod tests {
             bw: w.meta.net_calib.bw * 2.0,
             latency: w.meta.net_calib.latency,
         };
-        let repriced = w.reprice(&fast, &net);
-        let orig = &w.nodes[0][0].segments;
-        let new = &repriced[0][0].segments;
-        match (&orig[0], &new[0]) {
-            (Segment::Host { seconds: a, .. }, Segment::Host { seconds: b, .. }) => {
-                assert!((b - a / 2.0).abs() < 1e-15, "host {b} vs {}", a / 2.0);
-            }
-            _ => panic!("expected host segments"),
+        let orig = w.replay_identity().unwrap().per_label;
+        let new = w.replay(&fast, &net, None).unwrap().per_label;
+        let (a, b) = (orig["serial"].seconds, new["serial"].seconds);
+        assert!((b - a / 2.0).abs() < 1e-15, "host {b} vs {}", a / 2.0);
+        let (a, b) = (
+            orig["accel_data_alloc"].seconds,
+            new["accel_data_alloc"].seconds,
+        );
+        assert!((b - a * 0.5).abs() < 1e-18, "alloc {b} vs {}", a * 0.5);
+        // Kernel and transfer descriptors are priced from the unchanged
+        // device: their rows do not move.
+        for label in ["scan\"map", "accel_data_update_device"] {
+            assert_eq!(orig[label], new[label], "{label}");
         }
-        // Kernel and transfer descriptors pass through untouched.
-        assert_eq!(orig[1], new[1]);
-        assert_eq!(orig[2], new[2]);
-        match (&orig[3], &new[3]) {
-            (Segment::DeviceAlloc { seconds: a }, Segment::DeviceAlloc { seconds: b }) => {
-                assert!((b - a * 0.5).abs() < 1e-18);
-            }
-            _ => panic!("expected alloc segments"),
+        // Doubling net bandwidth shrinks but does not halve the
+        // collective cost (the latency term is unchanged).
+        let (a, b) = (
+            orig["mpi_allreduce_zmap"].seconds,
+            new["mpi_allreduce_zmap"].seconds,
+        );
+        assert!(b < a && b > a / 2.0, "collective {b} vs {a}");
+        assert_eq!(
+            orig["mpi_allreduce_zmap"].bytes,
+            new["mpi_allreduce_zmap"].bytes
+        );
+    }
+
+    #[test]
+    fn zero_second_charges_keep_their_calls() {
+        // The engine has nothing to replay for a charge of 0 s, but the
+        // report still counts the segment, as the live run's stats do.
+        let mut w = sample_workload();
+        for t in w.nodes.iter_mut().flatten() {
+            t.segments.push(Segment::Host {
+                seconds: 0.0,
+                label: "idle".into(),
+            });
+            t.segments.push(Segment::DeviceAlloc { seconds: 0.0 });
         }
-        match (&orig[4], &new[4]) {
-            (Segment::Collective { seconds: a, .. }, Segment::Collective { seconds: b, .. }) => {
-                // Doubling net bandwidth shrinks but does not halve the
-                // cost (the latency term is unchanged).
-                assert!(b < a && *b > a / 2.0, "collective {b} vs {a}");
-            }
-            _ => panic!("expected collective segments"),
-        }
+        let stats = w.replay_identity().unwrap().per_label;
+        assert_eq!(stats["idle"].calls, 4);
+        assert_eq!(stats["idle"].seconds, 0.0);
+        assert_eq!(stats["accel_data_alloc"].calls, 8);
     }
 
     #[test]
@@ -910,15 +890,10 @@ mod tests {
         let id = w.replay_identity().unwrap();
         assert!(id.cluster.wall_seconds > 0.0);
         assert_eq!(id.cluster.nodes, 2);
-        // Per-label stats match the live accounting under the same calib.
-        let live = w.live_label_stats();
-        for (label, stat) in &id.per_label {
-            assert_eq!(live[label], *stat, "{label}");
-        }
         // An H100-like device never slows the kernel's solo estimate.
         let h100 = preset("h100").unwrap();
         let rep = w.replay(&h100.node, &h100.net, None).unwrap();
-        assert!(rep.per_label["scan\"map"].seconds <= live["scan\"map"].seconds);
+        assert!(rep.per_label["scan\"map"].seconds <= id.per_label["scan\"map"].seconds);
     }
 
     #[test]

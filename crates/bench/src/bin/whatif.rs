@@ -161,7 +161,7 @@ fn replay(path: &str) {
         exit(1);
     });
     let gpus: Option<u32> = arg_value("--gpus").map(|v| {
-        v.parse().unwrap_or_else(|_| {
+        v.parse().ok().filter(|&g| g > 0).unwrap_or_else(|| {
             eprintln!("error: --gpus expects a positive integer, got '{v}'");
             exit(2);
         })
@@ -200,10 +200,9 @@ fn replay(path: &str) {
     };
     let repriced = run_replay(&workload, &node, &net, gpus);
 
-    let live_stats = workload.live_label_stats();
     let mut table = Table::new(&["label", "calls", "orig_s", "new_s", "delta_s", "ratio"]);
     for (label, new) in &repriced.per_label {
-        let orig = live_stats.get(label).copied().unwrap_or_default();
+        let orig = identity.per_label.get(label).copied().unwrap_or_default();
         table.row(vec![
             label.clone(),
             new.calls.to_string(),

@@ -6,7 +6,7 @@ use accel_sim::calib::{NetCalib, NodeCalib};
 use accel_sim::comm::allreduce_seconds;
 use accel_sim::context::LabelStats;
 use accel_sim::engine::{simulate_cluster_traced, ClusterResult, SchedulePolicyKind};
-use accel_sim::node::{simulate_node_traced, NodeConfig};
+use accel_sim::node::NodeConfig;
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::Context;
 use accel_sim::EngineError;
@@ -287,27 +287,19 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
         ),
         None => e.to_string(),
     };
-    let (node_wall, gpu_busy, timeline, cluster) = match (rank_oom, cfg.nodes) {
-        (Some(e), _) => (Err(e), Vec::new(), None, None),
-        (None, None) => {
-            let node_cfg = node_config(cfg, calib);
-            match simulate_node_traced(&traces, &node_cfg) {
-                Ok((res, timeline)) => (Ok(res.wall_seconds), res.gpu_busy, Some(timeline), None),
-                Err(e) => (Err(sim_err_msg(e)), Vec::new(), None, None),
-            }
-        }
-        (None, Some(n)) => {
-            // Every node runs a statistically identical set of ranks:
-            // replicate this node's traces across the cluster.
-            let node_traces: Vec<Vec<accel_sim::RankTrace>> =
-                (0..n.max(1)).map(|_| traces.clone()).collect();
-            let node_cfg = node_config(cfg, calib);
-            match simulate_cluster_traced(&node_traces, &node_cfg) {
+    // One replay: this node's traces on every node of the cluster (every
+    // node runs a statistically identical set of ranks), or on the one
+    // node of the legacy path.
+    let (node_wall, gpu_busy, timeline, cluster) = match rank_oom {
+        Some(e) => (Err(e), Vec::new(), None, None),
+        None => {
+            let node_traces = vec![traces.as_slice(); cfg.nodes.map_or(1, |n| n.max(1)) as usize];
+            match simulate_cluster_traced(&node_traces, &node_config(cfg, calib)) {
                 Ok((res, timeline)) => (
                     Ok(res.wall_seconds),
                     res.gpu_busy.clone(),
                     Some(timeline),
-                    Some(res),
+                    cfg.nodes.map(|_| res),
                 ),
                 Err(e) => (Err(sim_err_msg(e)), Vec::new(), None, None),
             }

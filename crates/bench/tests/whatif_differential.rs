@@ -6,10 +6,14 @@
 //! full serialization path (capture → JSONL → parse → replay), so any
 //! precision loss or dropped charge anywhere in the chain breaks the
 //! equality. Checked for the legacy single-node replay and the 2-node
-//! cluster replay, across every schedule policy.
+//! cluster replay, across every schedule policy. Under every preset the
+//! replay must also match the trace-level reference repricer bit for bit.
+
+#[path = "../../accel/tests/common/reprice_oracle.rs"]
+mod reprice_oracle;
 
 use accel_sim::sweep::{sweep, SweepCalib, SweepSpec};
-use accel_sim::whatif::RecordedWorkload;
+use accel_sim::whatif::{presets, RecordedWorkload};
 use accel_sim::SchedulePolicyKind;
 use repro_bench::{recorded_workload, run_config, RunConfig};
 use scenario::{ProblemSize, Scenario};
@@ -158,7 +162,7 @@ fn non_identity_preset_changes_only_hardware_priced_charges() {
     let p = accel_sim::whatif::preset("h100").expect("preset");
     let node = p.node.rescaled(parsed.meta.work_scale);
     let repriced = parsed.replay(&node, &p.net, None).expect("fits");
-    let live = parsed.live_label_stats();
+    let live = parsed.replay_identity().expect("fits").per_label;
 
     // Device kernels get faster, host labels keep their cost (same CPU).
     let faster = repriced.per_label["scan_map"].seconds;
@@ -219,8 +223,8 @@ fn sweep_identity_point_reproduces_the_live_run() {
 #[test]
 fn sweep_preset_points_match_standalone_replays_bitwise() {
     // Every sweep point must equal what `whatif --replay --calib <p>
-    // --gpus <n>` computes for the same recording: the batched cost-table
-    // path and the trace-level repricer are term-for-term identical.
+    // --gpus <n>` computes for the same recording: both price the same
+    // compiled arena through the same repricing function.
     let mut cfg = RunConfig::new(tiny_problem(), ImplKind::OmpTarget, 4).expect("valid procs");
     cfg.nodes = Some(2);
     let out = run_config(&cfg).expect("valid config");
@@ -257,5 +261,32 @@ fn sweep_preset_points_match_standalone_replays_bitwise() {
             point.gpus,
             point.makespan,
         );
+    }
+}
+
+#[test]
+fn replays_match_the_trace_level_reference_under_every_preset() {
+    // A real 2-node omp recording, pushed through JSONL: under identity
+    // and every preset, at the recorded and at overridden GPU counts, the
+    // compiled replay equals the trace-level reference repricer bit for
+    // bit — makespan, per-rank finish times and every per-label row.
+    let mut cfg = RunConfig::new(tiny_problem(), ImplKind::OmpTarget, 4).expect("valid procs");
+    cfg.nodes = Some(2);
+    let out = run_config(&cfg).expect("valid config");
+    let recorded = recorded_workload(&cfg, &out, "reference", None).expect("recordable");
+    let parsed = RecordedWorkload::parse_jsonl(&recorded.to_jsonl()).expect("parses");
+
+    let mut calibs = vec![("identity", parsed.meta.node_calib, parsed.meta.net_calib)];
+    calibs.extend(
+        presets()
+            .into_iter()
+            .map(|p| (p.name, p.node.rescaled(parsed.meta.work_scale), p.net)),
+    );
+    for (name, node, net) in calibs {
+        for gpus in [None, Some(1), Some(2)] {
+            if let Err(e) = reprice_oracle::check_replay(&parsed, &node, &net, gpus) {
+                panic!("{name} gpus {gpus:?}: {e}");
+            }
+        }
     }
 }
