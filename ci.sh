@@ -103,45 +103,59 @@ rm -f target/ci_fig5_trace-*.jsonl
 cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
   --scenario scenarios/fig5_4node.json --trace-out target/ci_fig5_trace.jsonl >/dev/null
 
-echo "== engine-throughput bench (smoke mode)"
-# Validates the bench harness end to end and the shape of the JSON it
-# emits; the numbers themselves are not gated here (machine-dependent).
-# Absolute path: the bench binary's cwd is the package dir, not the root.
-bench_json="$PWD/target/ci_bench_engine.json"
-BENCH_ENGINE_SMOKE=1 BENCH_ENGINE_OUT="$bench_json" \
-  cargo bench -q -p repro-bench --bench engine >/dev/null
+echo "== throughput bench (smoke mode)"
+# Validates the harness end to end and the shape of the rows it writes;
+# the numbers themselves are not gated (machine-dependent), except that
+# the batched sweep must beat the naive one. The bench itself exits
+# non-zero if the batched identity point differs from replay_identity in
+# any bit. Absolute paths: the bench binary's cwd is the package dir.
+bench_json="$PWD/target/ci_bench_throughput.json"
+throughput() {
+  cargo bench -q -p repro-bench --bench throughput -- --smoke "$@"
+}
+throughput --out "$bench_json" >/dev/null
 jq -e '
+  def rows($l): [.rows[] | select(.layer == $l)];
   .mode == "smoke"
-  and (.results | length == 6)
-  and (.results | all(.events_per_sec > 0 and .iters > 0))
-  and ([.results[].nodes] | unique == [1, 8, 64])
+  and (.rows | length == 8)
+  and (rows("engine") | length == 6 and ([.[].case] | unique | length == 6))
+  and ([rows("engine")[].work] | unique | .[1] == 8 * .[0] and .[2] == 64 * .[0] and length == 3)
+  and ([rows("sweep")[] | [.case, .work]] == [["batched", 120], ["naive", 120]])
+  and (.rows | all(.iters > 0 and .value > 0))
+  and (.rows | all((.value - .work * .iters / .seconds | fabs) <= 1e-9 * .value))
+  and (rows("sweep") | .[0].value > .[1].value)
 ' "$bench_json" >/dev/null || {
-  echo "BENCH_engine.json malformed:" >&2
+  echo "BENCH_throughput.json malformed:" >&2
   cat "$bench_json" >&2
   exit 1
 }
-rm -f "$bench_json"
-
-echo "== sweep-throughput bench (smoke mode)"
-# Validates the batched (compile-once) vs naive sweep harness and its
-# JSON shape: both paths must report throughput, the batched path must be
-# faster, and its identity point must match the oracle bit for bit.
-sweep_json="$PWD/target/ci_bench_sweep.json"
-BENCH_SWEEP_SMOKE=1 BENCH_SWEEP_OUT="$sweep_json" \
-  cargo bench -q -p repro-bench --bench sweep >/dev/null
-jq -e '
-  .mode == "smoke"
-  and .grid_points == 120
-  and .identity_bit_identical == true
-  and (.results | length == 2)
-  and (.results | all(.points_per_sec > 0 and .iters > 0))
-  and .speedup_batched_vs_naive > 1
-' "$sweep_json" >/dev/null || {
-  echo "BENCH_sweep.json malformed:" >&2
-  cat "$sweep_json" >&2
+# Against the checked-in full-mode file every row must find its
+# baseline: the (layer, case) keys are the same in both modes.
+throughput --baseline "$PWD/BENCH_throughput.json" --out "$bench_json" >/dev/null
+jq -e '.rows | all(.ratio | type == "number" and isinfinite == false and . > 0)' \
+  "$bench_json" >/dev/null || {
+  echo "--baseline BENCH_throughput.json left a row without a finite ratio:" >&2
+  cat "$bench_json" >&2
   exit 1
 }
-rm -f "$sweep_json"
+# A cut-off baseline and one with an unknown key must each be refused
+# with an error naming the line, not a panic, and write nothing.
+head -c 200 "$bench_json" >"$bench_json.cut"
+sed 's/"case":"naive",/"case":"naive","extra":1,/' "$bench_json" >"$bench_json.extra"
+for bad in cut extra; do
+  rm -f "$bench_json.out"
+  if err=$(throughput --baseline "$bench_json.$bad" --out "$bench_json.out" 2>&1); then
+    echo "throughput accepted a bad baseline ($bad)" >&2
+    exit 1
+  fi
+  echo "$err" | grep -E "^throughput: $bench_json\.$bad:[0-9]+: " >/dev/null \
+    && ! echo "$err" | grep -q "panicked" && [ ! -e "$bench_json.out" ] || {
+    echo "bad baseline ($bad) not refused with a line-numbered error:" >&2
+    echo "$err" >&2
+    exit 1
+  }
+done
+rm -f "$bench_json" "$bench_json".*
 
 echo "== whatif record->replay differential smoke"
 # The identity replay must reproduce the recorded makespan bit for bit

@@ -36,9 +36,7 @@ pub mod policy;
 pub mod resources;
 pub(crate) mod sim;
 
-pub use cluster::{
-    cluster_collective_bytes, simulate_cluster, simulate_cluster_traced, ClusterResult,
-};
+pub use cluster::{simulate_cluster, simulate_cluster_traced, ClusterResult};
 pub use error::EngineError;
 pub use policy::{GpuSchedContext, KernelReq, SchedulePolicy, SchedulePolicyKind};
 pub use resources::{Nic, PcieLink, SmPool};

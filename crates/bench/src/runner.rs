@@ -359,7 +359,7 @@ pub fn recorded_workload(
 
 /// Run a configuration and capture its workload in one step — the common
 /// "record for later repricing/sweeping" entry (`whatif --record`, the
-/// sweep bench). Returns the outcome alongside the recording so callers
+/// golden replay tests, `wallbench`'s sweep and serve workloads). Returns the outcome alongside the recording so callers
 /// can still report live numbers.
 pub fn record_run(
     cfg: &RunConfig,
