@@ -103,12 +103,27 @@ rm -f target/ci_fig5_trace-*.jsonl
 cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
   --scenario scenarios/fig5_4node.json --trace-out target/ci_fig5_trace.jsonl >/dev/null
 
+echo "== figure tables (fig6_per_kernel, fig5_full_benchmark)"
+# What the two figure binaries print at their default scenarios must match
+# the checked-in tables byte for byte: a cost-model or numerics change
+# that moves a printed digit shows here. Run from the repository root, so
+# the `wrote target/figures/...` line is stable too.
+for fig in fig6_per_kernel fig5_full_benchmark; do
+  cargo run --release -q -p repro-bench --bin "$fig" \
+    | diff - "crates/bench/tests/golden/figures/$fig.txt" || {
+    echo "$fig output diverged from crates/bench/tests/golden/figures/$fig.txt" >&2
+    exit 1
+  }
+done
+
 echo "== throughput bench (smoke mode)"
 # Validates the harness end to end and the shape of the rows it writes;
 # the numbers themselves are not gated (machine-dependent), except that
-# the batched sweep must beat the naive one. The bench itself exits
-# non-zero if the batched identity point differs from replay_identity in
-# any bit. Absolute paths: the bench binary's cwd is the package dir.
+# the batched sweep must beat the naive one. The live rows are one run
+# per iteration of Fig. 6's cell (shrunk in smoke mode), one per style.
+# The bench itself exits non-zero if the batched identity point differs
+# from replay_identity in any bit. Absolute paths: the bench binary's cwd
+# is the package dir.
 bench_json="$PWD/target/ci_bench_throughput.json"
 throughput() {
   cargo bench -q -p repro-bench --bench throughput -- --smoke "$@"
@@ -117,10 +132,11 @@ throughput --out "$bench_json" >/dev/null
 jq -e '
   def rows($l): [.rows[] | select(.layer == $l)];
   .mode == "smoke"
-  and (.rows | length == 8)
+  and (.rows | length == 11)
   and (rows("engine") | length == 6 and ([.[].case] | unique | length == 6))
   and ([rows("engine")[].work] | unique | .[1] == 8 * .[0] and .[2] == 64 * .[0] and length == 3)
   and ([rows("sweep")[] | [.case, .work]] == [["batched", 120], ["naive", 120]])
+  and ([rows("live")[] | [.case, .unit, .work]] == [["cpu", "runs/s", 1], ["omp", "runs/s", 1], ["jax", "runs/s", 1]])
   and (.rows | all(.iters > 0 and .value > 0))
   and (.rows | all((.value - .work * .iters / .seconds | fabs) <= 1e-9 * .value))
   and (rows("sweep") | .[0].value > .[1].value)

@@ -1,5 +1,5 @@
 //! Throughput bench: wall-clock rates of the discrete-event engine and of
-//! the what-if sweep, on one synthetic workload.
+//! the what-if sweep, on one synthetic workload, and of whole live runs.
 //!
 //! Every row has the schema `{layer, case, unit, work, iters, seconds,
 //! value}`: `work` is the work one iteration does, in code-independent
@@ -14,14 +14,20 @@
 //!   compiles the recording once and prices each calibration once.
 //!   `naive` is what a script looping `whatif --replay` pays per point:
 //!   parse the JSONL recording, compile, price and replay.
+//! - `live` rows run one configuration end to end through `run_config`,
+//!   one row per style (`cpu`, `omp`, `jax`), at Fig. 6's cell: medium
+//!   problem, scale 1e-3, 16 processes. One unit of work is one run
+//!   (runs/s). Satsim, the kernels in each style and arrayjit do nearly
+//!   all of this work; the engine replay is a small share.
 //!
 //! Before anything is timed, the batched grid's identity point must equal
 //! `replay_identity` down to the last bit. If it does not, the bench exits
 //! non-zero and writes nothing.
 //!
 //! Flags (after `cargo bench -p repro-bench --bench throughput --`):
-//! - `--smoke`: smaller workloads and a 50 ms budget per row (same grid),
-//!   so CI checks the harness and the file shape in seconds;
+//! - `--smoke`: smaller workloads and a 50 ms budget per row (same grid;
+//!   the live cell shrunk to 64 detectors and 2 observations), so CI
+//!   checks the harness and the file shape in seconds;
 //! - `--out <path>`: where to write the rows (default
 //!   `BENCH_throughput.json` at the workspace root);
 //! - `--baseline <file>`: an earlier `BENCH_throughput.json`; every row
@@ -44,10 +50,13 @@ use accel_sim::{
     simulate_cluster, KernelProfile, NodeConfig, RankTrace, RecordMeta, RecordedWorkload,
     SchedulePolicyKind, Segment, TransferDir,
 };
+use repro_bench::{run_config, RunConfig};
+use scenario::{ImplKind, ProblemSize, Scenario};
 
 /// `(layer, unit)` of each kind of row.
 const ENGINE: (&str, &str) = ("engine", "segments/s");
 const SWEEP: (&str, &str) = ("sweep", "points/s");
+const LIVE: (&str, &str) = ("live", "runs/s");
 const RANKS_PER_NODE: usize = 8;
 const SWEEP_NODES: usize = 4;
 const USAGE: &str = "usage: throughput [--smoke] [--out <path>] [--baseline <file>]";
@@ -269,7 +278,32 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
         Ok::<_, Box<dyn Error>>(())
     };
     rows.push(measure(SWEEP, "naive", points, budget, naive)?);
+
+    for (case, kind) in [
+        ("cpu", ImplKind::Cpu),
+        ("omp", ImplKind::OmpTarget),
+        ("jax", ImplKind::Jit),
+    ] {
+        let cfg = RunConfig::from_scenario(&live_cell(kind, smoke))?;
+        rows.push(measure(LIVE, case, 1, budget, || {
+            run_config(&cfg).map_err(|e| e.to_string())?.node_wall
+        })?);
+    }
     Ok(rows)
+}
+
+/// Fig. 6's cell in one style; in smoke mode shrunk to the `live`
+/// benchmark workload's shape (64 detectors, 2 observations).
+fn live_cell(kind: ImplKind, smoke: bool) -> Scenario {
+    let mut s = Scenario::new("throughput live", ProblemSize::Medium, 1e-3)
+        .with_kind(kind)
+        .with_procs(16);
+    if smoke {
+        s.problem.n_det_total = Some(64);
+        s.problem.n_obs = Some(2);
+        s.problem.total_samples = Some(5e9 / 128.0);
+    }
+    s
 }
 
 /// `(layer, case, value)` of every row of an earlier bench file, read
