@@ -49,6 +49,18 @@ pub fn run(
     program: &Program,
     args: &[Array],
 ) -> Vec<Array> {
+    charge(ctx, backend, program, args);
+    evaluate(program, args)
+}
+
+/// The charge half of [`run`]: check `args` against the compiled
+/// signature and charge one invocation, without evaluating anything.
+pub(crate) fn charge(
+    ctx: &mut accel::Context,
+    backend: Backend,
+    program: &Program,
+    args: &[Array],
+) {
     assert_eq!(
         args.len(),
         program.graph.params.len(),
@@ -67,13 +79,11 @@ pub fn run(
         );
         assert_eq!(arg.dtype(), *dtype, "{}: argument {i} dtype", program.name);
     }
-
-    charge(ctx, backend, program);
-    evaluate(program, args)
+    charge_backend(ctx, backend, program);
 }
 
 /// Charge the simulator for one invocation of `program`.
-fn charge(ctx: &mut accel::Context, backend: Backend, program: &Program) {
+fn charge_backend(ctx: &mut accel::Context, backend: Backend, program: &Program) {
     let fw = ctx.calib.framework;
     match backend {
         Backend::Device => {
@@ -114,7 +124,7 @@ fn charge(ctx: &mut accel::Context, backend: Backend, program: &Program) {
 
 /// Run the plan over concrete values, dropping each intermediate after
 /// its last use.
-fn evaluate(program: &Program, args: &[Array]) -> Vec<Array> {
+pub(crate) fn evaluate(program: &Program, args: &[Array]) -> Vec<Array> {
     let Plan { steps, drops } = &program.plan;
     let mut values: Vec<Option<Array>> = vec![None; steps.len()];
     for (id, ((step, node), dead)) in steps

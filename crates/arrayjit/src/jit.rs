@@ -20,7 +20,7 @@ use accel_sim as accel;
 
 use crate::array::{Array, DType};
 use crate::compile::{compile, Program};
-use crate::exec::{run, Backend};
+use crate::exec::{charge, evaluate, Backend};
 use crate::shape::Shape;
 use crate::trace::{TraceContext, Tracer};
 
@@ -125,6 +125,23 @@ impl Jit {
         args: &[Array],
         statics: &[i64],
     ) -> Vec<Array> {
+        let program = self.charge_static(ctx, backend, args, statics);
+        evaluate(&program, args)
+    }
+
+    /// The charge half of [`Jit::call_static`]: the compile-cache lookup
+    /// (a new signature compiles and is charged the compile) and the
+    /// backend's per-call dispatch, launch, runtime and scratch charges,
+    /// without evaluating the program. A caller that already holds this
+    /// call's outputs (a pipeline repeating a kernel over unchanged
+    /// inputs) is charged exactly what the call would cost.
+    pub fn charge_static(
+        &mut self,
+        ctx: &mut accel::Context,
+        backend: Backend,
+        args: &[Array],
+        statics: &[i64],
+    ) -> Arc<Program> {
         let sig = signature(args, statics);
         let program = match self.cache.get(&sig) {
             Some(p) => p.clone(),
@@ -138,7 +155,8 @@ impl Jit {
                 program
             }
         };
-        run(ctx, backend, &program, args)
+        charge(ctx, backend, &program, args);
+        program
     }
 
     /// The compiled program for a signature, if this handle has compiled
@@ -277,6 +295,25 @@ mod tests {
             f.call(&mut c, Backend::Device, &args);
         }
         assert_eq!(c.stats()["saxpy/dispatch"].calls, 5);
+    }
+
+    #[test]
+    fn charge_half_charges_what_the_call_charges() {
+        let args = [
+            Array::scalar_f64(3.0),
+            Array::from_f64(vec![1.0; 8]),
+            Array::from_f64(vec![2.0; 8]),
+        ];
+        for backend in [Backend::Device, Backend::Cpu] {
+            let (mut called, mut charged) = (saxpy(), saxpy());
+            let (mut c1, mut c2) = (ctx(), ctx());
+            for _ in 0..2 {
+                called.call(&mut c1, backend, &args);
+                charged.charge_static(&mut c2, backend, &args, &[]);
+            }
+            assert_eq!(c1.trace(), c2.trace(), "{backend:?}");
+            assert_eq!(charged.compiled_signatures(), 1);
+        }
     }
 
     #[test]

@@ -60,9 +60,9 @@ mod tests {
     fn intensity_column_counts_weighted_hits() {
         let mut ws = test_workspace(2, 100, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws, true);
         ws.obs.signal.iter_mut().for_each(|s| *s = 1.0);
 
         run(&mut ctx, 2, &mut ws);
@@ -87,9 +87,9 @@ mod tests {
     fn skips_gaps_and_invalid_pixels() {
         let mut ws = test_workspace(1, 60, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws, true);
         // Invalidate every pixel: the map must stay identically zero.
         ws.obs.pixels.iter_mut().for_each(|p| *p = -1);
         run(&mut ctx, 2, &mut ws);

@@ -75,9 +75,9 @@ mod tests {
     fn matches_cpu_implementation() {
         let mut ws_cpu = test_workspace(3, 120, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu);
-        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws_cpu);
-        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
+        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
+        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
         let mut ws_omp = ws_cpu.clone();
         super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
 

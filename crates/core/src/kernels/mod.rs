@@ -22,9 +22,11 @@ pub mod support;
 
 /// Generates a kernel's `run` dispatch function: resolve the configured
 /// [`ImplKind`](crate::dispatch::ImplKind) and route to `cpu::run`,
-/// `omp::run` or `jit::run` with the right store and JIT cache slot.
+/// `omp::run` or `jit::run` with the right store and JIT cache slot. A
+/// kernel in [`REUSABLE_KERNELS`] names a trailing `compute` flag, which
+/// `run` takes and passes on to every implementation.
 macro_rules! dispatch_impl {
-    ($kernel:expr, $jit_field:ident) => {
+    ($kernel:expr, $jit_field:ident $(, $compute:ident)?) => {
         /// Dispatch to the selected implementation (see
         /// [`crate::dispatch::ImplSelection`]). Device implementations
         /// error when the pipeline failed to stage a buffer they touch.
@@ -32,6 +34,7 @@ macro_rules! dispatch_impl {
             ctx: &mut accel_sim::Context,
             exec: &mut crate::kernels::ExecCtx,
             ws: &mut crate::workspace::Workspace,
+            $($compute: bool,)?
         ) -> Result<(), crate::memory::ResidencyError> {
             use crate::dispatch::ImplKind;
             use crate::memory::AccelStore;
@@ -43,11 +46,11 @@ macro_rules! dispatch_impl {
             } = exec;
             match selection.resolve($kernel) {
                 ImplKind::Cpu => {
-                    cpu::run(ctx, *threads, ws);
+                    cpu::run(ctx, *threads, ws $(, $compute)?);
                     Ok(())
                 }
                 ImplKind::OmpTarget => match store {
-                    AccelStore::Omp(s) => omp::run(ctx, s, ws),
+                    AccelStore::Omp(s) => omp::run(ctx, s, ws $(, $compute)?),
                     _ => panic!("OmpTarget selected without an Omp store"),
                 },
                 kind => match store {
@@ -56,7 +59,7 @@ macro_rules! dispatch_impl {
                             ImplKind::JitCpu => arrayjit::Backend::Cpu,
                             _ => arrayjit::Backend::Device,
                         };
-                        jit::run(ctx, backend, s, &mut jits.$jit_field, ws)
+                        jit::run(ctx, backend, s, &mut jits.$jit_field, ws $(, $compute)?)
                     }
                     _ => panic!("Jit selected without a Jit store"),
                 },
@@ -202,11 +205,26 @@ pub fn run_kernel(
     ws: &mut Workspace,
     kernel: KernelId,
 ) -> Result<(), crate::memory::ResidencyError> {
+    dispatch(ctx, exec, ws, kernel, true)
+}
+
+/// [`run_kernel`] with the numerics of a [`REUSABLE_KERNELS`] kernel
+/// switched by `compute`. With `compute` false the kernel is charged and
+/// checks residency in full, but writes nothing: the caller vouches that
+/// its outputs already hold what it would store. Every other kernel
+/// always computes.
+pub(crate) fn dispatch(
+    ctx: &mut Context,
+    exec: &mut ExecCtx,
+    ws: &mut Workspace,
+    kernel: KernelId,
+    compute: bool,
+) -> Result<(), crate::memory::ResidencyError> {
     match kernel {
-        KernelId::PointingDetector => pointing_detector::run(ctx, exec, ws),
-        KernelId::PixelsHealpix => pixels_healpix::run(ctx, exec, ws),
-        KernelId::StokesWeightsI => stokes_weights_i::run(ctx, exec, ws),
-        KernelId::StokesWeightsIqu => stokes_weights_iqu::run(ctx, exec, ws),
+        KernelId::PointingDetector => pointing_detector::run(ctx, exec, ws, compute),
+        KernelId::PixelsHealpix => pixels_healpix::run(ctx, exec, ws, compute),
+        KernelId::StokesWeightsI => stokes_weights_i::run(ctx, exec, ws, compute),
+        KernelId::StokesWeightsIqu => stokes_weights_iqu::run(ctx, exec, ws, compute),
         KernelId::ScanMap => scan_map::run(ctx, exec, ws),
         KernelId::NoiseWeight => noise_weight::run(ctx, exec, ws),
         KernelId::BuildNoiseWeighted => build_noise_weighted::run(ctx, exec, ws),
@@ -277,6 +295,27 @@ pub fn kernel_inputs(kernel: KernelId) -> &'static [crate::workspace::BufferId] 
     }
 }
 
+/// The kernels that are idempotent over their declared buffers: each
+/// writes part of its outputs (the in-interval samples; for
+/// `stokes_weights_I` only their intensity component) from
+/// [`kernel_inputs`] alone and leaves the rest as it was. Running one
+/// again before any of its inputs or outputs is written stores the bits
+/// already there, so a pipeline may charge such a call without computing
+/// it (see [`crate::pipeline::Pipeline::run`]). A kernel that accumulates
+/// into its output (`scan_map`, `noise_weight`, `build_noise_weighted`,
+/// the template offsets) must never be listed.
+pub const REUSABLE_KERNELS: [KernelId; 4] = [
+    KernelId::PointingDetector,
+    KernelId::PixelsHealpix,
+    KernelId::StokesWeightsI,
+    KernelId::StokesWeightsIqu,
+];
+
+/// Whether `kernel` is in [`REUSABLE_KERNELS`].
+pub fn kernel_reusable(kernel: KernelId) -> bool {
+    REUSABLE_KERNELS.contains(&kernel)
+}
+
 /// Buffers a kernel writes (also made resident; copied back at pipeline
 /// boundaries when requested).
 pub fn kernel_outputs(kernel: KernelId) -> &'static [crate::workspace::BufferId] {
@@ -303,6 +342,53 @@ mod tests {
         for k in KernelId::ALL {
             assert!(!kernel_inputs(k).is_empty(), "{k:?} inputs");
             assert!(!kernel_outputs(k).is_empty(), "{k:?} outputs");
+        }
+    }
+
+    #[test]
+    fn a_reused_call_is_charged_what_a_computed_call_is() {
+        use crate::testutil::test_workspace;
+        use crate::workspace::BufferId;
+        use accel_sim::NodeCalib;
+
+        let output_bits = |ws: &Workspace, id: BufferId| -> Vec<u64> {
+            if id.is_integer() {
+                ws.obs.pixels.iter().map(|&p| p as u64).collect()
+            } else {
+                ws.f64_slice(id).iter().map(|v| v.to_bits()).collect()
+            }
+        };
+        for kind in [
+            ImplKind::Cpu,
+            ImplKind::OmpTarget,
+            ImplKind::Jit,
+            ImplKind::JitCpu,
+        ] {
+            for kernel in REUSABLE_KERNELS {
+                let run = |compute: bool| {
+                    let mut ws = test_workspace(3, 90, 8);
+                    let mut ctx = Context::new(NodeCalib::default());
+                    let mut exec = ExecCtx::new(kind, 4);
+                    for id in BufferId::ALL {
+                        exec.store.ensure_device(&mut ctx, &ws, id).unwrap();
+                    }
+                    dispatch(&mut ctx, &mut exec, &mut ws, kernel, compute).unwrap();
+                    for id in BufferId::ALL {
+                        exec.store.update_host(&mut ctx, &mut ws, id);
+                    }
+                    (ctx.into_trace(), ws)
+                };
+                let ((computed, _), (reused, ws)) = (run(true), run(false));
+                assert_eq!(computed, reused, "{kind} {kernel:?}");
+                let untouched = test_workspace(3, 90, 8);
+                for &id in kernel_outputs(kernel) {
+                    assert_eq!(
+                        output_bits(&ws, id),
+                        output_bits(&untouched, id),
+                        "{kind} {kernel:?} wrote {id:?}"
+                    );
+                }
+            }
         }
     }
 

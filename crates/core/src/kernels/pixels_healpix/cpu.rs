@@ -12,33 +12,37 @@ use crate::quat;
 use crate::workspace::Workspace;
 
 /// Pixelise detector pointing on the host.
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
 // Index loops mirror the ported C kernels' interval addressing.
 #[allow(clippy::needless_range_loop)]
-pub fn run(ctx: &mut Context, threads: u32, ws: &mut Workspace) {
-    let n_samp = ws.obs.n_samples;
-    let nside = ws.geom.nside;
-    let quats = &ws.obs.quats;
-    let intervals = &ws.obs.intervals;
+pub fn run(ctx: &mut Context, threads: u32, ws: &mut Workspace, compute: bool) {
+    if compute {
+        let n_samp = ws.obs.n_samples;
+        let nside = ws.geom.nside;
+        let quats = &ws.obs.quats;
+        let intervals = &ws.obs.intervals;
 
-    ws.obs
-        .pixels
-        .par_chunks_mut(n_samp)
-        .enumerate()
-        .for_each(|(det, pix)| {
-            for iv in intervals {
-                for s in iv.start..iv.end {
-                    let base = det * n_samp * 4 + 4 * s;
-                    let q = [
-                        quats[base],
-                        quats[base + 1],
-                        quats[base + 2],
-                        quats[base + 3],
-                    ];
-                    let dir = quat::rotate_z(q);
-                    pix[s] = vec2pix_ring(nside, dir) as i64;
+        ws.obs
+            .pixels
+            .par_chunks_mut(n_samp)
+            .enumerate()
+            .for_each(|(det, pix)| {
+                for iv in intervals {
+                    for s in iv.start..iv.end {
+                        let base = det * n_samp * 4 + 4 * s;
+                        let q = [
+                            quats[base],
+                            quats[base + 1],
+                            quats[base + 2],
+                            quats[base + 3],
+                        ];
+                        let dir = quat::rotate_z(q);
+                        pix[s] = vec2pix_ring(nside, dir) as i64;
+                    }
                 }
-            }
-        });
+            });
+    }
 
     charge_cpu(
         ctx,
@@ -60,8 +64,8 @@ mod tests {
     fn pixels_valid_and_gaps_flagged() {
         let mut ws = test_workspace(2, 150, 16);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws);
-        run(&mut ctx, 2, &mut ws);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws, true);
+        run(&mut ctx, 2, &mut ws, true);
         let npix = ws.geom.nside.npix() as i64;
         for det in 0..2 {
             for s in 0..150 {
@@ -86,8 +90,8 @@ mod tests {
         // be within a few pixel radii of each other.
         let mut ws = test_workspace(1, 400, 64);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws);
-        run(&mut ctx, 2, &mut ws);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws, true);
+        run(&mut ctx, 2, &mut ws, true);
         let nside = ws.geom.nside;
         let limit = 40.0 * (nside.pixel_area() / std::f64::consts::PI).sqrt();
         for iv in &ws.obs.intervals {

@@ -77,12 +77,15 @@ pub fn build() -> Jit {
 }
 
 /// Run against resident arrays, replacing `Pixels` functionally.
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
 pub fn run(
     ctx: &mut Context,
     backend: Backend,
     store: &mut JitStore,
     jit: &mut Jit,
     ws: &Workspace,
+    compute: bool,
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
@@ -101,16 +104,16 @@ pub fn run(
         .clone()
         .reshaped(vec![n_det, n_samp]);
 
-    let out = jit
-        .call_static(
-            ctx,
-            backend,
-            &[quats, old_pix, mask],
-            &[ws.geom.nside.get() as i64],
-        )
-        .remove(0)
-        .reshaped(vec![n_det * n_samp]);
-    store.replace(BufferId::Pixels, out)?;
+    let (args, statics) = ([quats, old_pix, mask], [ws.geom.nside.get() as i64]);
+    if compute {
+        let out = jit
+            .call_static(ctx, backend, &args, &statics)
+            .remove(0)
+            .reshaped(vec![n_det * n_samp]);
+        store.replace(BufferId::Pixels, out)?;
+    } else {
+        jit.charge_static(ctx, backend, &args, &statics);
+    }
     Ok(())
 }
 
@@ -125,9 +128,9 @@ mod tests {
     fn matches_cpu_bit_exactly() {
         let mut ws_cpu = test_workspace(3, 200, 64);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
         let mut ws_jit = ws_cpu.clone();
-        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
 
         let mut store = AccelStore::jit();
         for id in [BufferId::Quats, BufferId::Pixels] {
@@ -135,7 +138,7 @@ mod tests {
         }
         let mut jit = build();
         if let AccelStore::Jit(s) = &mut store {
-            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit).unwrap();
+            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_jit, BufferId::Pixels);
         assert_eq!(ws_cpu.obs.pixels, ws_jit.obs.pixels);
@@ -153,7 +156,7 @@ mod tests {
         }
         let mut jit = build();
         if let AccelStore::Jit(s) = &mut store {
-            run(&mut ctx, Backend::Device, s, &mut jit, &ws).unwrap();
+            run(&mut ctx, Backend::Device, s, &mut jit, &ws, true).unwrap();
         }
         let n_samp = 64.0;
         let total: f64 = ctx

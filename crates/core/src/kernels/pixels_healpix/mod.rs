@@ -29,4 +29,4 @@ pub(crate) const BYTES_PER_ITEM: f64 = 40.0;
 /// boundaries.
 pub(crate) const OMP_DIVERGENCE: f64 = 1.6;
 
-crate::kernels::dispatch_impl!(KernelId::PixelsHealpix, pixels_healpix);
+crate::kernels::dispatch_impl!(KernelId::PixelsHealpix, pixels_healpix, compute);

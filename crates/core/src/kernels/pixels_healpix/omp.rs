@@ -3,7 +3,7 @@
 //! body costs a divergence factor on the SIMT device.
 
 use accel_sim::Context;
-use offload::{target_parallel_for_collapse3, KernelSpec};
+use offload::{charge_collapse3, target_parallel_for_collapse3, KernelSpec};
 use toast_healpix::ring::vec2pix_ring;
 
 use crate::kernels::support::guard_divergence;
@@ -12,7 +12,14 @@ use crate::quat;
 use crate::workspace::{BufferId, Workspace};
 
 /// Launch the device kernel over resident buffers.
-pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<(), ResidencyError> {
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
+pub fn run(
+    ctx: &mut Context,
+    store: &mut OmpStore,
+    ws: &Workspace,
+    compute: bool,
+) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
     let nside = ws.geom.nside;
@@ -30,11 +37,9 @@ pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<()
     {
         let q = quats.device_slice();
         let pix = store.pixels_mut()?.device_slice_mut();
-        target_parallel_for_collapse3(
-            ctx,
-            &spec,
-            (n_det, intervals.len(), max_len),
-            |det, iv_idx, k| {
+        let bounds = (n_det, intervals.len(), max_len);
+        if compute {
+            target_parallel_for_collapse3(ctx, &spec, bounds, |det, iv_idx, k| {
                 let iv = intervals[iv_idx];
                 let s = iv.start + k;
                 if s >= iv.end {
@@ -43,8 +48,10 @@ pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<()
                 let base = det * n_samp * 4 + 4 * s;
                 let quat = [q[base], q[base + 1], q[base + 2], q[base + 3]];
                 pix[det * n_samp + s] = vec2pix_ring(nside, quat::rotate_z(quat)) as i64;
-            },
-        );
+            });
+        } else {
+            charge_collapse3(ctx, &spec, bounds);
+        }
     }
     store.put_back(BufferId::Quats, quats);
     Ok(())
@@ -61,16 +68,16 @@ mod tests {
     fn matches_cpu_implementation() {
         let mut ws_cpu = test_workspace(3, 130, 16);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
         let mut ws_omp = ws_cpu.clone();
-        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
 
         let mut store = AccelStore::omp();
         for id in [BufferId::Quats, BufferId::Pixels] {
             store.ensure_device(&mut ctx, &ws_omp, id).unwrap();
         }
         if let AccelStore::Omp(s) = &mut store {
-            run(&mut ctx, s, &ws_omp).unwrap();
+            run(&mut ctx, s, &ws_omp, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_omp, BufferId::Pixels);
         assert_eq!(ws_cpu.obs.pixels, ws_omp.obs.pixels);

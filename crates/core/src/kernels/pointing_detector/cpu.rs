@@ -10,36 +10,40 @@ use crate::quat;
 use crate::workspace::Workspace;
 
 /// Expand boresight pointing into per-detector pointing on the host.
-pub fn run(ctx: &mut Context, threads: u32, ws: &mut Workspace) {
-    let n_samp = ws.obs.n_samples;
-    let boresight = &ws.obs.boresight;
-    let fp_quats = &ws.obs.fp_quats;
-    let intervals = &ws.obs.intervals;
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
+pub fn run(ctx: &mut Context, threads: u32, ws: &mut Workspace, compute: bool) {
+    if compute {
+        let n_samp = ws.obs.n_samples;
+        let boresight = &ws.obs.boresight;
+        let fp_quats = &ws.obs.fp_quats;
+        let intervals = &ws.obs.intervals;
 
-    ws.obs
-        .quats
-        .par_chunks_mut(n_samp * 4)
-        .enumerate()
-        .for_each(|(det, out)| {
-            let fp = [
-                fp_quats[4 * det],
-                fp_quats[4 * det + 1],
-                fp_quats[4 * det + 2],
-                fp_quats[4 * det + 3],
-            ];
-            for iv in intervals {
-                for s in iv.start..iv.end {
-                    let b = [
-                        boresight[4 * s],
-                        boresight[4 * s + 1],
-                        boresight[4 * s + 2],
-                        boresight[4 * s + 3],
-                    ];
-                    let q = quat::mul(b, fp);
-                    out[4 * s..4 * s + 4].copy_from_slice(&q);
+        ws.obs
+            .quats
+            .par_chunks_mut(n_samp * 4)
+            .enumerate()
+            .for_each(|(det, out)| {
+                let fp = [
+                    fp_quats[4 * det],
+                    fp_quats[4 * det + 1],
+                    fp_quats[4 * det + 2],
+                    fp_quats[4 * det + 3],
+                ];
+                for iv in intervals {
+                    for s in iv.start..iv.end {
+                        let b = [
+                            boresight[4 * s],
+                            boresight[4 * s + 1],
+                            boresight[4 * s + 2],
+                            boresight[4 * s + 3],
+                        ];
+                        let q = quat::mul(b, fp);
+                        out[4 * s..4 * s + 4].copy_from_slice(&q);
+                    }
                 }
-            }
-        });
+            });
+    }
 
     charge_cpu(
         ctx,
@@ -61,7 +65,7 @@ mod tests {
     fn matches_scalar_reference() {
         let mut ws = test_workspace(3, 100, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        run(&mut ctx, 4, &mut ws);
+        run(&mut ctx, 4, &mut ws, true);
 
         for det in 0..3 {
             for iv in ws.obs.intervals.clone() {
@@ -94,7 +98,7 @@ mod tests {
         let mut ws = test_workspace(2, 100, 8);
         ws.obs.quats.fill(9.0);
         let mut ctx = Context::new(NodeCalib::default());
-        run(&mut ctx, 1, &mut ws);
+        run(&mut ctx, 1, &mut ws, true);
         for s in 0..100 {
             let in_iv = ws
                 .obs

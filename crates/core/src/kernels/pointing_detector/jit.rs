@@ -38,12 +38,15 @@ pub fn build() -> Jit {
 }
 
 /// Run against resident arrays, replacing `Quats` functionally.
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
 pub fn run(
     ctx: &mut Context,
     backend: Backend,
     store: &mut JitStore,
     jit: &mut Jit,
     ws: &Workspace,
+    compute: bool,
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
@@ -61,11 +64,16 @@ pub fn run(
         .clone()
         .reshaped(vec![n_det, n_samp, 4]);
 
-    let out = jit
-        .call(ctx, backend, &[bore, fp, old, mask])
-        .remove(0)
-        .reshaped(vec![n_det * n_samp * 4]);
-    store.replace(BufferId::Quats, out)?;
+    let args = [bore, fp, old, mask];
+    if compute {
+        let out = jit
+            .call(ctx, backend, &args)
+            .remove(0)
+            .reshaped(vec![n_det * n_samp * 4]);
+        store.replace(BufferId::Quats, out)?;
+    } else {
+        jit.charge_static(ctx, backend, &args, &[]);
+    }
     Ok(())
 }
 
@@ -89,7 +97,7 @@ mod tests {
         }
         let mut jit = build();
         if let AccelStore::Jit(s) = &mut store {
-            run(&mut ctx, backend, s, &mut jit, &ws).unwrap();
+            run(&mut ctx, backend, s, &mut jit, &ws, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws, BufferId::Quats);
         (ws, ctx)
@@ -99,7 +107,7 @@ mod tests {
     fn matches_cpu_implementation() {
         let mut ws_cpu = test_workspace(3, 120, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::cpu::run(&mut ctx, 4, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 4, &mut ws_cpu, true);
 
         let (ws_jit, jit_ctx) = run_jit(Backend::Device);
         for (i, (a, b)) in ws_cpu.obs.quats.iter().zip(&ws_jit.obs.quats).enumerate() {

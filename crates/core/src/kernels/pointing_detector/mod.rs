@@ -21,4 +21,4 @@ pub(crate) const FLOPS_PER_ITEM: f64 = 28.0;
 /// per-detector offset quaternion stays in registers/cache).
 pub(crate) const BYTES_PER_ITEM: f64 = 64.0;
 
-crate::kernels::dispatch_impl!(KernelId::PointingDetector, pointing_detector);
+crate::kernels::dispatch_impl!(KernelId::PointingDetector, pointing_detector, compute);

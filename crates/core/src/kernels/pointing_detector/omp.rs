@@ -3,7 +3,7 @@
 //! interval length, with a guard cutting work past each interval's end.
 
 use accel_sim::Context;
-use offload::{target_parallel_for_collapse3, KernelSpec};
+use offload::{charge_collapse3, target_parallel_for_collapse3, KernelSpec};
 
 use crate::kernels::support::guard_divergence;
 use crate::memory::{OmpStore, ResidencyError};
@@ -11,7 +11,14 @@ use crate::quat;
 use crate::workspace::{BufferId, Workspace};
 
 /// Launch the device kernel over resident buffers.
-pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<(), ResidencyError> {
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
+pub fn run(
+    ctx: &mut Context,
+    store: &mut OmpStore,
+    ws: &Workspace,
+    compute: bool,
+) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
     let intervals = &ws.obs.intervals;
@@ -31,11 +38,9 @@ pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<()
         let bore = boresight.device_slice();
         let fp = fp_quats.device_slice();
         let out = quats.device_slice_mut();
-        target_parallel_for_collapse3(
-            ctx,
-            &spec,
-            (n_det, intervals.len(), max_len),
-            |det, iv_idx, k| {
+        let bounds = (n_det, intervals.len(), max_len);
+        if compute {
+            target_parallel_for_collapse3(ctx, &spec, bounds, |det, iv_idx, k| {
                 let iv = intervals[iv_idx];
                 let s = iv.start + k;
                 if s >= iv.end {
@@ -56,8 +61,10 @@ pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<()
                 let q = quat::mul(b, f);
                 let base = det * n_samp * 4 + 4 * s;
                 out[base..base + 4].copy_from_slice(&q);
-            },
-        );
+            });
+        } else {
+            charge_collapse3(ctx, &spec, bounds);
+        }
     }
     store.put_back(BufferId::Boresight, boresight);
     store.put_back(BufferId::FpQuats, fp_quats);
@@ -78,14 +85,14 @@ mod tests {
         let mut ws_omp = ws_cpu.clone();
 
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::cpu::run(&mut ctx, 4, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 4, &mut ws_cpu, true);
 
         let mut store = AccelStore::omp();
         for id in [BufferId::Boresight, BufferId::FpQuats, BufferId::Quats] {
             store.ensure_device(&mut ctx, &ws_omp, id).unwrap();
         }
         if let AccelStore::Omp(s) = &mut store {
-            run(&mut ctx, s, &ws_omp).unwrap();
+            run(&mut ctx, s, &ws_omp, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_omp, BufferId::Quats);
 

@@ -59,9 +59,9 @@ mod tests {
     fn uniform_intensity_map_adds_constant() {
         let mut ws = test_workspace(2, 100, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws);
-        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::pixels_healpix::cpu::run(&mut ctx, 2, &mut ws, true);
+        super::super::super::stokes_weights_iqu::cpu::run(&mut ctx, 2, &mut ws, true);
         // Map: I = 5, Q = U = 0.
         for p in 0..ws.geom.n_pix() {
             ws.sky_map[3 * p] = 5.0;

@@ -31,12 +31,15 @@ pub fn build() -> Jit {
 }
 
 /// Run against resident arrays, replacing `Weights` functionally.
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
 pub fn run(
     ctx: &mut Context,
     backend: Backend,
     store: &mut JitStore,
     jit: &mut Jit,
     ws: &Workspace,
+    compute: bool,
 ) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
@@ -47,11 +50,16 @@ pub fn run(
         .clone()
         .reshaped(vec![n_det, n_samp, nnz]);
 
-    let out = jit
-        .call_static(ctx, backend, &[old, mask], &[nnz as i64])
-        .remove(0)
-        .reshaped(vec![n_det * n_samp * nnz]);
-    store.replace(BufferId::Weights, out)?;
+    let (args, statics) = ([old, mask], [nnz as i64]);
+    if compute {
+        let out = jit
+            .call_static(ctx, backend, &args, &statics)
+            .remove(0)
+            .reshaped(vec![n_det * n_samp * nnz]);
+        store.replace(BufferId::Weights, out)?;
+    } else {
+        jit.charge_static(ctx, backend, &args, &statics);
+    }
     Ok(())
 }
 
@@ -70,7 +78,7 @@ mod tests {
         }
         let mut ws_jit = ws_cpu.clone();
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
 
         let mut store = AccelStore::jit();
         store
@@ -78,7 +86,7 @@ mod tests {
             .unwrap();
         let mut jit = build();
         if let AccelStore::Jit(s) = &mut store {
-            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit).unwrap();
+            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_jit, BufferId::Weights);
         assert_eq!(ws_cpu.obs.weights, ws_jit.obs.weights);

@@ -15,4 +15,4 @@ pub(crate) const FLOPS_PER_ITEM: f64 = 1.0;
 /// Bytes per sample: one f64 write per nnz stride.
 pub(crate) const BYTES_PER_ITEM: f64 = 8.0;
 
-crate::kernels::dispatch_impl!(KernelId::StokesWeightsI, stokes_weights_i);
+crate::kernels::dispatch_impl!(KernelId::StokesWeightsI, stokes_weights_i, compute);

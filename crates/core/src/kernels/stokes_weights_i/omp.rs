@@ -1,14 +1,21 @@
 //! Offload port: collapsed triple loop writing unit intensity weights.
 
 use accel_sim::Context;
-use offload::{target_parallel_for_collapse3, KernelSpec};
+use offload::{charge_collapse3, target_parallel_for_collapse3, KernelSpec};
 
 use crate::kernels::support::guard_divergence;
 use crate::memory::{OmpStore, ResidencyError};
 use crate::workspace::{BufferId, Workspace};
 
 /// Launch the device kernel over resident buffers.
-pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<(), ResidencyError> {
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
+pub fn run(
+    ctx: &mut Context,
+    store: &mut OmpStore,
+    ws: &Workspace,
+    compute: bool,
+) -> Result<(), ResidencyError> {
     let n_det = ws.obs.n_det;
     let n_samp = ws.obs.n_samples;
     let nnz = ws.geom.nnz;
@@ -24,19 +31,19 @@ pub fn run(ctx: &mut Context, store: &mut OmpStore, ws: &Workspace) -> Result<()
 
     let weights = store.f64_buf_mut(BufferId::Weights)?;
     let w = weights.device_slice_mut();
-    target_parallel_for_collapse3(
-        ctx,
-        &spec,
-        (n_det, intervals.len(), max_len),
-        |det, iv_idx, k| {
+    let bounds = (n_det, intervals.len(), max_len);
+    if compute {
+        target_parallel_for_collapse3(ctx, &spec, bounds, |det, iv_idx, k| {
             let iv = intervals[iv_idx];
             let s = iv.start + k;
             if s >= iv.end {
                 return; // guard
             }
             w[det * n_samp * nnz + nnz * s] = 1.0;
-        },
-    );
+        });
+    } else {
+        charge_collapse3(ctx, &spec, bounds);
+    }
     Ok(())
 }
 
@@ -55,14 +62,14 @@ mod tests {
         }
         let mut ws_omp = ws_cpu.clone();
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
 
         let mut store = AccelStore::omp();
         store
             .ensure_device(&mut ctx, &ws_omp, BufferId::Weights)
             .unwrap();
         if let AccelStore::Omp(s) = &mut store {
-            run(&mut ctx, s, &ws_omp).unwrap();
+            run(&mut ctx, s, &ws_omp, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_omp, BufferId::Weights);
         assert_eq!(ws_cpu.obs.weights, ws_omp.obs.weights);

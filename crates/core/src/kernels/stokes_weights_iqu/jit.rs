@@ -42,12 +42,15 @@ pub fn build() -> Jit {
 }
 
 /// Run against resident arrays, replacing `Weights` functionally.
+/// With `compute` false it is charged the same but writes nothing (see
+/// [`crate::kernels::REUSABLE_KERNELS`]).
 pub fn run(
     ctx: &mut Context,
     backend: Backend,
     store: &mut JitStore,
     jit: &mut Jit,
     ws: &Workspace,
+    compute: bool,
 ) -> Result<(), ResidencyError> {
     assert_eq!(ws.geom.nnz, 3, "stokes_weights_IQU needs nnz == 3");
     let n_det = ws.obs.n_det;
@@ -63,11 +66,16 @@ pub fn run(
         .clone()
         .reshaped(vec![n_det, n_samp, 3]);
 
-    let out = jit
-        .call(ctx, backend, &[quats, eps, old, mask])
-        .remove(0)
-        .reshaped(vec![n_det * n_samp * 3]);
-    store.replace(BufferId::Weights, out)?;
+    let args = [quats, eps, old, mask];
+    if compute {
+        let out = jit
+            .call(ctx, backend, &args)
+            .remove(0)
+            .reshaped(vec![n_det * n_samp * 3]);
+        store.replace(BufferId::Weights, out)?;
+    } else {
+        jit.charge_static(ctx, backend, &args, &[]);
+    }
     Ok(())
 }
 
@@ -82,9 +90,9 @@ mod tests {
     fn matches_cpu_bit_exactly() {
         let mut ws_cpu = test_workspace(3, 140, 8);
         let mut ctx = Context::new(NodeCalib::default());
-        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::super::pointing_detector::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
         let mut ws_jit = ws_cpu.clone();
-        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu);
+        super::super::cpu::run(&mut ctx, 2, &mut ws_cpu, true);
 
         let mut store = AccelStore::jit();
         for id in [BufferId::Quats, BufferId::DetEpsilon, BufferId::Weights] {
@@ -92,7 +100,7 @@ mod tests {
         }
         let mut jit = build();
         if let AccelStore::Jit(s) = &mut store {
-            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit).unwrap();
+            run(&mut ctx, Backend::Device, s, &mut jit, &ws_jit, true).unwrap();
         }
         store.update_host(&mut ctx, &mut ws_jit, BufferId::Weights);
         assert_eq!(ws_cpu.obs.weights, ws_jit.obs.weights);

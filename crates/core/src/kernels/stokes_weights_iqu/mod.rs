@@ -29,7 +29,7 @@ pub(crate) const FLOPS_PER_ITEM: f64 = 400.0;
 /// Bytes per sample: 32 B quaternion read + 24 B weight write.
 pub(crate) const BYTES_PER_ITEM: f64 = 56.0;
 
-crate::kernels::dispatch_impl!(KernelId::StokesWeightsIqu, stokes_weights_iqu);
+crate::kernels::dispatch_impl!(KernelId::StokesWeightsIqu, stokes_weights_iqu, compute);
 
 /// The shared scalar formula (one sample); all three implementations and
 /// the tests route through the same operation order so results match

@@ -30,4 +30,6 @@ pub mod target;
 pub use buffer::DeviceBuffer;
 pub use map::{map_from, map_to, map_tofrom, update_device, update_host};
 pub use pool::{Pool, PoolStats};
-pub use target::{target_parallel_for, target_parallel_for_collapse3, KernelSpec};
+pub use target::{
+    charge_collapse3, target_parallel_for, target_parallel_for_collapse3, KernelSpec,
+};

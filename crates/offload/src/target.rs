@@ -89,10 +89,8 @@ pub fn target_parallel_for_collapse3(
     bounds: (usize, usize, usize),
     mut body: impl FnMut(usize, usize, usize),
 ) {
+    charge_collapse3(ctx, spec, bounds);
     let (n0, n1, n2) = bounds;
-    let items = n0 * n1 * n2;
-    let region_overhead = ctx.calib.framework.omp_region;
-    ctx.launch(spec.profile(items), region_overhead);
     for i in 0..n0 {
         for j in 0..n1 {
             for k in 0..n2 {
@@ -100,6 +98,16 @@ pub fn target_parallel_for_collapse3(
             }
         }
     }
+}
+
+/// The charge half of [`target_parallel_for_collapse3`]: the launch of
+/// the collapsed iteration space, without running a body. A caller that
+/// already holds the region's results (a pipeline repeating a kernel
+/// over unchanged inputs) is charged exactly what running it would cost.
+pub fn charge_collapse3(ctx: &mut Context, spec: &KernelSpec, bounds: (usize, usize, usize)) {
+    let (n0, n1, n2) = bounds;
+    let region_overhead = ctx.calib.framework.omp_region;
+    ctx.launch(spec.profile(n0 * n1 * n2), region_overhead);
 }
 
 #[cfg(test)]
@@ -133,6 +141,16 @@ mod tests {
         // Items reported to the device = collapsed product.
         let trace = c.trace();
         assert_eq!(trace.kernel_count(), 1);
+    }
+
+    #[test]
+    fn charge_half_charges_what_the_loop_charges() {
+        let spec = KernelSpec::divergent("c3", 12.0, 40.0, 1.5);
+        let mut ran = ctx();
+        target_parallel_for_collapse3(&mut ran, &spec, (3, 4, 5), |_, _, _| {});
+        let mut charged = ctx();
+        charge_collapse3(&mut charged, &spec, (3, 4, 5));
+        assert_eq!(ran.trace(), charged.trace());
     }
 
     #[test]
