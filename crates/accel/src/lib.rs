@@ -87,4 +87,7 @@ pub use sweep::{
     SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
 };
 pub use trace::{RankTrace, Segment, SpanEvent, SpanKind, TransferDir};
-pub use whatif::{RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib, WhatifError};
+pub use whatif::{
+    CompiledRecording, RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib,
+    WhatifError,
+};

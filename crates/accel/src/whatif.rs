@@ -280,6 +280,43 @@ pub(crate) fn reprice(meta: &RecordMeta, node: &NodeCalib, net: &NetCalib) -> Re
     }
 }
 
+/// A recording compiled into the engine's calibration-invariant arena
+/// ([`RecordedWorkload::compile_for_replay`]), ready to be priced under
+/// any number of calibrations without compiling again.
+#[derive(Debug)]
+pub struct CompiledRecording<'a> {
+    workload: &'a RecordedWorkload,
+    compiled: CompiledWorkload,
+}
+
+impl CompiledRecording<'_> {
+    /// [`RecordedWorkload::replay`] on the already-compiled arena: one
+    /// cost table for `node`/`net`, then the event loop.
+    pub fn replay(
+        &self,
+        node: &NodeCalib,
+        net: &NetCalib,
+        gpus: Option<u32>,
+    ) -> Result<Replayed, EngineError> {
+        let meta = &self.workload.meta;
+        let costs = self
+            .compiled
+            .cost_table(&node.gpu, &reprice(meta, node, net))?;
+        let cfg = NodeConfig {
+            calib: *node,
+            gpus: gpus.unwrap_or(meta.gpus),
+            mps: meta.mps,
+            schedule: meta.schedule,
+            overlap_transfers: meta.overlap_transfers,
+        };
+        let out = simulate_compiled(&self.compiled, &costs, &cfg, false)?;
+        Ok(Replayed {
+            cluster: ClusterResult::from_output(out, self.workload.nodes.len()),
+            per_label: self.compiled.label_stats(&costs, &node.gpu),
+        })
+    }
+}
+
 impl RecordedWorkload {
     /// Capture a workload from live rank traces, stripping the span
     /// events (the segment list *is* the charge record).
@@ -317,19 +354,16 @@ impl RecordedWorkload {
         net: &NetCalib,
         gpus: Option<u32>,
     ) -> Result<Replayed, EngineError> {
-        let compiled = self.compile()?;
-        let costs = compiled.cost_table(&node.gpu, &reprice(&self.meta, node, net))?;
-        let cfg = NodeConfig {
-            calib: *node,
-            gpus: gpus.unwrap_or(self.meta.gpus),
-            mps: self.meta.mps,
-            schedule: self.meta.schedule,
-            overlap_transfers: self.meta.overlap_transfers,
-        };
-        let out = simulate_compiled(&compiled, &costs, &cfg, false)?;
-        Ok(Replayed {
-            cluster: ClusterResult::from_output(out, self.nodes.len()),
-            per_label: compiled.label_stats(&costs, &node.gpu),
+        self.compile_for_replay()?.replay(node, net, gpus)
+    }
+
+    /// Compile the recording once for several replays: each
+    /// [`CompiledRecording::replay`] prices the one arena under its own
+    /// calibration, with the same bits [`RecordedWorkload::replay`] gives.
+    pub fn compile_for_replay(&self) -> Result<CompiledRecording<'_>, EngineError> {
+        Ok(CompiledRecording {
+            workload: self,
+            compiled: self.compile()?,
         })
     }
 
@@ -894,6 +928,27 @@ mod tests {
         let h100 = preset("h100").unwrap();
         let rep = w.replay(&h100.node, &h100.net, None).unwrap();
         assert!(rep.per_label["scan\"map"].seconds <= id.per_label["scan\"map"].seconds);
+    }
+
+    #[test]
+    fn one_compile_replays_like_separate_replays() {
+        let w = sample_workload();
+        let compiled = w.compile_for_replay().unwrap();
+        let h100 = preset("h100").unwrap();
+        let (node, net) = (h100.node.rescaled(0.5), h100.net);
+        for (node, net, gpus) in [
+            (w.meta.node_calib, w.meta.net_calib, None),
+            (node, net, Some(2)),
+            (w.meta.node_calib, w.meta.net_calib, None),
+        ] {
+            let (once, fresh) = (
+                compiled.replay(&node, &net, gpus).unwrap(),
+                w.replay(&node, &net, gpus).unwrap(),
+            );
+            let bits = |r: &Replayed| r.cluster.wall_seconds.to_bits();
+            assert_eq!(bits(&once), bits(&fresh));
+            assert_eq!(format!("{:?}", once), format!("{:?}", fresh));
+        }
     }
 
     #[test]

@@ -61,8 +61,10 @@ use repro_bench::report::{fmt_ratio, Table};
 use repro_bench::{arg_value, has_flag, record_run, scenario_from_args, RunConfig};
 
 use accel_sim::sweep::{parse_calibs, parse_gpus, parse_schedules, SweepResult, SweepSpec};
-use accel_sim::whatif::{preset, presets, RecordMeta, RecordedWorkload, Replayed};
-use accel_sim::{NetCalib, NodeCalib};
+use accel_sim::whatif::{
+    preset, presets, CompiledRecording, RecordMeta, RecordedWorkload, Replayed,
+};
+use accel_sim::{EngineError, NetCalib, NodeCalib};
 use scenario::{ImplKind, ProblemSize, Scenario};
 
 fn main() {
@@ -172,10 +174,14 @@ fn replay(path: &str) {
         workload.meta.label
     );
 
-    // The differential oracle always runs: under the recorded calibration
-    // the engine must reproduce the live makespan bit for bit.
+    // One compile serves both replays. The differential oracle always
+    // runs: under the recorded calibration the engine must reproduce the
+    // live makespan bit for bit.
+    let compiled = workload
+        .compile_for_replay()
+        .unwrap_or_else(|e| replay_failed(e));
     let identity = run_replay(
-        &workload,
+        &compiled,
         &workload.meta.node_calib,
         &workload.meta.net_calib,
         None,
@@ -198,7 +204,7 @@ fn replay(path: &str) {
         // latencies and capacities scaled alongside the data.
         (p.node.rescaled(workload.meta.work_scale), p.net)
     };
-    let repriced = run_replay(&workload, &node, &net, gpus);
+    let repriced = run_replay(&compiled, &node, &net, gpus);
 
     let mut table = Table::new(&["label", "calls", "orig_s", "new_s", "delta_s", "ratio"]);
     for (label, new) in &repriced.per_label {
@@ -236,15 +242,19 @@ fn replay(path: &str) {
 }
 
 fn run_replay(
-    workload: &RecordedWorkload,
+    compiled: &CompiledRecording,
     node: &NodeCalib,
     net: &NetCalib,
     gpus: Option<u32>,
 ) -> Replayed {
-    workload.replay(node, net, gpus).unwrap_or_else(|oom| {
-        eprintln!("replay does not fit: {oom}");
-        exit(1);
-    })
+    compiled
+        .replay(node, net, gpus)
+        .unwrap_or_else(|e| replay_failed(e))
+}
+
+fn replay_failed(e: EngineError) -> ! {
+    eprintln!("replay does not fit: {e}");
+    exit(1);
 }
 
 /// The scenario a recording originated from: the embedded one when the
