@@ -311,11 +311,6 @@ pub const REUSABLE_KERNELS: [KernelId; 4] = [
     KernelId::StokesWeightsIqu,
 ];
 
-/// Whether `kernel` is in [`REUSABLE_KERNELS`].
-pub fn kernel_reusable(kernel: KernelId) -> bool {
-    REUSABLE_KERNELS.contains(&kernel)
-}
-
 /// Buffers a kernel writes (also made resident; copied back at pipeline
 /// boundaries when requested).
 pub fn kernel_outputs(kernel: KernelId) -> &'static [crate::workspace::BufferId] {

@@ -13,10 +13,9 @@
 //! over [`MovementPolicy::Naive`], which transfers every kernel's data in
 //! and out around each call (what both frameworks would do unaided).
 //!
-//! Within one [`Pipeline::run`], a kernel in
-//! [`REUSABLE_KERNELS`](crate::kernels::REUSABLE_KERNELS) whose declared
-//! inputs and outputs nobody has written since its last computed call
-//! already holds its results: the solver passes of
+//! Within one [`Pipeline::run`], a kernel in [`REUSABLE_KERNELS`] whose
+//! declared inputs and outputs nobody has written since its last computed
+//! call already holds its results: the solver passes of
 //! [`benchmark_pipeline_passes`] re-derive the same pointing, pixels and
 //! weights every pass. Such a call is charged in full but computes
 //! nothing. The decision reads per-run write generations, not buffer
@@ -26,7 +25,7 @@
 use accel_sim::Context;
 
 use crate::dispatch::KernelId;
-use crate::kernels::{dispatch, kernel_inputs, kernel_outputs, kernel_reusable, ExecCtx};
+use crate::kernels::{dispatch, kernel_inputs, kernel_outputs, ExecCtx, REUSABLE_KERNELS};
 use crate::workspace::{BufferId, Workspace};
 
 /// A pipeline step failed, with enough context to name the culprit.
@@ -174,7 +173,10 @@ impl Pipeline {
 
     /// Execute against `ws`, charging `ctx`. Device-memory exhaustion and
     /// residency bugs surface as a [`PipelineError`] naming the kernel and
-    /// buffer involved (the paper's JAX OOM runs).
+    /// buffer involved (the paper's JAX OOM runs). A reusable kernel whose
+    /// buffers nothing has written since it last computed in this call is
+    /// charged without computing (see the module docs); every call starts
+    /// afresh.
     pub fn run(
         &self,
         ctx: &mut Context,
@@ -361,7 +363,7 @@ impl WriteClock {
     /// would compute now: it has computed in this run, and none of its
     /// inputs or outputs has been written since.
     fn holds(&self, kernel: KernelId) -> bool {
-        kernel_reusable(kernel)
+        REUSABLE_KERNELS.contains(&kernel)
             && self.computed_at[kernel as usize].is_some_and(|at| {
                 kernel_inputs(kernel)
                     .iter()

@@ -11,7 +11,7 @@
 use accel_sim::{Context, NodeCalib};
 use proptest::prelude::*;
 use toast_core::dispatch::{ImplKind, KernelId};
-use toast_core::kernels::{kernel_outputs, kernel_reusable, run_kernel, REUSABLE_KERNELS};
+use toast_core::kernels::{kernel_outputs, run_kernel, REUSABLE_KERNELS};
 use toast_core::testutil::test_workspace;
 use toast_core::{BufferId, ExecCtx, Interval, Workspace};
 
@@ -119,7 +119,10 @@ fn accumulating_kernels_are_not_reusable() {
         KernelId::NoiseWeight,
         KernelId::BuildNoiseWeighted,
     ] {
-        assert!(!kernel_reusable(kernel), "{kernel:?} accumulates");
+        assert!(
+            !REUSABLE_KERNELS.contains(&kernel),
+            "{kernel:?} accumulates"
+        );
         for kind in STYLES {
             assert_ne!(
                 outputs_after(&ws, kind, kernel, 1),

@@ -19,7 +19,10 @@
 //! kernels' `par_chunks_mut`. A prototype that made this whole shim
 //! parallel with scoped threads lifted the `live` wall-clock workload
 //! from 19.1 to 31.6 runs/s on two cores, but its peak RSS rose from
-//! 23.7 to 29.4 MB (+24 %). The live heap peak was the same at one and
+//! 23.7 to 29.4 MB (+24 %). These figures predate the pipeline's reuse
+//! of loop-invariant kernels across solver passes (DESIGN § 5), which
+//! made `live` itself about twice as fast; the parallel gain has not
+//! been measured since. The live heap peak was the same at one and
 //! two threads (16.3 MB); the extra resident memory is the worker
 //! thread's glibc malloc arena keeping freed pages (~4.7 MB), and with
 //! fixed malloc thresholds it was still +2.2 MB (~10 %). Parallel ranks
