@@ -69,17 +69,17 @@ cargo test --offline -q --manifest-path wallbench/Cargo.toml
 echo "== scenario golden round-trip (--dump-scenario)"
 # Every golden scenario file must load, re-serialize byte-identically,
 # and be accepted by its binary: the scenario spec's fixed-point check.
-scenario_bin() {
+scenario_cmd() {
   case "$1" in
-    fig5_4node) echo fig5_full_benchmark ;;
+    fig5_4node) echo figures fig5_full_benchmark ;;
     whatif_record*) echo whatif ;;
-    *) echo "$1" ;;
+    *) echo figures "$1" ;;
   esac
 }
 for f in scenarios/*.json; do
   name=$(basename "$f" .json)
-  bin=$(scenario_bin "$name")
-  cargo run --release -p repro-bench --bin "$bin" -- \
+  read -r bin fig <<<"$(scenario_cmd "$name")"
+  cargo run --release -p repro-bench --bin "$bin" -- ${fig:+"$fig"} \
     --scenario "$f" --dump-scenario | diff - "$f" >/dev/null || {
     echo "scenario round-trip failed for $f" >&2
     exit 1
@@ -98,23 +98,31 @@ for f in scenarios/*.json; do
 done
 
 echo "== fig5 cluster smoke (scenarios/fig5_4node.json)"
-# The JSONL traces it writes are checked line by line further down.
+# What it prints must match the checked-in output byte for byte; the JSONL
+# traces it writes are checked line by line further down.
+figures=target/release/figures
+golden_figures=crates/bench/tests/golden/figures
 rm -f target/ci_fig5_trace-*.jsonl
-cargo run --release -p repro-bench --bin fig5_full_benchmark -- \
-  --scenario scenarios/fig5_4node.json --trace-out target/ci_fig5_trace.jsonl >/dev/null
+"$figures" fig5_full_benchmark --scenario scenarios/fig5_4node.json \
+  --trace-out target/ci_fig5_trace.jsonl | diff - "$golden_figures/fig5_4node.txt" || {
+  echo "fig5_4node output diverged from $golden_figures/fig5_4node.txt" >&2
+  exit 1
+}
 
-echo "== figure tables (fig6_per_kernel, fig5_full_benchmark)"
-# What the two figure binaries print at their default scenarios must match
-# the checked-in tables byte for byte: a cost-model or numerics change
-# that moves a printed digit shows here. Run from the repository root, so
-# the `wrote target/figures/...` line is stable too.
-for fig in fig6_per_kernel fig5_full_benchmark; do
-  cargo run --release -q -p repro-bench --bin "$fig" \
-    | diff - "crates/bench/tests/golden/figures/$fig.txt" || {
-    echo "$fig output diverged from crates/bench/tests/golden/figures/$fig.txt" >&2
-    exit 1
-  }
-done
+echo "== figure tables (figures all)"
+# Every figure at its default scenario, in the order `figures all` prints
+# them, must match the checked-in tables byte for byte: a cost-model or
+# numerics change that moves a printed digit shows here. Run from the
+# repository root, so the `wrote target/figures/...` lines are stable too.
+"$figures" all | diff - <(
+  for fig in fig2_loc fig3_loc_per_kernel fig4_process_scaling fig5_full_benchmark \
+    fig6_per_kernel ablation_data_movement ablation_mps ablation_mempool; do
+    cat "$golden_figures/$fig.txt"
+  done
+) || {
+  echo "figures all diverged from $golden_figures/" >&2
+  exit 1
+}
 
 echo "== throughput bench (smoke mode)"
 # Validates the harness end to end and the shape of the rows it writes;

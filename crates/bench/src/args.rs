@@ -33,13 +33,21 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-fn bail(msg: impl std::fmt::Display) -> ! {
+/// Print `error: <msg>` and exit with code 2: the input (a flag, a file,
+/// the invocation) is at fault.
+pub fn bail(msg: impl std::fmt::Display) -> ! {
     eprintln!("error: {msg}");
     std::process::exit(2);
 }
 
+/// Print `error: <msg>` and exit with code 1: the work itself failed.
+pub fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(1);
+}
+
 /// Parse the value of `--<flag>`, aborting on malformed input.
-fn parsed_value<T>(flag: &str) -> Option<T>
+pub fn parsed_value<T>(flag: &str) -> Option<T>
 where
     T: std::str::FromStr,
     T::Err: std::fmt::Display,
@@ -78,43 +86,17 @@ fn apply_overrides(s: &mut Scenario) {
             other => bail(format!("--size '{other}': expected medium or large")),
         };
     }
-    if let Some(v) = parsed_value("--scale") {
-        s.problem.scale = v;
-    }
-    if let Some(v) = parsed_value("--impl") {
-        s.kind = v;
-    }
-    if let Some(v) = parsed_value("--procs") {
-        s.procs_per_node = v;
-    }
-    if let Some(v) = parsed_value("--gpus") {
-        s.gpus = v;
-    }
-    if let Some(v) = parsed_value("--nodes") {
-        s.nodes = Some(v);
-    }
-    if let Some(v) = parsed_value("--schedule") {
-        s.schedule = v;
-    }
-    if let Some(v) = parsed_value("--movement") {
-        s.movement = v;
-    }
-    if has_flag("--mps") {
-        s.mps = true;
-    }
-    if has_flag("--no-mps") {
-        s.mps = false;
-    }
-    if has_flag("--overlap") {
-        s.overlap_transfers = true;
-    }
-    if has_flag("--no-overlap") {
-        s.overlap_transfers = false;
-    }
-    if let Some(v) = arg_value("--trace-out") {
-        s.output.trace_out = Some(v);
-    }
-    if let Some(v) = arg_value("--record") {
-        s.output.record_out = Some(v);
-    }
+    s.problem.scale = parsed_value("--scale").unwrap_or(s.problem.scale);
+    s.kind = parsed_value("--impl").unwrap_or(s.kind);
+    s.procs_per_node = parsed_value("--procs").unwrap_or(s.procs_per_node);
+    s.gpus = parsed_value("--gpus").unwrap_or(s.gpus);
+    s.nodes = parsed_value("--nodes").or(s.nodes);
+    s.schedule = parsed_value("--schedule").unwrap_or(s.schedule);
+    s.movement = parsed_value("--movement").unwrap_or(s.movement);
+    // `--no-x` wins over `--x` when both are given.
+    s.mps = !has_flag("--no-mps") && (s.mps || has_flag("--mps"));
+    s.overlap_transfers =
+        !has_flag("--no-overlap") && (s.overlap_transfers || has_flag("--overlap"));
+    s.output.trace_out = arg_value("--trace-out").or(s.output.trace_out.take());
+    s.output.record_out = arg_value("--record").or(s.output.record_out.take());
 }

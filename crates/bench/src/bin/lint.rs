@@ -22,24 +22,21 @@ use std::process::exit;
 use accel_sim::whatif::RecordedWorkload;
 use accel_sim::{check_workload, Report};
 use repro_bench::arg_value;
+use repro_bench::args::bail;
 use repro_bench::report::Table;
 use scenario::{check_scenario, Scenario};
 
 fn main() {
     let report = match (arg_value("--scenario"), arg_value("--recording")) {
         (Some(path), None) => {
-            let s = Scenario::read(Path::new(&path)).unwrap_or_else(|e| {
-                eprintln!("error: cannot load {path}: {e}");
-                exit(2);
-            });
+            let s = Scenario::read(Path::new(&path))
+                .unwrap_or_else(|e| bail(format!("cannot load {path}: {e}")));
             println!("linting scenario {path} ('{}')", s.name);
             check_scenario(&s)
         }
         (None, Some(path)) => {
-            let w = RecordedWorkload::read(Path::new(&path)).unwrap_or_else(|e| {
-                eprintln!("error: cannot load {path}: {e}");
-                exit(2);
-            });
+            let w = RecordedWorkload::read(Path::new(&path))
+                .unwrap_or_else(|e| bail(format!("cannot load {path}: {e}")));
             println!(
                 "linting recording {path} ('{}', {} rank(s))",
                 w.meta.label,
@@ -55,10 +52,7 @@ fn main() {
 
     match arg_value("--format").as_deref() {
         Some("json") => print!("{}", report.to_jsonl()),
-        Some(other) => {
-            eprintln!("error: unknown --format '{other}' (expected 'json')");
-            exit(2);
-        }
+        Some(other) => bail(format!("unknown --format '{other}' (expected 'json')")),
         None => print_human(&report),
     }
 
@@ -70,7 +64,7 @@ fn print_human(report: &Report) {
         println!("clean: no findings");
         return;
     }
-    let mut table = Table::new(&["code", "severity", "where", "message", "suggestion"]);
+    let mut table = Table::new("code severity where message suggestion");
     for d in &report.diagnostics {
         table.row(vec![
             d.code.to_string(),

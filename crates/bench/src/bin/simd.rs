@@ -27,6 +27,7 @@ use std::io::{self, BufReader};
 use std::path::PathBuf;
 use std::process::exit;
 
+use repro_bench::args::{bail, fail, parsed_value};
 use repro_bench::{arg_value, has_flag, run_config, runner::RunConfig};
 use scenario::Scenario;
 use simd_serve::{ScenarioExec, ScenarioOutcome, ServeConfig, Service};
@@ -58,36 +59,25 @@ fn usage() -> ! {
     exit(2);
 }
 
-fn parsed<T: std::str::FromStr>(flag: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: malformed value '{v}' for {flag}");
-            exit(2)
-        })
-    })
-}
-
 fn main() {
     if has_flag("--help") || has_flag("-h") {
         usage();
     }
     let mut cfg = ServeConfig::default();
-    if let Some(bound) = parsed::<usize>("--queue-bound") {
+    if let Some(bound) = parsed_value::<usize>("--queue-bound") {
         if bound == 0 {
-            eprintln!("error: --queue-bound must be at least 1");
-            exit(2);
+            bail("--queue-bound must be at least 1")
         }
         cfg.queue_bound = bound;
     }
     if let Some(dir) = arg_value("--checkpoint-dir") {
         let dir = PathBuf::from(dir);
         if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("error: cannot create {}: {e}", dir.display());
-            exit(2);
+            bail(format!("cannot create {}: {e}", dir.display()));
         }
         cfg.checkpoint_dir = Some(dir);
     }
-    if let Some(every) = parsed::<usize>("--checkpoint-every") {
+    if let Some(every) = parsed_value::<usize>("--checkpoint-every") {
         cfg.checkpoint_every = every.max(1);
     }
     cfg.resume = has_flag("--resume");
@@ -106,7 +96,6 @@ fn main() {
         }
     };
     if let Err(e) = result {
-        eprintln!("error: {e}");
-        exit(1);
+        fail(e)
     }
 }

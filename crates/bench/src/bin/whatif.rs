@@ -57,6 +57,7 @@
 use std::path::Path;
 use std::process::exit;
 
+use repro_bench::args::{bail, fail};
 use repro_bench::report::{fmt_ratio, Table};
 use repro_bench::{arg_value, has_flag, record_run, scenario_from_args, RunConfig};
 
@@ -103,13 +104,9 @@ fn record() {
         Scenario::new("whatif_record", ProblemSize::Medium, 1e-3).with_kind(ImplKind::OmpTarget),
     );
     let Some(path) = s.output.record_out.clone() else {
-        eprintln!("error: recording needs an output path (--record <path> or output.record_out)");
-        exit(2);
+        bail("recording needs an output path (--record <path> or output.record_out)")
     };
-    let cfg = RunConfig::from_scenario(&s).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2);
-    });
+    let cfg = RunConfig::from_scenario(&s).unwrap_or_else(|e| bail(e));
     let size = match s.problem.size {
         ProblemSize::Medium => "medium",
         ProblemSize::Large => "large",
@@ -125,13 +122,9 @@ fn record() {
     );
 
     println!("recording: {label}");
-    let (_out, workload) = record_run(&cfg, &label, Some(&s)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let (_out, workload) = record_run(&cfg, &label, Some(&s)).unwrap_or_else(|e| fail(e));
     if let Err(e) = workload.write(Path::new(&path)) {
-        eprintln!("error: cannot write {path}: {e}");
-        exit(1);
+        fail(format!("cannot write {path}: {e}"))
     }
     let segments: usize = workload
         .nodes
@@ -158,15 +151,12 @@ fn replay(path: &str) {
         sweep_cmd(path);
         return;
     }
-    let workload = RecordedWorkload::read(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let workload = RecordedWorkload::read(Path::new(path)).unwrap_or_else(|e| fail(e));
     let gpus: Option<u32> = arg_value("--gpus").map(|v| {
-        v.parse().ok().filter(|&g| g > 0).unwrap_or_else(|| {
-            eprintln!("error: --gpus expects a positive integer, got '{v}'");
-            exit(2);
-        })
+        v.parse()
+            .ok()
+            .filter(|&g| g > 0)
+            .unwrap_or_else(|| bail(format!("--gpus expects a positive integer, got '{v}'")))
     });
     let calib_name = arg_value("--calib").unwrap_or_else(|| "identity".into());
     println!(
@@ -196,17 +186,14 @@ fn replay(path: &str) {
     let (node, net) = if calib_name == "identity" {
         (workload.meta.node_calib, workload.meta.net_calib)
     } else {
-        let p = preset(&calib_name).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            exit(2);
-        });
+        let p = preset(&calib_name).unwrap_or_else(|e| bail(e));
         // Presets are defined at paper scale; the recording ran with its
         // latencies and capacities scaled alongside the data.
         (p.node.rescaled(workload.meta.work_scale), p.net)
     };
     let repriced = run_replay(&compiled, &node, &net, gpus);
 
-    let mut table = Table::new(&["label", "calls", "orig_s", "new_s", "delta_s", "ratio"]);
+    let mut table = Table::new("label calls orig_s new_s delta_s ratio");
     for (label, new) in &repriced.per_label {
         let orig = identity.per_label.get(label).copied().unwrap_or_default();
         table.row(vec![
@@ -276,26 +263,16 @@ fn base_scenario(meta: &RecordMeta) -> Scenario {
 }
 
 fn sweep_cmd(path: &str) {
-    let workload = RecordedWorkload::read(Path::new(path)).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let workload = RecordedWorkload::read(Path::new(path)).unwrap_or_else(|e| fail(e));
     let meta = &workload.meta;
 
     let mut spec = match arg_value("--grid") {
         Some(grid) => SweepSpec::parse_grid(&grid, meta),
         None => Ok(SweepSpec::default_grid(meta)),
     }
-    .unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(2);
-    });
+    .unwrap_or_else(|e| bail(e));
     // Individual axis flags override the grid string (and are the short
     // form for small sweeps: `--calib a100,h100 --gpus 2..8`).
-    fn bail(e: String) -> ! {
-        eprintln!("error: {e}");
-        exit(2);
-    }
     if let Some(v) = arg_value("--gpus") {
         spec.gpus = parse_gpus(&v).unwrap_or_else(|e| bail(e));
     }
@@ -306,10 +283,8 @@ fn sweep_cmd(path: &str) {
         spec.schedules = parse_schedules(&v).unwrap_or_else(|e| bail(e));
     }
     spec.deadline = arg_value("--deadline").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("error: --deadline expects seconds, got '{v}'");
-            exit(2);
-        })
+        v.parse()
+            .unwrap_or_else(|_| bail(format!("--deadline expects seconds, got '{v}'")))
     });
 
     if has_flag("--dump-scenarios") {
@@ -339,10 +314,7 @@ fn sweep_cmd(path: &str) {
     } else {
         accel_sim::sweep::sweep
     };
-    let result = run(&workload, &spec).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        exit(1);
-    });
+    let result = run(&workload, &spec).unwrap_or_else(|e| fail(e));
     report_sweep(&result, meta.live_wall_seconds);
     if preflight {
         println!(
@@ -353,8 +325,7 @@ fn sweep_cmd(path: &str) {
 
     if let Some(out) = arg_value("--out") {
         if let Err(e) = std::fs::write(&out, result.to_jsonl()) {
-            eprintln!("error: cannot write {out}: {e}");
-            exit(1);
+            fail(format!("cannot write {out}: {e}"))
         }
         println!("wrote {out}");
     }
@@ -372,17 +343,7 @@ fn report_sweep(result: &SweepResult, live_wall: f64) {
         key(a).partial_cmp(&key(b)).expect("total order")
     });
 
-    let mut table = Table::new(&[
-        "rank",
-        "calib",
-        "gpus",
-        "schedule",
-        "makespan_s",
-        "cost",
-        "bound_s",
-        "vs_live",
-        "status",
-    ]);
+    let mut table = Table::new("rank calib gpus schedule makespan_s cost bound_s vs_live status");
     for (rank, &i) in order.iter().enumerate() {
         let p = &result.points[i];
         let status = if let Some(e) = &p.error {

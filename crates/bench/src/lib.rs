@@ -6,26 +6,34 @@
 //!   [`scenario::Scenario`] (its figure's defaults, `--scenario <file>`,
 //!   flag overrides, `--dump-scenario`) through one parser;
 //! * [`runner`] — execute one benchmark configuration (problem ×
-//!   implementation × processes × MPS × movement policy): build every
-//!   rank's workload, run the pipelines recording traces, replay them
-//!   through the node-level discrete-event simulation, and price the
+//!   implementation × processes × MPS × movement policy) in two halves:
+//!   the live half ([`runner::run_live`]) builds every rank's workload and runs
+//!   the pipelines recording traces; the replay half ([`runner::replay`]) replays
+//!   them through the node-level discrete-event simulation and prices the
 //!   inter-node collectives. [`RunConfig`] is the runner-facing
-//!   projection of a scenario;
+//!   projection of a scenario, [`runner::LiveKey`] the part of it the live half
+//!   reads;
+//! * [`figures`] — the paper's figures and ablations as data (a default
+//!   scenario, live and replay-time axes, a renderer) and the driver that
+//!   runs each distinct live configuration once;
 //! * [`metrics`] — per-label counters and duration percentiles reduced
 //!   from the span traces;
 //! * [`traceout`] — Chrome-trace-event / JSONL export behind the
-//!   binaries' `--trace-out <path>` flag, plus the round-trip parser;
+//!   `figures` binary's `--trace-out <path>` flag, plus the round-trip
+//!   parser;
 //! * [`report`] — aligned text tables and CSV emission under
 //!   `target/figures/`.
 //!
-//! Each binary under `src/bin/` regenerates one of the paper's figures or
-//! one of the DESIGN.md ablations; `EXPERIMENTS.md` records paper-vs-
-//! measured for all of them, and `scenarios/` holds the golden scenario
-//! file behind each one.
+//! The `figures` binary regenerates the paper's figures and the DESIGN.md
+//! ablations (`figures <name>`, or `figures all`); `EXPERIMENTS.md`
+//! records paper-vs-measured for all of them, `scenarios/` holds the
+//! golden scenario file behind each one, and
+//! `tests/golden/figures/` what each prints.
 
 #![forbid(unsafe_code)]
 
 pub mod args;
+pub mod figures;
 pub mod metrics;
 pub mod report;
 pub mod runner;
@@ -35,24 +43,3 @@ pub use args::{arg_value, has_flag, scenario_from_args};
 pub use metrics::{summarize_events, LabelSummary};
 pub use runner::{record_run, recorded_workload, run_config, RunConfig, RunOutcome};
 pub use traceout::{span_seconds_from_file, write_trace, TraceFormat};
-
-/// Shared trace-dump handling for the fig binaries: when the scenario
-/// requests a trace (`output.trace_out`, usually set by `--trace-out`),
-/// write `out`'s span trace (plus the node timeline, if the run fit) to
-/// that path with `label` inserted before the extension — `trace.json`
-/// becomes `trace-<label>.json`, one file per configuration of a sweep —
-/// and print the per-label span metrics.
-pub fn dump_trace_if_requested(out: &RunOutcome, label: &str, trace_out: Option<&str>) {
-    let Some(base) = trace_out else {
-        return;
-    };
-    let path = report::trace_path_for(base, label);
-    match traceout::write_trace(&path, &out.traces, out.timeline.as_ref()) {
-        Ok(()) => println!("wrote trace {}", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
-    }
-    println!(
-        "\nper-label span metrics — {label}\n{}",
-        report::metrics_table(&out.metrics).render()
-    );
-}

@@ -11,10 +11,11 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create with column headers.
-    pub fn new(header: &[&str]) -> Self {
+    /// Create with column headers: `header` names them, separated by
+    /// spaces.
+    pub fn new(header: &str) -> Self {
         Self {
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.split(' ').map(String::from).collect(),
             rows: Vec::new(),
         }
     }
@@ -103,7 +104,7 @@ pub fn fmt_ratio(r: f64) -> String {
 /// A per-label metrics summary table (Observability section of the
 /// README): calls, total and p50/p95/max span durations, bytes.
 pub fn metrics_table(metrics: &std::collections::BTreeMap<String, crate::LabelSummary>) -> Table {
-    let mut t = Table::new(&["label", "calls", "total_s", "p50_s", "p95_s", "max_s", "MB"]);
+    let mut t = Table::new("label calls total_s p50_s p95_s max_s MB");
     for (label, m) in metrics {
         t.row(vec![
             label.clone(),
@@ -136,7 +137,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new(&["name", "value"]);
+        let mut t = Table::new("name value");
         t.row(vec!["a".into(), "1".into()]);
         t.row(vec!["longer".into(), "22".into()]);
         let s = t.render();
@@ -151,13 +152,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn row_width_checked() {
-        let mut t = Table::new(&["a", "b"]);
+        let mut t = Table::new("a b");
         t.row(vec!["only one".into()]);
     }
 
     #[test]
     fn csv_roundtrips_header_and_rows() {
-        let mut t = Table::new(&["x", "y"]);
+        let mut t = Table::new("x y");
         t.row(vec!["1".into(), "2".into()]);
         assert_eq!(t.to_csv(), "x,y\n1,2\n");
     }

@@ -116,14 +116,20 @@ impl RunConfig {
     /// [`ScenarioError::InvalidProcs`] (they would idle or oversubscribe
     /// cores).
     pub fn threads(&self) -> Result<u32, ScenarioError> {
-        let cores = self.node_calib().cpu.cores;
-        if self.procs_per_node == 0 || !cores.is_multiple_of(self.procs_per_node) {
-            return Err(ScenarioError::InvalidProcs {
-                procs: self.procs_per_node,
-                cores,
-            });
+        threads(&self.node_calib(), self.procs_per_node)
+    }
+
+    /// The fields the live half of this run reads.
+    pub fn live_key(&self) -> LiveKey {
+        LiveKey {
+            problem: self.problem.clone(),
+            kind: self.kind,
+            procs_per_node: self.procs_per_node,
+            movement: self.movement,
+            nodes: self.nodes,
+            calib: self.node_calib(),
+            net: self.net_calib(),
         }
-        Ok(cores / self.procs_per_node)
     }
 
     /// The node calibration in force: the override, or the problem's own.
@@ -175,6 +181,76 @@ impl RunOutcome {
     }
 }
 
+/// The fields of a [`RunConfig`] the live half of a run reads: the
+/// problem, the implementation, processes per node, the movement policy,
+/// the node count and the resolved node and interconnect calibrations.
+/// Configurations with equal keys produce the same traces bit for bit,
+/// whatever their replay-time fields (`mps`, `schedule`,
+/// `overlap_transfers`, `gpus`), which reach only the replay's
+/// [`NodeConfig`]. [`run_live`] takes nothing else, so it cannot read a
+/// replay-time field.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LiveKey {
+    /// The workload.
+    pub problem: Problem,
+    /// Which implementation every kernel uses.
+    pub kind: ImplKind,
+    /// Processes per node.
+    pub procs_per_node: u32,
+    /// Data-movement policy.
+    pub movement: MovementPolicy,
+    /// Whole nodes replayed through the cluster engine ([`RunConfig::nodes`]).
+    pub nodes: Option<u32>,
+    /// The node calibration in force.
+    pub calib: NodeCalib,
+    /// The interconnect calibration in force.
+    pub net: NetCalib,
+}
+
+impl LiveKey {
+    /// The map bytes one allreduce moves, and its solo price in
+    /// simulated seconds: the zmap is allreduced across every rank of the
+    /// job once per observation, plus a final amplitude reduce.
+    fn collective(&self) -> (f64, f64) {
+        let total_ranks = self.nodes.unwrap_or(self.problem.nodes) * self.procs_per_node;
+        let map_bytes = (self.problem.geometry().map_len() * 8) as f64;
+        let solo = allreduce_seconds(&self.net, total_ranks, map_bytes) * self.problem.scale;
+        (map_bytes, solo)
+    }
+}
+
+/// What the live half of a run produced: every rank's span trace and the
+/// totals read off the ranks. It depends on nothing but its [`LiveKey`],
+/// so one `LiveRun` serves every replay-time variant of the key.
+#[derive(Debug)]
+pub struct LiveRun {
+    /// The key this run was made from.
+    pub key: LiveKey,
+    /// The per-rank span traces, up to the first rank that failed.
+    pub traces: Vec<accel_sim::RankTrace>,
+    /// Per-label solo-estimate seconds aggregated across those ranks.
+    pub per_label: BTreeMap<String, LabelStats>,
+    /// Bytes moved over PCIe, summed over those ranks.
+    pub transfer_bytes: f64,
+    /// The first rank's failure (its device allocations did not fit).
+    pub rank_oom: Option<String>,
+}
+
+/// What the replay half produced for one node configuration.
+#[derive(Debug)]
+pub struct Replay {
+    /// As [`RunOutcome::node_wall`].
+    pub node_wall: Result<f64, String>,
+    /// As [`RunOutcome::comm_seconds`].
+    pub comm_seconds: f64,
+    /// As [`RunOutcome::gpu_busy`].
+    pub gpu_busy: Vec<f64>,
+    /// As [`RunOutcome::timeline`].
+    pub timeline: Option<accel_sim::NodeTimeline>,
+    /// As [`RunOutcome::cluster`].
+    pub cluster: Option<ClusterResult>,
+}
+
 /// Run one configuration: simulate every rank of one node, replay against
 /// the shared GPUs, and price collectives. With [`RunConfig::nodes`]
 /// unset, ranks on other nodes are statistically identical and collectives
@@ -182,26 +258,44 @@ impl RunOutcome {
 /// the cluster engine and collectives become simulated network events.
 /// Fails only on configuration errors (invalid process counts); workload
 /// failures like out-of-memory stay inside [`RunOutcome::node_wall`].
+///
+/// This is [`run_live`] on the config's [`LiveKey`] followed by
+/// [`replay`]; the traces move into the outcome, none is copied.
 pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
-    let threads = cfg.threads()?;
-    let calib = cfg.node_calib();
-    let procs = cfg.procs_per_node;
+    let live = run_live(&cfg.live_key())?;
+    let r = replay(cfg, &live);
+    Ok(RunOutcome {
+        node_wall: r.node_wall,
+        comm_seconds: r.comm_seconds,
+        metrics: crate::metrics::summarize_events(&live.traces),
+        per_label: live.per_label,
+        gpu_busy: r.gpu_busy,
+        transfer_bytes: live.transfer_bytes,
+        traces: live.traces,
+        timeline: r.timeline,
+        cluster: r.cluster,
+    })
+}
+
+/// The live half of a run: build every rank's workload and run its
+/// pipelines, recording traces. Fails only when the process count does
+/// not partition the node's cores; a rank that runs out of device memory
+/// ends the loop and is reported in [`LiveRun::rank_oom`].
+pub fn run_live(key: &LiveKey) -> Result<LiveRun, ScenarioError> {
+    let threads = threads(&key.calib, key.procs_per_node)?;
+    let calib = key.calib;
+    let procs = key.procs_per_node;
     let fw = calib.framework;
 
-    // Collectives: the zmap is allreduced across every rank of the job
-    // once per observation, plus a final amplitude reduce. The analytic
-    // formula prices a solo allreduce; in cluster mode it becomes each
-    // rank's NIC demand instead of a closed-form addend.
-    let total_ranks = cfg.nodes.unwrap_or(cfg.problem.nodes) * procs;
-    let map_bytes = (cfg.problem.geometry().map_len() * 8) as f64;
-    let net = cfg.net_calib();
-    let collective_solo = allreduce_seconds(&net, total_ranks, map_bytes) * cfg.problem.scale;
+    // In cluster mode each collective's solo price becomes the rank's NIC
+    // demand; the legacy path prices them in the replay half instead.
+    let (map_bytes, collective_solo) = key.collective();
 
     // What no rank differs in is built once per run: the sky map, focal
     // plane and boresight, and the JIT programs. Each rank still owns its
     // workspace and JIT handles, so its virtual clock is charged every
     // compile a process of its own would make.
-    let inputs = cfg.problem.run_inputs(procs);
+    let inputs = key.problem.run_inputs(procs);
     let programs = JitKernels::new();
 
     // Ranks are independent simulated processes: run them in parallel on
@@ -215,7 +309,7 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
 
             // Fixed per-process device footprint (CUDA context, runtime
             // reservations) — held for the life of the process.
-            let fixed = match cfg.kind {
+            let fixed = match key.kind {
                 ImplKind::Jit => fw.jit_process_device_bytes as u64,
                 ImplKind::OmpTarget => fw.omp_process_device_bytes as u64,
                 _ => 0,
@@ -225,18 +319,18 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
                     .map_err(|e| format!("rank {rank}: {e}"))?;
             }
 
-            let mut exec = ExecCtx::with_jits(cfg.kind, threads, programs.share());
-            let host = cfg.problem.host_seconds_per_rank(&ws, procs);
+            let mut exec = ExecCtx::with_jits(key.kind, threads, programs.share());
+            let host = key.problem.host_seconds_per_rank(&ws, procs);
             let pipe =
-                benchmark_pipeline_passes(host, cfg.problem.passes).with_policy(cfg.movement);
-            for _obs in 0..cfg.problem.n_obs {
+                benchmark_pipeline_passes(host, key.problem.passes).with_policy(key.movement);
+            for _obs in 0..key.problem.n_obs {
                 pipe.run(&mut ctx, &mut exec, &mut ws)
                     .map_err(|e| format!("rank {rank}: {e}"))?;
-                if cfg.nodes.is_some() {
+                if key.nodes.is_some() {
                     ctx.collective("mpi_allreduce_zmap", map_bytes, collective_solo);
                 }
             }
-            if cfg.nodes.is_some() {
+            if key.nodes.is_some() {
                 ctx.collective("mpi_allreduce_amplitudes", map_bytes, collective_solo);
             }
             Ok(ctx)
@@ -265,15 +359,30 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
             }
         }
     }
+    Ok(LiveRun {
+        key: key.clone(),
+        traces,
+        per_label,
+        transfer_bytes,
+        rank_oom,
+    })
+}
 
+/// The replay half of a run: replay `live`'s traces on the shared GPUs
+/// under `cfg`'s replay-time fields (`mps`, `schedule`,
+/// `overlap_transfers`, `gpus`), and price the collectives. Everything
+/// else comes from `live.key`, so one live run can be replayed under any
+/// number of node configurations.
+pub fn replay(cfg: &RunConfig, live: &LiveRun) -> Replay {
+    let key = &live.key;
     // Legacy path: one analytic zmap allreduce per observation plus a
     // final amplitude reduce, scaled into simulated time like everything
     // else. In cluster mode the collectives are *in* the replayed wall
     // time, so nothing is added here.
-    let comm_seconds = if cfg.nodes.is_some() {
+    let comm_seconds = if key.nodes.is_some() {
         0.0
     } else {
-        (cfg.problem.n_obs as f64 + 1.0) * collective_solo
+        (key.problem.n_obs as f64 + 1.0) * key.collective().1
     };
 
     // Engine failures become report-level error strings: OOM keeps the
@@ -287,36 +396,30 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
         ),
         None => e.to_string(),
     };
+    let failed = |msg| Replay {
+        node_wall: Err(msg),
+        comm_seconds,
+        gpu_busy: Vec::new(),
+        timeline: None,
+        cluster: None,
+    };
+    if let Some(e) = &live.rank_oom {
+        return failed(e.clone());
+    }
     // One replay: this node's traces on every node of the cluster (every
     // node runs a statistically identical set of ranks), or on the one
     // node of the legacy path.
-    let (node_wall, gpu_busy, timeline, cluster) = match rank_oom {
-        Some(e) => (Err(e), Vec::new(), None, None),
-        None => {
-            let node_traces = vec![traces.as_slice(); cfg.nodes.map_or(1, |n| n.max(1)) as usize];
-            match simulate_cluster_traced(&node_traces, &node_config(cfg, calib)) {
-                Ok((res, timeline)) => (
-                    Ok(res.wall_seconds),
-                    res.gpu_busy.clone(),
-                    Some(timeline),
-                    cfg.nodes.map(|_| res),
-                ),
-                Err(e) => (Err(sim_err_msg(e)), Vec::new(), None, None),
-            }
-        }
-    };
-
-    Ok(RunOutcome {
-        node_wall,
-        comm_seconds,
-        metrics: crate::metrics::summarize_events(&traces),
-        per_label,
-        gpu_busy,
-        transfer_bytes,
-        traces,
-        timeline,
-        cluster,
-    })
+    let node_traces = vec![live.traces.as_slice(); key.nodes.map_or(1, |n| n.max(1)) as usize];
+    match simulate_cluster_traced(&node_traces, &node_config(cfg, key.calib)) {
+        Ok((res, timeline)) => Replay {
+            node_wall: Ok(res.wall_seconds),
+            comm_seconds,
+            gpu_busy: res.gpu_busy.clone(),
+            timeline: Some(timeline),
+            cluster: key.nodes.map(|_| res),
+        },
+        Err(e) => failed(sim_err_msg(e)),
+    }
 }
 
 /// Capture a [`RecordedWorkload`] from a finished run, for what-if
@@ -371,7 +474,15 @@ pub fn record_run(
     Ok((out, workload))
 }
 
-fn node_config(cfg: &RunConfig, calib: accel_sim::NodeCalib) -> NodeConfig {
+fn threads(calib: &NodeCalib, procs: u32) -> Result<u32, ScenarioError> {
+    let cores = calib.cpu.cores;
+    if procs == 0 || !cores.is_multiple_of(procs) {
+        return Err(ScenarioError::InvalidProcs { procs, cores });
+    }
+    Ok(cores / procs)
+}
+
+fn node_config(cfg: &RunConfig, calib: NodeCalib) -> NodeConfig {
     NodeConfig {
         calib,
         gpus: cfg.gpus,

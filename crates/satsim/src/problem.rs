@@ -34,7 +34,7 @@ pub enum ProblemSize {
 }
 
 /// A fully specified benchmark problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Problem {
     /// Paper-scale total samples (across all detectors and nodes).
     pub total_samples: f64,
