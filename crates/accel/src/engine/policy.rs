@@ -233,6 +233,15 @@ impl FromStr for SchedulePolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const KINDS: [SchedulePolicyKind; 5] = [
+        SchedulePolicyKind::Auto,
+        SchedulePolicyKind::MpsFluid,
+        SchedulePolicyKind::TimeSliced,
+        SchedulePolicyKind::Fifo,
+        SchedulePolicyKind::Priority,
+    ];
 
     fn ctx(calib: &DeviceCalib, load: f64, clients: u32) -> GpuSchedContext<'_> {
         GpuSchedContext {
@@ -304,13 +313,7 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_strings() {
-        for kind in [
-            SchedulePolicyKind::Auto,
-            SchedulePolicyKind::MpsFluid,
-            SchedulePolicyKind::TimeSliced,
-            SchedulePolicyKind::Fifo,
-            SchedulePolicyKind::Priority,
-        ] {
+        for kind in KINDS {
             assert_eq!(kind.to_string().parse::<SchedulePolicyKind>(), Ok(kind));
         }
         assert!("nope".parse::<SchedulePolicyKind>().is_err());
@@ -321,5 +324,52 @@ mod tests {
         assert_eq!(SchedulePolicyKind::Auto.resolve(true).name(), "mps");
         assert_eq!(SchedulePolicyKind::Auto.resolve(false).name(), "timeslice");
         assert_eq!(SchedulePolicyKind::Fifo.resolve(true).name(), "fifo");
+    }
+
+    proptest! {
+        /// The sweep's solo rule (DESIGN § 5d): on a GPU with at most one
+        /// client, every resolved policy serves a lone kernel at exactly
+        /// its solo utilisation, bit for bit, with no switch charge.
+        #[test]
+        fn a_lone_kernel_runs_at_exactly_its_solo_rate(
+            log_util in -6.0..0.0f64,
+            edge in 0u8..4,
+            mantissa in 0.0..1.0f64,
+            exponent in -300i32..300,
+            clients in 0u32..2,
+            rank in 0usize..64,
+            arrival in 0.0..1e3f64,
+        ) {
+            // `edge` pins the ends of both ranges now and then: util 1 and
+            // crowding 0.
+            let util = match edge {
+                0 => 1.0,
+                _ => 10f64.powf(log_util).clamp(1e-6, 1.0),
+            };
+            let crowding = match edge {
+                1 => 0.0,
+                _ => mantissa * 10f64.powi(exponent),
+            };
+            let calib = DeviceCalib {
+                mps_crowding: crowding,
+                ..Default::default()
+            };
+            // The engine's load for one kernel: 0.0 + util.
+            let gpu = ctx(&calib, 0.0 + util, clients);
+            for mps in [true, false] {
+                for kind in KINDS {
+                    let policy = kind.resolve(mps);
+                    let mut rates = Vec::new();
+                    policy.rates(&gpu, &[req(rank, util, arrival)], &mut rates);
+                    prop_assert_eq!(rates.len(), 1);
+                    prop_assert!(
+                        rates[0].to_bits() == util.to_bits(),
+                        "{} (mps {}): util {:e}, crowding {:e}, clients {}: rate {:e}",
+                        policy.name(), mps, util, crowding, clients, rates[0]
+                    );
+                    prop_assert_eq!(policy.switch_demand(&gpu).to_bits(), 0.0f64.to_bits());
+                }
+            }
+        }
     }
 }

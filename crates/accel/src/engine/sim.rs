@@ -399,6 +399,16 @@ impl CompiledWorkload {
         self.qsegs.len()
     }
 
+    /// Whether the arena holds no kernel and no transfer: no replay then
+    /// touches a GPU pool or a PCIe link, so the event loop reads neither
+    /// the GPU count nor the schedule.
+    pub(crate) fn device_free(&self) -> bool {
+        !self
+            .qsegs
+            .iter()
+            .any(|q| matches!(q, QSeg::Kernel { .. } | QSeg::Transfer { .. }))
+    }
+
     /// Materialize the per-calibration cost table: one [`CSeg`] per arena
     /// entry, then one per skipped segment, kernel and transfer costs
     /// priced from `gpu`, record-time charges rescaled per `reprice`.
@@ -746,20 +756,25 @@ pub(crate) fn simulate(
 }
 
 /// Replay an already-compiled workload against a materialized cost
-/// table — the sweep hot path: the arena, labels and topology in
+/// table: [`admit`], then [`run_loop`]. The arena, labels and topology in
 /// `compiled` are shared across calls; only `costs` and the per-shard
-/// runtime state are per-point.
+/// runtime state are per-call.
 pub(crate) fn simulate_compiled(
     compiled: &CompiledWorkload,
     costs: &[CSeg],
     cfg: &NodeConfig,
     record: bool,
 ) -> Result<SimOutput, EngineError> {
-    debug_assert_eq!(costs.len(), compiled.src.len());
-    let gpus = cfg.gpus.max(1) as usize;
+    admit(compiled, cfg)?;
+    run_loop(compiled, costs, cfg, record)
+}
 
-    // Memory feasibility per physical GPU: peak footprints of co-located
-    // ranks must fit.
+/// Admission, the engine's check before the first event: the peak
+/// footprints of the ranks sharing a physical GPU must fit its memory.
+/// The OOM names the global GPU index `node · gpus + g`, so its text
+/// depends on the GPU count even where the event loop does not.
+pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(), EngineError> {
+    let gpus = cfg.gpus.max(1) as usize;
     for (n, node) in compiled.nodes.iter().enumerate() {
         for g in 0..gpus {
             let demanded: u64 = node
@@ -778,7 +793,18 @@ pub(crate) fn simulate_compiled(
             }
         }
     }
+    Ok(())
+}
 
+/// The event loop of [`simulate_compiled`], for a configuration [`admit`]
+/// accepted.
+pub(crate) fn run_loop(
+    compiled: &CompiledWorkload,
+    costs: &[CSeg],
+    cfg: &NodeConfig,
+    record: bool,
+) -> Result<SimOutput, EngineError> {
+    debug_assert_eq!(costs.len(), compiled.src.len());
     let mut shards: Vec<Shard<'_>> = Vec::with_capacity(compiled.nodes.len());
     let mut rank_base = 0usize;
     for (n, node) in compiled.nodes.iter().enumerate() {

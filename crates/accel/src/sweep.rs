@@ -15,7 +15,13 @@
 //!    against that arena (`cost_table`), shared across every GPU count
 //!    and schedule policy of the grid;
 //! 3. each grid point replays through the discrete-event engine with a
-//!    borrowed arena + cost table — no per-point allocation of either.
+//!    borrowed arena + cost table — no per-point allocation of either;
+//! 4. points whose event loops cannot differ share one: each point gets
+//!    an *engine key* (its calibration, and its GPU count and resolved
+//!    policy where the loop reads them), and the first point of a key in
+//!    grid order runs the loop for every point of that key. Each point
+//!    still runs its own lower bound, pruning, pre-flight and admission,
+//!    and prices its own cost (DESIGN § 5d).
 //!
 //! On top of the hot path sit three optimizer features:
 //!
@@ -53,13 +59,14 @@
 //! of (workload, spec), so a sweep resumed from any cursor produces a
 //! result byte-identical to an uninterrupted run.
 
+use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
-use crate::engine::sim::{simulate_compiled, CSeg, CompiledWorkload};
+use crate::engine::sim::{admit, run_loop, CSeg, CompiledWorkload};
 use crate::engine::{EngineError, SchedulePolicyKind};
 use crate::json::{self, as_opt_f64, as_str, esc, num, Fields};
 use crate::node::NodeConfig;
@@ -313,8 +320,12 @@ pub struct SweepResult {
     pub deadline: Option<f64>,
     /// Arena entries compiled once and shared by every point.
     pub compiled_segments: usize,
-    /// Points actually replayed.
+    /// Points with a makespan.
     pub evaluated: usize,
+    /// Event loops run: one per distinct engine key among the points that
+    /// passed admission, so at most `evaluated` plus the points whose loop
+    /// failed. Not serialized, like [`SweepResult::rejected`].
+    pub replays: usize,
     /// Points skipped by the lower-bound pruner.
     pub pruned: usize,
     /// Points rejected statically by [`sweep_preflight`] without a
@@ -717,15 +728,17 @@ impl<'w> CompiledSweep<'w> {
         on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
     ) -> SweepResult {
         let ctx = GridCtx::new(self, spec, preflight);
+        // One loop outcome per engine key, kept across chunks.
+        let mut loops = HashMap::new();
         let total = points.len();
         let mut hi = done;
         while hi < total {
             let lo = hi;
             hi = lo + chunk.clamp(1, total - lo);
-            ctx.eval_slots(&mut points[lo..hi], lo);
+            ctx.eval_slots(&mut points[lo..hi], lo, &mut loops);
             on_checkpoint(&points[..hi]);
         }
-        ctx.finish(points)
+        ctx.finish(points, loops.len())
     }
 }
 
@@ -808,6 +821,32 @@ struct Preflight<'a> {
     deadlock: Option<String>,
 }
 
+/// What the event loop of a grid point reads besides the shared arena:
+/// its calibration's cost table, and its GPU count and resolved policy
+/// where those reach the loop. Points with equal keys replay the same
+/// events in the same order, so a grid runs one loop per key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct EngineKey {
+    calib: usize,
+    /// Effective GPU count and resolved policy name; `None` where the
+    /// loop reads neither (every GPU holds at most one rank, or the arena
+    /// has no device segment).
+    device: Option<(u32, &'static str)>,
+}
+
+/// A grid point that passed every per-point check: its engine key and
+/// what its key's event loop replays.
+#[derive(Clone, Copy)]
+struct Admitted<'t> {
+    key: EngineKey,
+    cfg: NodeConfig,
+    costs: &'t [CSeg],
+}
+
+/// One key's event loop outcome: the makespan, or the error every point
+/// of the key records.
+type LoopOutcome = Result<f64, EngineError>;
+
 /// Everything one grid evaluation needs: the shared arena, one cost
 /// table per calibration, the spec and the optional pre-flight.
 struct GridCtx<'a> {
@@ -819,6 +858,10 @@ struct GridCtx<'a> {
     tables: Vec<Result<Vec<CSeg>, EngineError>>,
     per_calib: usize,
     nodes: usize,
+    /// The most ranks any node holds.
+    max_ranks: usize,
+    /// The arena holds no kernel and no transfer.
+    device_free: bool,
     pre: Option<Preflight<'a>>,
     /// Points the pre-flight rejected, counted across fan-out workers.
     rejected: AtomicUsize,
@@ -853,31 +896,77 @@ impl<'a> GridCtx<'a> {
             tables,
             per_calib: spec.gpus.len() * spec.schedules.len(),
             nodes: nodes.len().max(1),
+            max_ranks: cs
+                .compiled
+                .nodes
+                .iter()
+                .map(|n| n.ranks.len())
+                .max()
+                .unwrap_or(0),
+            device_free: cs.compiled.device_free(),
             pre,
             rejected: AtomicUsize::new(0),
         }
     }
 
-    /// Evaluate `slots`, the grid points from index `first` on, across
-    /// the fan-out workers.
-    fn eval_slots(&self, slots: &mut [SweepPoint], first: usize) {
-        fan_out(slots, first, worker_count(), |i, pt| self.eval(i, pt));
+    /// Evaluate `slots`, the grid points from index `first` on: every
+    /// point's own checks across the fan-out workers, then one event loop
+    /// per engine key not yet in `loops` (run under the configuration of
+    /// its first point in grid order), then each admitted point's makespan
+    /// and cost from its key's outcome.
+    fn eval_slots(
+        &self,
+        slots: &mut [SweepPoint],
+        first: usize,
+        loops: &mut HashMap<EngineKey, LoopOutcome>,
+    ) {
+        let workers = worker_count();
+        let mut staged: Vec<(&mut SweepPoint, Option<Admitted<'_>>)> =
+            slots.iter_mut().map(|pt| (pt, None)).collect();
+        fan_out(&mut staged, first, workers, |i, (pt, admitted)| {
+            *admitted = self.admit(i, pt);
+        });
+        let mut pending = HashSet::new();
+        let mut leaders: Vec<(Admitted<'_>, Option<LoopOutcome>)> = staged
+            .iter()
+            .filter_map(|(_, a)| *a)
+            .filter(|a| !loops.contains_key(&a.key) && pending.insert(a.key))
+            .map(|a| (a, None))
+            .collect();
+        fan_out(&mut leaders, 0, workers, |_, (a, out)| {
+            *out = Some(run_loop(self.compiled, a.costs, &a.cfg, false).map(|o| o.wall_seconds()));
+        });
+        loops.extend(
+            leaders
+                .into_iter()
+                .filter_map(|(a, out)| Some((a.key, out?))),
+        );
+        for (pt, admitted) in staged {
+            let Some(a) = admitted else { continue };
+            if let Some(outcome) = loops.get(&a.key) {
+                self.price(pt, a.key.calib, outcome);
+            }
+        }
     }
 
-    fn eval(&self, i: usize, pt: &mut SweepPoint) {
-        let calib = &self.spec.calibs[i / self.per_calib];
-        let costs = match &self.tables[i / self.per_calib] {
+    /// A point's own checks, in the engine's order: its cost table, the
+    /// lower bound against the deadline, the pre-flight, then admission.
+    /// `Some` when the point reaches the event loop.
+    fn admit(&self, i: usize, pt: &mut SweepPoint) -> Option<Admitted<'_>> {
+        let c = i / self.per_calib;
+        let calib = &self.spec.calibs[c];
+        let costs = match &self.tables[c] {
             Ok(t) => t,
             Err(e) => {
                 pt.error = Some(e.to_string());
-                return;
+                return None;
             }
         };
         pt.lower_bound = lower_bound(self.compiled, costs, pt.gpus, self.meta.overlap_transfers);
         if let Some(deadline) = self.spec.deadline {
             if pt.lower_bound > deadline {
                 pt.pruned = true;
-                return;
+                return None;
             }
         }
         if let Some(pre) = &self.pre {
@@ -890,7 +979,7 @@ impl<'a> GridCtx<'a> {
             if let Some(e) = verdict {
                 pt.error = Some(e);
                 self.rejected.fetch_add(1, Ordering::Relaxed);
-                return;
+                return None;
             }
         }
         let cfg = NodeConfig {
@@ -900,10 +989,39 @@ impl<'a> GridCtx<'a> {
             schedule: pt.schedule,
             overlap_transfers: self.meta.overlap_transfers,
         };
-        match simulate_compiled(self.compiled, costs, &cfg, false) {
-            Ok(out) => {
-                let makespan = out.wall_seconds();
-                pt.makespan = Some(makespan);
+        if let Err(e) = admit(self.compiled, &cfg) {
+            pt.error = Some(e.to_string());
+            return None;
+        }
+        let key = self.engine_key(c, &cfg);
+        Some(Admitted { key, cfg, costs })
+    }
+
+    /// The engine key of calibration `calib` under `cfg`. Three rules
+    /// collapse keys, each exact (DESIGN § 5d): (a) the loop reads the
+    /// resolved policy, not the schedule name; (b) with at least as many
+    /// GPUs as the fullest node has ranks, every GPU holds at most one
+    /// rank, and every policy serves a lone kernel at exactly its solo
+    /// rate with no switch charge (MPS multiplies a finite crowding factor
+    /// by zero co-tenants); (c) without kernels or transfers no GPU pool or
+    /// link is ever touched.
+    fn engine_key(&self, calib: usize, cfg: &NodeConfig) -> EngineKey {
+        let gpus = cfg.gpus.max(1);
+        let solo = gpus as usize >= self.max_ranks && cfg.calib.gpu.mps_crowding.is_finite();
+        let device = !(self.device_free || solo);
+        EngineKey {
+            calib,
+            device: device.then(|| (gpus, cfg.schedule.resolve(cfg.mps).name())),
+        }
+    }
+
+    /// Record a point's loop outcome under calibration `calib`; the cost
+    /// uses the point's own GPU count.
+    fn price(&self, pt: &mut SweepPoint, calib: usize, outcome: &LoopOutcome) {
+        match outcome {
+            Ok(makespan) => {
+                let calib = &self.spec.calibs[calib];
+                pt.makespan = Some(*makespan);
                 pt.cost = Some(
                     self.nodes as f64
                         * pt.gpus as f64
@@ -915,7 +1033,7 @@ impl<'a> GridCtx<'a> {
         }
     }
 
-    fn finish(self, points: Vec<SweepPoint>) -> SweepResult {
+    fn finish(self, points: Vec<SweepPoint>, replays: usize) -> SweepResult {
         let pareto = pareto_front(&points);
         let best_under_deadline = self.spec.deadline.and_then(|d| {
             points
@@ -938,6 +1056,7 @@ impl<'a> GridCtx<'a> {
             deadline: self.spec.deadline,
             compiled_segments: self.compiled.segment_count(),
             evaluated,
+            replays,
             pruned,
             rejected: self.rejected.into_inner(),
         }

@@ -6,9 +6,13 @@
 //! misses an undominated one), the analytic lower bound never exceeds the
 //! replayed makespan (so deadline pruning never discards a feasible
 //! configuration), and the identity grid point always reproduces the
-//! trace-level oracle bit for bit.
+//! trace-level oracle bit for bit. Every point of a grid with aliased
+//! schedules and more GPUs than ranks — where points share event loops —
+//! equals a standalone replay, for any worker count and resume cursor.
 
-use accel_sim::sweep::{sweep, sweep_digest, SweepCalib, SweepCheckpoint, SweepSpec};
+use accel_sim::sweep::{
+    sweep, sweep_digest, CompiledSweep, SweepCalib, SweepCheckpoint, SweepPoint, SweepSpec,
+};
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::{KernelProfile, RankTrace, SchedulePolicyKind, Segment, TransferDir};
 use proptest::prelude::*;
@@ -50,7 +54,7 @@ fn decode_segment((kind, a, b): (u8, f64, f64)) -> Segment {
 }
 
 fn workload_from_specs(specs: Vec<Vec<(u8, f64, f64)>>) -> RecordedWorkload {
-    let mut ranks: Vec<RankTrace> = specs
+    let ranks: Vec<RankTrace> = specs
         .into_iter()
         .map(|segs| RankTrace {
             segments: segs.into_iter().map(decode_segment).collect(),
@@ -59,41 +63,119 @@ fn workload_from_specs(specs: Vec<Vec<(u8, f64, f64)>>) -> RecordedWorkload {
         .collect();
     // Barriers follow MPI semantics: every rank that performs
     // collectives must perform the same number of them or the replay
-    // deadlocks. Pad short ranks with extra collectives so the
-    // generated job is symmetric (raggedness is exercised by the
-    // analyzer's adversarial suite, not here).
-    let max_collectives = ranks
-        .iter()
-        .map(|r| {
-            r.segments
-                .iter()
-                .filter(|s| matches!(s, Segment::Collective { .. }))
-                .count()
-        })
-        .max()
-        .unwrap_or(0);
-    for rank in &mut ranks {
-        let have = rank
-            .segments
-            .iter()
-            .filter(|s| matches!(s, Segment::Collective { .. }))
-            .count();
-        for _ in have..max_collectives {
-            rank.segments.push(decode_segment((4, 1e-3, 1e6)));
-        }
-    }
+    // deadlocks. Padding makes the generated job symmetric (raggedness is
+    // exercised by `arb_grid_workload` and the analyzer's adversarial
+    // suite).
+    let mut nodes = vec![ranks];
+    pad_collectives(&mut nodes);
     RecordedWorkload {
         meta: RecordMeta {
             total_ranks: 8,
             ..RecordMeta::default()
         },
-        nodes: vec![ranks],
+        nodes,
     }
 }
 
 fn arb_workload() -> impl Strategy<Value = RecordedWorkload> {
     proptest::collection::vec(proptest::collection::vec(arb_segment(), 1..8), 1..5)
         .prop_map(workload_from_specs)
+}
+
+/// Pad every rank of `nodes` to the same collective count, the MPI
+/// barrier contract, so the job does not deadlock.
+fn pad_collectives(nodes: &mut [Vec<RankTrace>]) {
+    let count = |r: &RankTrace| {
+        r.segments
+            .iter()
+            .filter(|s| matches!(s, Segment::Collective { .. }))
+            .count()
+    };
+    let max = nodes.iter().flatten().map(count).max().unwrap_or(0);
+    for rank in nodes.iter_mut().flatten() {
+        for _ in count(rank)..max {
+            rank.segments.push(decode_segment((4, 1e-3, 1e6)));
+        }
+    }
+}
+
+/// 1–3 nodes of 1–5 ranks, each rank with a random device footprint (up
+/// to 24 GiB, so stacked ranks overflow a 40 GB device), under MPS on or
+/// off. `flavour` 0 turns every kernel and transfer into host work (a
+/// device-free arena); 1 gives rank 0 one collective more than its peers,
+/// which deadlocks every job of two or more ranks; 2 turns only kernels
+/// into host work, leaving transfers that share PCIe links.
+fn arb_grid_workload() -> impl Strategy<Value = RecordedWorkload> {
+    let rank = (
+        proptest::collection::vec(arb_segment(), 1..6),
+        0u64..24 << 30,
+    );
+    let nodes = proptest::collection::vec(proptest::collection::vec(rank, 1..6), 1..4);
+    (nodes, 0u8..5, 0u8..2).prop_map(|(nodes, flavour, mps)| {
+        let mut nodes: Vec<Vec<RankTrace>> = nodes
+            .into_iter()
+            .map(|ranks| {
+                ranks
+                    .into_iter()
+                    .map(|(segs, peak)| RankTrace {
+                        segments: segs
+                            .into_iter()
+                            .map(|(k, a, b)| match (flavour, k) {
+                                (0, 1 | 2) | (2, 1) => (0, a, b),
+                                _ => (k, a, b),
+                            })
+                            .map(decode_segment)
+                            .collect(),
+                        peak_device_bytes: peak,
+                        ..RankTrace::default()
+                    })
+                    .collect()
+            })
+            .collect();
+        if flavour == 1 {
+            for rank in nodes.iter_mut().flatten() {
+                rank.segments.push(decode_segment((4, 1e-3, 1e6)));
+            }
+        }
+        pad_collectives(&mut nodes);
+        if flavour == 1 {
+            nodes[0][0].segments.push(decode_segment((4, 1e-3, 1e6)));
+        }
+        RecordedWorkload {
+            meta: RecordMeta {
+                total_ranks: nodes.iter().map(Vec::len).sum::<usize>() as u32,
+                mps: mps == 1,
+                ..RecordMeta::default()
+            },
+            nodes,
+        }
+    })
+}
+
+/// Every schedule (so `auto` aliases `mps` or `timeslice`) and GPU counts
+/// both below and above the ranks per node.
+fn shared_loop_grid(meta: &RecordMeta) -> SweepSpec {
+    SweepSpec {
+        schedules: vec![
+            SchedulePolicyKind::Auto,
+            SchedulePolicyKind::MpsFluid,
+            SchedulePolicyKind::TimeSliced,
+            SchedulePolicyKind::Fifo,
+            SchedulePolicyKind::Priority,
+        ],
+        gpus: vec![1, 2, 3, 5, 8],
+        ..grid(meta)
+    }
+}
+
+/// What a standalone replay of one grid point reports: its makespan's
+/// bits or its error text.
+fn standalone(w: &RecordedWorkload, calib: &SweepCalib, p: &SweepPoint) -> Result<u64, String> {
+    let mut w = w.clone();
+    w.meta.schedule = p.schedule;
+    w.replay(&calib.node, &calib.net, Some(p.gpus))
+        .map(|r| r.cluster.wall_seconds.to_bits())
+        .map_err(|e| e.to_string())
 }
 
 fn grid(meta: &RecordMeta) -> SweepSpec {
@@ -210,5 +292,60 @@ proptest! {
                 );
             }
         }
+    }
+
+    #[test]
+    fn shared_event_loops_match_standalone_replays(w in arb_grid_workload()) {
+        let spec = shared_loop_grid(&w.meta);
+        std::env::set_var("RAYON_NUM_THREADS", "1");
+        let one = sweep(&w, &spec).expect("sweep");
+        std::env::set_var("RAYON_NUM_THREADS", "3");
+        let three = sweep(&w, &spec).expect("sweep");
+        std::env::remove_var("RAYON_NUM_THREADS");
+        let oracle = one.to_jsonl();
+        prop_assert_eq!(&three.to_jsonl(), &oracle);
+        prop_assert_eq!(three.replays, one.replays);
+
+        let per_calib = spec.gpus.len() * spec.schedules.len();
+        for (i, p) in one.points.iter().enumerate() {
+            let calib = &spec.calibs[i / per_calib];
+            let got = match (&p.makespan, &p.error) {
+                (Some(m), None) => Ok(m.to_bits()),
+                (None, Some(e)) => Err(e.clone()),
+                _ => return Err(format!("point {i} has neither a makespan nor an error")),
+            };
+            let want = standalone(&w, calib, p);
+            prop_assert!(
+                got == want,
+                "{} x{} {} (mps {}): sweep {:?}, standalone {:?}",
+                p.calib, p.gpus, p.schedule, w.meta.mps, got, want
+            );
+        }
+        // One loop per engine key: never more than the points that passed
+        // admission, and a device-free arena runs one per calibration.
+        let admitted = one
+            .points
+            .iter()
+            .filter(|p| p.makespan.is_some() || p.error.as_deref().is_some_and(|e| !e.contains("memory")))
+            .count();
+        prop_assert!(one.replays <= admitted);
+        if w.nodes.iter().flatten().flat_map(|r| &r.segments).all(|s| {
+            !matches!(s, Segment::Kernel { .. } | Segment::Transfer { .. })
+        }) {
+            prop_assert!(one.replays <= spec.calibs.len());
+        }
+
+        // Chunked, and resumed from a mid-grid cursor: same bytes, and an
+        // uninterrupted chunked run shares loops across its chunks.
+        let cs = CompiledSweep::compile(&w).expect("compiles");
+        let mut cursors = Vec::new();
+        let chunked = cs
+            .run_resumable(&spec, &[], 7, &mut |pts| cursors.push(pts.to_vec()))
+            .expect("fresh run");
+        prop_assert_eq!(&chunked.to_jsonl(), &oracle);
+        prop_assert_eq!(chunked.replays, one.replays);
+        let cursor = &cursors[cursors.len() / 2];
+        let resumed = cs.run_resumable(&spec, cursor, 4, &mut |_| {}).expect("resume");
+        prop_assert_eq!(&resumed.to_jsonl(), &oracle);
     }
 }

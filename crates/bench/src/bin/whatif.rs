@@ -42,10 +42,12 @@
 //! One workload compile serves the whole grid; each point only
 //! materializes a per-calibration cost vector before replay. Points whose
 //! analytic lower bound already exceeds `--deadline` are pruned without a
-//! replay. The report ranks evaluated points by makespan, marks the
-//! Pareto front over (makespan, hardware-cost proxy) and names the
-//! cheapest point that meets the deadline. Passing a comma list or `..`
-//! range to `--replay`'s `--calib`/`--gpus` routes to the same sweep.
+//! replay. Points whose event loops cannot differ share one, and the
+//! summary line counts the loops run. The report ranks evaluated points
+//! by makespan, marks the Pareto front over (makespan, hardware-cost
+//! proxy) and names the cheapest point that meets the deadline. Passing
+//! a comma list or `..` range to `--replay`'s `--calib`/`--gpus` routes
+//! to the same sweep.
 //! `--dump-scenarios` prints the grid as one scenario per line (compact
 //! JSON, derived from the recording's embedded scenario) instead of
 //! replaying anything. `--preflight` runs the static analyzer's exact
@@ -370,11 +372,12 @@ fn report_sweep(result: &SweepResult, live_wall: f64) {
     println!("{}", table.render());
 
     println!(
-        "sweep: {} point(s), {} evaluated, {} pruned by lower bound, {} compiled segment(s) shared",
+        "sweep: {} point(s), {} evaluated, {} pruned by lower bound, {} compiled segment(s) shared, {} event loop(s) run",
         result.points.len(),
         result.evaluated,
         result.pruned,
         result.compiled_segments,
+        result.replays,
     );
     println!("pareto front: {} point(s)", result.pareto.len());
     if let Some(deadline) = result.deadline {

@@ -59,16 +59,24 @@ pub enum Axis {
 }
 
 impl Axis {
-    /// `s` at the axis's `i`-th value, or `None` past its last.
-    fn at(self, s: &Scenario, i: usize) -> Option<Scenario> {
+    /// `s` at the axis's `i`-th value, or `None` past its last. A process
+    /// count that does not divide the node calibration's cores is
+    /// `Some(None)`: the node cannot host it, so it is no point of the
+    /// figure (Fig. 4 on a 32-core node stops at 32 processes).
+    fn at(self, s: &Scenario, i: usize) -> Option<Option<Scenario>> {
         let mut s = s.clone();
         match self {
-            Axis::Procs(v) => s.procs_per_node = *v.get(i)?,
+            Axis::Procs(v) => {
+                s.procs_per_node = *v.get(i)?;
+                if matches!(RunConfig::from_scenario(&s), Ok(cfg) if cfg.threads().is_err()) {
+                    return Some(None);
+                }
+            }
             Axis::Kind(v) => s.kind = *v.get(i)?,
             Axis::Movement(v) => s.movement = *v.get(i)?,
             Axis::Mps(v) => s.mps = *v.get(i)?,
         }
-        Some(s)
+        Some(Some(s))
     }
 }
 
@@ -162,11 +170,8 @@ pub static FIGURES: [Figure; 8] = [
         live: &[Axis::Procs(&[4, 8, 16, 32])],
         replay: &[Axis::Mps(&[true, false])],
         label: |s| {
-            format!(
-                "omp{}-{}mps",
-                s.procs_per_node,
-                if s.mps { "" } else { "no" }
-            )
+            let mps = if s.mps { "" } else { "no" };
+            format!("{}{}-{mps}mps", s.kind, s.procs_per_node)
         },
         render: mps,
     },
@@ -203,7 +208,7 @@ pub fn plan(figs: &[(&Figure, Scenario)]) -> Result<Vec<(usize, Scenario, RunCon
             .into_iter()
             .collect();
         for &axis in fig.live.iter().chain(fig.replay) {
-            let values = |s| (0..).map_while(move |i| axis.at(s, i));
+            let values = |s| (0..).map_while(move |i| axis.at(s, i)).flatten();
             points = points.iter().flat_map(values).collect();
         }
         for s in points {
@@ -338,8 +343,10 @@ fn fig4(base: &Scenario, pts: &[Point]) -> Result<String, String> {
         .map_or("1 node".into(), |n| format!("{n}-node cluster replay"));
     let mut t = Table::new("procs threads cpu_s jax_s omp_s jax_speedup omp_speedup");
     for row in pts.chunks(3) {
+        let threads = RunConfig::from_scenario(&row[0].scenario).and_then(|c| c.threads());
+        let threads = threads.map_err(|e| e.to_string())?;
         let procs = row[0].scenario.procs_per_node;
-        let mut cells = vec![procs.to_string(), (64 / procs).to_string()];
+        let mut cells = vec![procs.to_string(), threads.to_string()];
         cells.extend(row.iter().map(|p| secs(p.runtime)));
         cells.extend(row[1..].iter().map(|p| ratio(row[0].runtime, p.runtime)));
         t.row(cells);
