@@ -128,7 +128,8 @@ echo "== throughput bench (smoke mode)"
 # Validates the harness end to end and the shape of the rows it writes;
 # the numbers themselves are not gated (machine-dependent), except that
 # the batched sweep must beat the naive one. The live rows are one run
-# per iteration of Fig. 6's cell (shrunk in smoke mode), one per style.
+# per iteration of Fig. 6's cell (shrunk in smoke mode), one per style;
+# the codec rows read and write one fixed synthetic recording (MB/s).
 # The bench itself exits non-zero if the batched identity point differs
 # from replay_identity in any bit. Absolute paths: the bench binary's cwd
 # is the package dir.
@@ -140,10 +141,12 @@ throughput --out "$bench_json" >/dev/null
 jq -e '
   def rows($l): [.rows[] | select(.layer == $l)];
   .mode == "smoke"
-  and (.rows | length == 11)
+  and (.rows | length == 13)
   and (rows("engine") | length == 6 and ([.[].case] | unique | length == 6))
   and ([rows("engine")[].work] | unique | .[1] == 8 * .[0] and .[2] == 64 * .[0] and length == 3)
   and ([rows("sweep")[] | [.case, .work]] == [["batched", 120], ["naive", 120]])
+  and ([rows("codec")[] | [.case, .unit]] == [["parse recording", "MB/s"], ["write recording", "MB/s"]])
+  and ([rows("codec")[].work] | unique | length == 1 and .[0] > 0)
   and ([rows("live")[] | [.case, .unit, .work]] == [["cpu", "runs/s", 1], ["omp", "runs/s", 1], ["jax", "runs/s", 1]])
   and (.rows | all(.iters > 0 and .value > 0))
   and (.rows | all((.value - .work * .iters / .seconds | fabs) <= 1e-9 * .value))

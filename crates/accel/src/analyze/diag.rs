@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::json::{self, Esc};
+
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
@@ -233,35 +235,39 @@ impl Diagnostic {
     }
 
     /// One machine-readable JSON object (no trailing newline), in the
-    /// workspace's lossless style, escaped through [`crate::json::esc`].
+    /// workspace's lossless style, escaped through [`Esc`].
     pub fn to_json(&self) -> String {
-        use crate::json::esc;
-        let mut out = format!(
+        json::write_string(|out| self.write_json(out))
+    }
+
+    /// [`Diagnostic::to_json`], appended to `out`.
+    pub fn write_json(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            out,
             "{{\"code\":\"{}\",\"severity\":\"{}\"",
             self.code.as_str(),
             self.severity.as_str()
-        );
+        )?;
         if let Some(r) = self.locus.rank {
-            out.push_str(&format!(",\"rank\":{r}"));
+            write!(out, ",\"rank\":{r}")?;
         }
         if let Some(s) = self.locus.segment {
-            out.push_str(&format!(",\"segment\":{s}"));
+            write!(out, ",\"segment\":{s}")?;
         }
         if let Some(g) = self.locus.gpu {
-            out.push_str(&format!(",\"gpu\":{g}"));
+            write!(out, ",\"gpu\":{g}")?;
         }
         if let Some(l) = &self.locus.label {
-            out.push_str(&format!(",\"label\":\"{}\"", esc(l)));
+            write!(out, ",\"label\":\"{}\"", Esc(l))?;
         }
         if let Some(fp) = &self.locus.field {
-            out.push_str(&format!(",\"field\":\"{}\"", esc(fp)));
+            write!(out, ",\"field\":\"{}\"", Esc(fp))?;
         }
-        out.push_str(&format!(",\"message\":\"{}\"", esc(&self.message)));
+        write!(out, ",\"message\":\"{}\"", Esc(&self.message))?;
         if let Some(s) = &self.suggestion {
-            out.push_str(&format!(",\"suggestion\":\"{}\"", esc(s)));
+            write!(out, ",\"suggestion\":\"{}\"", Esc(s))?;
         }
-        out.push('}');
-        out
+        out.write_char('}')
     }
 }
 
@@ -315,12 +321,13 @@ impl Report {
 
     /// JSONL: one diagnostic object per line (empty string when clean).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for d in &self.diagnostics {
-            out.push_str(&d.to_json());
-            out.push('\n');
-        }
-        out
+        json::write_string(|out| {
+            for d in &self.diagnostics {
+                d.write_json(out)?;
+                out.push('\n');
+            }
+            Ok(())
+        })
     }
 }
 

@@ -4,10 +4,15 @@
 //!
 //! The workspace builds without registry dependencies, so the codec is
 //! small and in-tree. Reading is a recursive-descent parser into a
-//! [`Value`] tree. It tracks the line of every key, keeps number tokens
-//! verbatim (so `u64` seeds and `{:?}`-printed `f64`s round-trip
-//! losslessly), accepts every JSON string escape including `\uXXXX`
-//! surrogate pairs, and rejects raw control characters inside strings.
+//! [`Node`] tree that borrows from its input: keys, strings without an
+//! escape sequence and number tokens are slices of the text, so a record
+//! costs no allocation per token. [`parse_line`] returns that borrowed
+//! tree; [`parse`] returns an owned [`Value`] for callers that keep the
+//! tree past their input. The parser tracks the line of every key, keeps
+//! number tokens verbatim (so `u64` seeds and `{:?}`-printed `f64`s
+//! round-trip losslessly), accepts every JSON string escape including
+//! `\uXXXX` surrogate pairs, and rejects raw control characters inside
+//! strings.
 //!
 //! Decoding goes through [`Fields`], which records which keys a caller
 //! consumed. [`Fields::finish`] turns every leftover key into a typed
@@ -15,10 +20,12 @@
 //! strict: an unknown key is a hard error, never silently ignored.
 //!
 //! Writing happens at each format's call site, because field order is
-//! part of each format's byte-exact contract. Two helpers keep the
-//! writers consistent: [`esc`] escapes a string and [`num`] prints an
-//! `f64` in its shortest round-trip form.
+//! part of each format's byte-exact contract. Two `Display` adapters keep
+//! the writers consistent and let them `write!` straight into their
+//! output: [`Esc`] escapes a string and [`Num`] prints an `f64` in its
+//! shortest round-trip form ([`OptNum`] adds `null`).
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Deepest array/object nesting [`parse`] accepts. Every format in the
@@ -26,29 +33,61 @@ use std::fmt;
 /// exhausting the stack.
 const MAX_DEPTH: usize = 128;
 
-/// A parsed JSON value. Numbers keep their raw token so integer and
-/// float interpretation is decided by the consumer, losslessly.
+/// Object members reserved up front. The records a file holds many of
+/// (recording segments, sweep points, trace spans) have at most ten, so
+/// their member lists are allocated once and never regrow.
+const MEMBERS_RESERVED: usize = 16;
+
+/// A parsed JSON value that borrows from the text it was read from.
+/// Numbers keep their raw token so integer and float interpretation is
+/// decided by the consumer, losslessly. A string is borrowed unless it
+/// held an escape sequence.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Node<'a> {
     Null,
     Bool(bool),
     /// The raw number token (e.g. `0.001`, `5000000000.0`, `53`).
-    Num(String),
-    Str(String),
-    Arr(Vec<Value>),
+    Num(Cow<'a, str>),
+    Str(Cow<'a, str>),
+    Arr(Vec<Node<'a>>),
     /// Key → (value, line of the key), in document order.
-    Obj(Vec<(String, Value, usize)>),
+    Obj(Vec<Member<'a>>),
 }
 
-impl Value {
+/// One object member: key, value and the line of the key.
+pub type Member<'a> = (Cow<'a, str>, Node<'a>, usize);
+
+/// A parsed tree that owns its text, as [`parse`] returns it.
+pub type Value = Node<'static>;
+
+impl Node<'_> {
     fn type_name(&self) -> &'static str {
         match self {
-            Value::Null => "null",
-            Value::Bool(_) => "boolean",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
+            Node::Null => "null",
+            Node::Bool(_) => "boolean",
+            Node::Num(_) => "number",
+            Node::Str(_) => "string",
+            Node::Arr(_) => "array",
+            Node::Obj(_) => "object",
+        }
+    }
+
+    /// Copy every borrowed key, string and number token, detaching the
+    /// tree from its input.
+    pub fn into_owned(self) -> Value {
+        let own = |c: Cow<'_, str>| Cow::Owned(c.into_owned());
+        match self {
+            Node::Null => Node::Null,
+            Node::Bool(b) => Node::Bool(b),
+            Node::Num(n) => Node::Num(own(n)),
+            Node::Str(s) => Node::Str(own(s)),
+            Node::Arr(items) => Node::Arr(items.into_iter().map(Node::into_owned).collect()),
+            Node::Obj(members) => Node::Obj(
+                members
+                    .into_iter()
+                    .map(|(k, v, line)| (own(k), v.into_owned(), line))
+                    .collect(),
+            ),
         }
     }
 }
@@ -158,14 +197,14 @@ impl<'a> Parser<'a> {
             .ok_or_else(|| err(self.line, "token splits a UTF-8 sequence"))
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
+    fn value(&mut self) -> Result<Node<'a>, JsonError> {
         match self.peek()? {
             b'{' => self.nested(Self::object),
             b'[' => self.nested(Self::array),
-            b'"' => Ok(Value::Str(self.string()?)),
-            b't' => self.literal("true", Value::Bool(true)),
-            b'f' => self.literal("false", Value::Bool(false)),
-            b'n' => self.literal("null", Value::Null),
+            b'"' => Ok(Node::Str(self.string()?)),
+            b't' => self.literal("true", Node::Bool(true)),
+            b'f' => self.literal("false", Node::Bool(false)),
+            b'n' => self.literal("null", Node::Null),
             b'-' | b'0'..=b'9' => self.number(),
             other => Err(err(
                 self.line,
@@ -174,7 +213,10 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+    fn nested(
+        &mut self,
+        f: fn(&mut Self) -> Result<Node<'a>, JsonError>,
+    ) -> Result<Node<'a>, JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(err(
                 self.line,
@@ -187,7 +229,7 @@ impl<'a> Parser<'a> {
         v
     }
 
-    fn literal(&mut self, word: &str, value: Value) -> Result<Value, JsonError> {
+    fn literal(&mut self, word: &str, value: Node<'a>) -> Result<Node<'a>, JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
@@ -196,7 +238,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    fn number(&mut self) -> Result<Node<'a>, JsonError> {
         let start = self.pos;
         while let Some(&b) = self.bytes.get(self.pos) {
             if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
@@ -209,28 +251,37 @@ impl<'a> Parser<'a> {
         // Validate now so consumers can parse the token infallibly later.
         raw.parse::<f64>()
             .map_err(|_| err(self.line, format!("malformed number '{raw}'")))?;
-        Ok(Value::Num(raw.to_string()))
+        Ok(Node::Num(Cow::Borrowed(raw)))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy each run of plain characters in one piece.
-            let start = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
+    /// Advance over a run of characters that need no decoding.
+    fn plain_run(&mut self) {
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
             }
-            out.push_str(self.since(start)?);
+            self.pos += 1;
+        }
+    }
+
+    /// A string token: a slice of the input unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.eat(b'"')?;
+        let start = self.pos;
+        self.plain_run();
+        if self.bytes.get(self.pos) == Some(&b'"') {
+            let s = self.since(start)?;
+            self.pos += 1;
+            return Ok(Cow::Borrowed(s));
+        }
+        let mut out = String::from(self.since(start)?);
+        loop {
             let Some(&b) = self.bytes.get(self.pos) else {
                 return Err(err(self.line, "unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                b'"' => return Ok(Cow::Owned(out)),
                 b'\\' => out.push(self.escape()?),
                 _ => {
                     return Err(err(
@@ -239,6 +290,10 @@ impl<'a> Parser<'a> {
                     ))
                 }
             }
+            // Copy each run of plain characters in one piece.
+            let start = self.pos;
+            self.plain_run();
+            out.push_str(self.since(start)?);
         }
     }
 
@@ -297,12 +352,12 @@ impl<'a> Parser<'a> {
             .fold(0, |n, &d| n * 16 + (d as char).to_digit(16).unwrap_or(0)))
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
+    fn array(&mut self) -> Result<Node<'a>, JsonError> {
         self.eat(b'[')?;
         let mut items = Vec::new();
         if self.peek()? == b']' {
             self.pos += 1;
-            return Ok(Value::Arr(items));
+            return Ok(Node::Arr(items));
         }
         loop {
             items.push(self.value()?);
@@ -310,7 +365,7 @@ impl<'a> Parser<'a> {
                 b',' => self.pos += 1,
                 b']' => {
                     self.pos += 1;
-                    return Ok(Value::Arr(items));
+                    return Ok(Node::Arr(items));
                 }
                 other => {
                     return Err(err(
@@ -322,15 +377,15 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        let mut fields = Vec::new();
+    fn object(&mut self) -> Result<Node<'a>, JsonError> {
+        let mut fields = Vec::with_capacity(MEMBERS_RESERVED);
         self.members(&mut fields)?;
-        Ok(Value::Obj(fields))
+        Ok(Node::Obj(fields))
     }
 
     /// An object's members, pushed as they parse, so a caller still has
     /// the ones before an error.
-    fn members(&mut self, fields: &mut Vec<(String, Value, usize)>) -> Result<(), JsonError> {
+    fn members(&mut self, fields: &mut Vec<Member<'a>>) -> Result<(), JsonError> {
         self.eat(b'{')?;
         if self.peek()? == b'}' {
             self.pos += 1;
@@ -363,15 +418,17 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Parse one JSON document; trailing garbage is an error.
+/// Parse one JSON document into a tree that owns its text; trailing
+/// garbage is an error. [`parse_line`] is the same parse without the
+/// copy, for callers that decode while the input is alive.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    parse_line(text, 1)
+    parse_line(text, 1).map(Node::into_owned)
 }
 
 /// Parse one JSON document that starts on line `line` of a larger input
 /// (one record of a JSONL file), so errors and key lines name the line
-/// in that input.
-pub fn parse_line(text: &str, line: usize) -> Result<Value, JsonError> {
+/// in that input. The tree borrows from `text`.
+pub fn parse_line(text: &str, line: usize) -> Result<Node<'_>, JsonError> {
     let mut p = Parser::new(text, line);
     let v = p.value()?;
     p.skip_ws();
@@ -384,7 +441,7 @@ pub fn parse_line(text: &str, line: usize) -> Result<Value, JsonError> {
 /// The members of the object `text` opens, up to the first error: enough
 /// to name a record that is malformed or cut off after its name. Empty
 /// when `text` does not open an object.
-pub fn leading_members(text: &str) -> Vec<(String, Value, usize)> {
+pub fn leading_members(text: &str) -> Vec<Member<'_>> {
     let mut fields = Vec::new();
     let _complete = Parser::new(text, 1).members(&mut fields);
     fields
@@ -392,18 +449,18 @@ pub fn leading_members(text: &str) -> Vec<(String, Value, usize)> {
 
 /// An object being decoded: consumed keys are crossed off, and
 /// [`Fields::finish`] reports whatever is left as unknown fields.
-pub struct Fields {
-    entries: Vec<(String, Value, usize)>,
+pub struct Fields<'a> {
+    entries: Vec<Member<'a>>,
     taken: Vec<bool>,
     /// Line of the opening object, for missing-field context.
     pub line: usize,
 }
 
-impl Fields {
+impl<'a> Fields<'a> {
     /// Wrap a value that must be an object.
-    pub fn of(value: Value, what: &str, line: usize) -> Result<Self, JsonError> {
+    pub fn of(value: Node<'a>, what: &str, line: usize) -> Result<Self, JsonError> {
         match value {
-            Value::Obj(entries) => {
+            Node::Obj(entries) => {
                 let taken = vec![false; entries.len()];
                 Ok(Self {
                     entries,
@@ -420,15 +477,15 @@ impl Fields {
 
     /// Consume a key, if present, moving its value out. Returns the value
     /// and the line it appeared on.
-    pub fn take(&mut self, key: &str) -> Option<(Value, usize)> {
+    pub fn take(&mut self, key: &str) -> Option<(Node<'a>, usize)> {
         let i = self.entries.iter().position(|(k, _, _)| k == key)?;
         self.taken[i] = true;
         let (_, v, line) = &mut self.entries[i];
-        Some((std::mem::replace(v, Value::Null), *line))
+        Some((std::mem::replace(v, Node::Null), *line))
     }
 
     /// Consume a key that must be present.
-    pub fn require(&mut self, key: &str) -> Result<(Value, usize), JsonError> {
+    pub fn require(&mut self, key: &str) -> Result<(Node<'a>, usize), JsonError> {
         let line = self.line;
         self.take(key).ok_or_else(|| JsonError::MissingField {
             field: key.to_string(),
@@ -439,6 +496,13 @@ impl Fields {
     /// Consume a required string, named by its key in errors.
     pub fn str(&mut self, key: &str) -> Result<String, JsonError> {
         as_str(self.require(key)?, key)
+    }
+
+    /// [`Fields::str`] without the copy: the string as parsed, borrowed
+    /// from the input unless it held an escape. For tags a decoder only
+    /// matches on.
+    pub fn str_ref(&mut self, key: &str) -> Result<Cow<'a, str>, JsonError> {
+        as_cow(self.require(key)?, key)
     }
 
     /// Consume a required boolean, named by its key in errors.
@@ -460,7 +524,7 @@ impl Fields {
     pub fn opt<T>(
         &mut self,
         key: &str,
-        decode: fn((Value, usize), &str) -> Result<T, JsonError>,
+        decode: fn((Node<'a>, usize), &str) -> Result<T, JsonError>,
     ) -> Result<Option<T>, JsonError> {
         self.take(key).map(|v| decode(v, key)).transpose()
     }
@@ -470,7 +534,7 @@ impl Fields {
     pub fn finish(self) -> Result<(), JsonError> {
         match self.entries.iter().zip(&self.taken).find(|(_, &t)| !t) {
             Some(((key, _, line), _)) => Err(JsonError::UnknownField {
-                field: key.clone(),
+                field: key.to_string(),
                 line: *line,
             }),
             None => Ok(()),
@@ -478,32 +542,36 @@ impl Fields {
     }
 }
 
-fn wrong_type(line: usize, field: &str, want: &str, got: &Value) -> JsonError {
+fn wrong_type(line: usize, field: &str, want: &str, got: &Node<'_>) -> JsonError {
     err(
         line,
         format!("field '{field}' must be {want}, found {}", got.type_name()),
     )
 }
 
-/// Decode helpers: each names the field in its error.
-pub fn as_str((v, line): (Value, usize), field: &str) -> Result<String, JsonError> {
+fn as_cow<'a>((v, line): (Node<'a>, usize), field: &str) -> Result<Cow<'a, str>, JsonError> {
     match v {
-        Value::Str(s) => Ok(s),
+        Node::Str(s) => Ok(s),
         other => Err(wrong_type(line, field, "a string", &other)),
     }
 }
 
-pub fn as_bool((v, line): (Value, usize), field: &str) -> Result<bool, JsonError> {
+/// Decode helpers: each names the field in its error.
+pub fn as_str(v: (Node<'_>, usize), field: &str) -> Result<String, JsonError> {
+    as_cow(v, field).map(Cow::into_owned)
+}
+
+pub fn as_bool((v, line): (Node<'_>, usize), field: &str) -> Result<bool, JsonError> {
     match v {
-        Value::Bool(b) => Ok(b),
+        Node::Bool(b) => Ok(b),
         other => Err(wrong_type(line, field, "a boolean", &other)),
     }
 }
 
 /// Finite only: no writer can put an infinity back as JSON.
-pub fn as_f64((v, line): (Value, usize), field: &str) -> Result<f64, JsonError> {
+pub fn as_f64((v, line): (Node<'_>, usize), field: &str) -> Result<f64, JsonError> {
     match v {
-        Value::Num(raw) => raw
+        Node::Num(raw) => raw
             .parse()
             .ok()
             .filter(|x: &f64| x.is_finite())
@@ -513,19 +581,19 @@ pub fn as_f64((v, line): (Value, usize), field: &str) -> Result<f64, JsonError> 
 }
 
 /// A number that may be written as `null`.
-pub fn as_opt_f64((v, line): (Value, usize), field: &str) -> Result<Option<f64>, JsonError> {
+pub fn as_opt_f64((v, line): (Node<'_>, usize), field: &str) -> Result<Option<f64>, JsonError> {
     match v {
-        Value::Null => Ok(None),
+        Node::Null => Ok(None),
         v => as_f64((v, line), field).map(Some),
     }
 }
 
 pub fn as_int<T: std::str::FromStr>(
-    (v, line): (Value, usize),
+    (v, line): (Node<'_>, usize),
     field: &str,
 ) -> Result<T, JsonError> {
     match v {
-        Value::Num(raw) => raw.parse().map_err(|_| {
+        Node::Num(raw) => raw.parse().map_err(|_| {
             err(
                 line,
                 format!("field '{field}' must be a non-negative integer, got '{raw}'"),
@@ -535,31 +603,67 @@ pub fn as_int<T: std::str::FromStr>(
     }
 }
 
-/// Escape a string for embedding in JSON output: `"` and `\`, `\n`,
-/// `\t` and `\r` by name, and every other character below U+0020 as
-/// `\u00XX`. Everything else, including `/` and non-ASCII, is written as
-/// is.
-pub fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// Collect what `write` writes into a fresh `String`. The writers
+/// append to any `fmt::Write`; writing into a `String` cannot fail, so
+/// the result is discarded here, once.
+pub fn write_string(write: impl FnOnce(&mut String) -> fmt::Result) -> String {
+    let mut out = String::new();
+    let _infallible = write(&mut out);
     out
 }
 
-/// `{:?}` on f64 is the shortest representation that parses back to the
-/// identical bits, which is what makes every format's round trip
-/// lossless.
-pub fn num(v: f64) -> String {
-    format!("{v:?}")
+/// A string escaped for embedding in JSON output, written through
+/// `Display`: `"` and `\`, `\n`, `\t` and `\r` by name, and every other
+/// character below U+0020 as `\u00XX`. Everything else, including `/`
+/// and non-ASCII, is written as is.
+pub struct Esc<'s>(pub &'s str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.0;
+        // Every byte that needs escaping is ASCII, so the runs between
+        // them split `s` on character boundaries.
+        let mut plain = 0;
+        for (i, b) in s.bytes().enumerate() {
+            if b != b'"' && b != b'\\' && b >= 0x20 {
+                continue;
+            }
+            f.write_str(&s[plain..i])?;
+            match b {
+                b'"' => f.write_str("\\\"")?,
+                b'\\' => f.write_str("\\\\")?,
+                b'\n' => f.write_str("\\n")?,
+                b'\t' => f.write_str("\\t")?,
+                b'\r' => f.write_str("\\r")?,
+                _ => write!(f, "\\u{b:04x}")?,
+            }
+            plain = i + 1;
+        }
+        f.write_str(&s[plain..])
+    }
+}
+
+/// An `f64` written through `Display` in its `{:?}` form: the shortest
+/// representation that parses back to the identical bits, which is what
+/// makes every format's round trip lossless.
+pub struct Num(pub f64);
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.0, f)
+    }
+}
+
+/// [`Num`], or `null` for `None`.
+pub struct OptNum(pub Option<f64>);
+
+impl fmt::Display for OptNum {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) => Num(v).fmt(f),
+            None => f.write_str("null"),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -599,6 +703,43 @@ mod tests {
     }
 
     #[test]
+    fn escape_free_tokens_borrow_from_the_input() {
+        let text = r#"{"plain": "abc", "n": -1.5e3, "esc\"key": "a\nb", "arr": ["x", "\u00e9"]}"#;
+        let Node::Obj(members) = parse_line(text, 1).unwrap() else {
+            panic!("object")
+        };
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        let keys: Vec<bool> = members.iter().map(|(k, _, _)| borrowed(k)).collect();
+        assert_eq!(keys, [true, true, false, true]);
+        let Node::Str(plain) = &members[0].1 else {
+            panic!("string")
+        };
+        assert!(borrowed(plain) && plain == "abc");
+        let Node::Num(n) = &members[1].1 else {
+            panic!("number")
+        };
+        assert!(borrowed(n) && n == "-1.5e3");
+        let Node::Str(escaped) = &members[2].1 else {
+            panic!("string")
+        };
+        assert!(!borrowed(escaped) && escaped == "a\nb");
+        let Node::Arr(items) = &members[3].1 else {
+            panic!("array")
+        };
+        assert!(matches!(&items[0], Node::Str(Cow::Borrowed("x"))));
+        assert!(matches!(&items[1], Node::Str(Cow::Owned(s)) if s == "é"));
+        // The owned tree is the borrowed one, copied.
+        assert_eq!(
+            parse(text).unwrap(),
+            parse_line(text, 1).unwrap().into_owned()
+        );
+        // A decoder's tag read borrows too.
+        let mut f = Fields::of(parse_line(text, 1).unwrap(), "test", 1).unwrap();
+        assert!(matches!(f.str_ref("plain"), Ok(Cow::Borrowed("abc"))));
+        assert_eq!(f.str_ref("esc\"key").unwrap(), "a\nb");
+    }
+
+    #[test]
     fn malformed_documents_name_their_line() {
         for (text, line) in [
             ("{\"a\": }", 1),
@@ -620,7 +761,7 @@ mod tests {
 
     #[test]
     fn numbers_decode_only_when_finite() {
-        let num = |raw: &str| (Value::Num(raw.into()), 1);
+        let num = |raw: &'static str| (Value::Num(raw.into()), 1);
         assert_eq!(as_f64(num("2.5e-3"), "x"), Ok(2.5e-3));
         let e = as_f64(num("1e999"), "x").unwrap_err();
         assert!(e.to_string().contains("finite"), "{e}");
@@ -635,7 +776,7 @@ mod tests {
         let keys = |text: &str| -> Vec<String> {
             leading_members(text)
                 .into_iter()
-                .map(|(k, _, _)| k)
+                .map(|(k, _, _)| k.into_owned())
                 .collect()
         };
         assert_eq!(keys("{\"a\":1,\"b\":\"x\"}"), ["a", "b"]);
@@ -674,10 +815,26 @@ mod tests {
             .filter_map(char::from_u32)
             .chain(['"', '\\', '/', '\u{2028}', '😀'])
             .collect();
-        let written = esc(&s);
+        let written = Esc(&s).to_string();
         assert!(written.bytes().all(|b| b >= 0x20), "{written:?}");
-        assert_eq!(parse(&format!("\"{written}\"")).unwrap(), Value::Str(s));
-        assert_eq!(esc("a\"b\\c\nd\u{1f}"), "a\\\"b\\\\c\\nd\\u001f");
+        assert_eq!(
+            parse(&format!("\"{written}\"")).unwrap(),
+            Value::Str(s.into())
+        );
+        assert_eq!(
+            Esc("a\"b\\c\nd\u{1f}").to_string(),
+            "a\\\"b\\\\c\\nd\\u001f"
+        );
+        assert_eq!(Esc("plain é/").to_string(), "plain é/");
+    }
+
+    #[test]
+    fn numbers_print_in_shortest_round_trip_form() {
+        for v in [0.1 + 0.2, 5e9, 1.0, -0.0, 1e-300, f64::MAX] {
+            assert_eq!(Num(v).to_string(), format!("{v:?}"));
+        }
+        assert_eq!(OptNum(Some(2.5)).to_string(), "2.5");
+        assert_eq!(OptNum(None).to_string(), "null");
     }
 
     #[test]

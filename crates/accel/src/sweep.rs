@@ -60,15 +60,16 @@
 //! result byte-identical to an uninterrupted run.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{admit, run_loop, CSeg, CompiledWorkload};
 use crate::engine::{EngineError, SchedulePolicyKind};
-use crate::json::{self, as_opt_f64, as_str, esc, num, Fields};
+use crate::json::{self, as_opt_f64, as_str, Esc, Fields, Num, OptNum};
 use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
@@ -252,26 +253,30 @@ impl SweepPoint {
     /// writes. `pareto` is a property of the whole result, not the point,
     /// so the caller supplies it (checkpoints write `false`).
     pub fn to_json(&self, pareto: bool) -> String {
-        let opt = |v: Option<f64>| v.map_or_else(|| "null".into(), num);
-        let mut out = format!(
+        json::write_string(|out| self.write_json(out, pareto))
+    }
+
+    /// [`SweepPoint::to_json`], appended to `out`.
+    fn write_json(&self, out: &mut String, pareto: bool) -> fmt::Result {
+        write!(
+            out,
             concat!(
                 "{{\"type\":\"point\",\"calib\":\"{}\",\"gpus\":{},\"schedule\":\"{}\",",
                 "\"lower_bound\":{},\"pruned\":{},\"makespan\":{},\"cost\":{},\"pareto\":{}"
             ),
-            esc(&self.calib),
+            Esc(&self.calib),
             self.gpus,
             self.schedule,
-            num(self.lower_bound),
+            Num(self.lower_bound),
             self.pruned,
-            opt(self.makespan),
-            opt(self.cost),
+            OptNum(self.makespan),
+            OptNum(self.cost),
             pareto,
-        );
+        )?;
         if let Some(e) = &self.error {
-            out.push_str(&format!(",\"error\":\"{}\"", esc(e)));
+            write!(out, ",\"error\":\"{}\"", Esc(e))?;
         }
-        out.push('}');
-        out
+        out.write_char('}')
     }
 
     /// Parse a `point` line back (the checkpoint reader); `ln` is its
@@ -282,7 +287,7 @@ impl SweepPoint {
     /// finishes.
     pub fn parse(line: &str, ln: usize) -> Result<Self, WhatifError> {
         let mut f = Fields::of(json::parse_line(line, ln)?, "point line", ln)?;
-        if f.str("type")? != "point" {
+        if f.str_ref("type")? != "point" {
             return Err(parse_err(ln, "not a point line"));
         }
         let point = SweepPoint {
@@ -342,23 +347,27 @@ impl SweepResult {
     /// floats use the same shortest-round-trip encoding as the workload
     /// format.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
+        json::write_string(|out| self.write_jsonl(out))
+    }
+
+    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+        writeln!(
+            out,
             concat!(
                 "{{\"type\":\"sweep\",\"points\":{},\"evaluated\":{},\"pruned\":{},",
-                "\"deadline\":{},\"compiled_segments\":{}}}\n"
+                "\"deadline\":{},\"compiled_segments\":{}}}"
             ),
             self.points.len(),
             self.evaluated,
             self.pruned,
-            self.deadline.map_or_else(|| "null".into(), num),
+            OptNum(self.deadline),
             self.compiled_segments,
-        ));
+        )?;
         for (i, p) in self.points.iter().enumerate() {
-            out.push_str(&p.to_json(self.pareto.contains(&i)));
-            out.push('\n');
+            p.write_json(out, self.pareto.contains(&i))?;
+            out.write_char('\n')?;
         }
-        out
+        Ok(())
     }
 }
 
@@ -387,20 +396,25 @@ impl SweepCheckpoint {
     /// Serialize: one `sweep_checkpoint` header line, then one `point`
     /// line per completed grid point. Deterministic byte-for-byte.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
+        json::write_string(|out| self.write_jsonl(out))
+    }
+
+    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+        writeln!(
+            out,
             concat!(
                 "{{\"type\":\"sweep_checkpoint\",\"version\":1,\"digest\":{},",
-                "\"total\":{},\"completed\":{}}}\n"
+                "\"total\":{},\"completed\":{}}}"
             ),
             self.digest,
             self.total,
             self.points.len(),
-        );
+        )?;
         for p in &self.points {
-            out.push_str(&p.to_json(false));
-            out.push('\n');
+            p.write_json(out, false)?;
+            out.write_char('\n')?;
         }
-        out
+        Ok(())
     }
 
     /// Parse a serialized cursor. Typed errors on malformed lines, a
@@ -412,7 +426,7 @@ impl SweepCheckpoint {
         let mut lines = text.lines().enumerate();
         let header = lines.next().map_or("", |(_, l)| l);
         let mut f = Fields::of(json::parse_line(header, 1)?, "checkpoint header", 1)?;
-        if f.str("type")? != "sweep_checkpoint" {
+        if f.str_ref("type")? != "sweep_checkpoint" {
             return Err(parse_err(1, "not a sweep checkpoint (bad header line)"));
         }
         let version: u64 = f.int("version")?;
@@ -510,7 +524,7 @@ pub fn sweep_digest(workload: &RecordedWorkload, spec: &SweepSpec) -> u64 {
     }
     h = fnv1a(h, b";");
     if let Some(d) = spec.deadline {
-        h = fnv1a(h, num(d).as_bytes());
+        h = fnv1a(h, Num(d).to_string().as_bytes());
     }
     h
 }
@@ -856,6 +870,11 @@ struct GridCtx<'a> {
     /// One cost table per calibration, shared across the gpus × schedule
     /// sub-grid. A broken calibration poisons only its own points.
     tables: Vec<Result<Vec<CSeg>, EngineError>>,
+    /// One makespan lower bound per (calibration, GPU count), filled by
+    /// the first point of the pair that needs it: the bound reads only
+    /// the cost table, the GPU count and `overlap_transfers`, so every
+    /// schedule of the pair shares it.
+    bounds: Vec<OnceLock<f64>>,
     per_calib: usize,
     nodes: usize,
     /// The most ranks any node holds.
@@ -894,6 +913,9 @@ impl<'a> GridCtx<'a> {
             meta,
             compiled: &cs.compiled,
             tables,
+            bounds: (0..spec.calibs.len() * spec.gpus.len())
+                .map(|_| OnceLock::new())
+                .collect(),
             per_calib: spec.gpus.len() * spec.schedules.len(),
             nodes: nodes.len().max(1),
             max_ranks: cs
@@ -962,7 +984,11 @@ impl<'a> GridCtx<'a> {
                 return None;
             }
         };
-        pt.lower_bound = lower_bound(self.compiled, costs, pt.gpus, self.meta.overlap_transfers);
+        // Grid order is calibration-major, then GPUs, then schedule.
+        let pair = c * self.spec.gpus.len() + (i % self.per_calib) / self.spec.schedules.len();
+        pt.lower_bound = *self.bounds[pair].get_or_init(|| {
+            lower_bound(self.compiled, costs, pt.gpus, self.meta.overlap_transfers)
+        });
         if let Some(deadline) = self.spec.deadline {
             if pt.lower_bound > deadline {
                 pt.pruned = true;

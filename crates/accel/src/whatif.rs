@@ -34,7 +34,7 @@
 //! Serialize → parse → re-serialize is byte-identical.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -43,7 +43,7 @@ use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
 use crate::context::LabelStats;
 use crate::engine::sim::{simulate_compiled, CompiledWorkload, Reprice};
 use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
-use crate::json::{self, as_str, esc, num, Fields, JsonError};
+use crate::json::{self, as_str, Esc, Fields, JsonError, Num};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
 use crate::trace::{RankTrace, Segment, TransferDir};
@@ -378,20 +378,24 @@ impl RecordedWorkload {
 
     /// Serialize to the JSONL workload format.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        write_meta(&self.meta, &mut out);
+        json::write_string(|out| self.write_jsonl(out))
+    }
+
+    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+        write_meta(&self.meta, out)?;
         for (n, ranks) in self.nodes.iter().enumerate() {
             for (r, trace) in ranks.iter().enumerate() {
-                out.push_str(&format!(
-                    "{{\"type\":\"rank\",\"node\":{n},\"rank\":{r},\"peak_device_bytes\":{}}}\n",
+                writeln!(
+                    out,
+                    "{{\"type\":\"rank\",\"node\":{n},\"rank\":{r},\"peak_device_bytes\":{}}}",
                     trace.peak_device_bytes
-                ));
+                )?;
                 for seg in &trace.segments {
-                    write_segment(n, r, seg, &mut out);
+                    write_segment(n, r, seg, out)?;
                 }
             }
         }
-        out
+        Ok(())
     }
 
     /// Parse the JSONL workload format. Every line is one JSON object
@@ -406,7 +410,7 @@ impl RecordedWorkload {
                 continue;
             }
             let mut f = Fields::of(json::parse_line(line, ln)?, "workload line", ln)?;
-            match f.str("type")?.as_str() {
+            match &*f.str_ref("type")? {
                 "meta" => {
                     if meta.is_some() {
                         return Err(parse_err(ln, "duplicate meta line"));
@@ -478,10 +482,11 @@ pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> WhatifError {
     }
 }
 
-fn write_meta(m: &RecordMeta, out: &mut String) {
+fn write_meta(m: &RecordMeta, out: &mut String) -> fmt::Result {
     let nc = &m.node_calib;
     let (c, g, f, n) = (&nc.cpu, &nc.gpu, &nc.framework, &m.net_calib);
-    out.push_str(&format!(
+    write!(
+        out,
         concat!(
             "{{\"type\":\"meta\",\"version\":{},\"label\":\"{}\",\"gpus\":{},\"mps\":{},",
             "\"schedule\":\"{}\",\"overlap_transfers\":{},\"total_ranks\":{},",
@@ -499,97 +504,99 @@ fn write_meta(m: &RecordMeta, out: &mut String) {
             "\"net.bw\":{},\"net.latency\":{}",
         ),
         m.version,
-        esc(&m.label),
+        Esc(&m.label),
         m.gpus,
         m.mps,
         m.schedule,
         m.overlap_transfers,
         m.total_ranks,
-        num(m.work_scale),
-        num(m.live_wall_seconds),
+        Num(m.work_scale),
+        Num(m.live_wall_seconds),
         c.cores,
-        num(c.core_flops),
-        num(c.socket_bw),
+        Num(c.core_flops),
+        Num(c.socket_bw),
         c.mem_bytes,
-        num(c.thread_overhead),
-        num(g.fp64_peak),
-        num(g.hbm_bw),
+        Num(c.thread_overhead),
+        Num(g.fp64_peak),
+        Num(g.hbm_bw),
         g.mem_bytes,
-        num(g.launch_latency),
-        num(g.saturation_items),
-        num(g.pcie_bw),
-        num(g.pcie_latency),
-        num(g.context_switch),
-        num(g.mps_crowding),
-        num(g.alloc_latency),
-        num(f.jit_dispatch),
-        num(f.jit_compile),
-        num(f.omp_region),
-        num(f.jit_mem_overhead),
-        num(f.jit_process_device_bytes),
-        num(f.omp_process_device_bytes),
-        num(f.jit_runtime_factor),
-        num(f.jit_cpu_backend_eff),
-        num(n.bw),
-        num(n.latency),
-    ));
+        Num(g.launch_latency),
+        Num(g.saturation_items),
+        Num(g.pcie_bw),
+        Num(g.pcie_latency),
+        Num(g.context_switch),
+        Num(g.mps_crowding),
+        Num(g.alloc_latency),
+        Num(f.jit_dispatch),
+        Num(f.jit_compile),
+        Num(f.omp_region),
+        Num(f.jit_mem_overhead),
+        Num(f.jit_process_device_bytes),
+        Num(f.omp_process_device_bytes),
+        Num(f.jit_runtime_factor),
+        Num(f.jit_cpu_backend_eff),
+        Num(n.bw),
+        Num(n.latency),
+    )?;
     // Optional trailing field so pre-scenario recordings keep parsing
     // (and writing `None` reproduces their byte layout exactly).
     if let Some(s) = &m.scenario {
-        out.push_str(&format!(",\"scenario\":\"{}\"", esc(s)));
+        write!(out, ",\"scenario\":\"{}\"", Esc(s))?;
     }
-    out.push_str("}\n");
+    out.write_str("}\n")
 }
 
-fn write_segment(node: usize, rank: usize, seg: &Segment, out: &mut String) {
-    let head = format!("{{\"type\":\"seg\",\"node\":{node},\"rank\":{rank}");
+fn write_segment(node: usize, rank: usize, seg: &Segment, out: &mut String) -> fmt::Result {
+    write!(out, "{{\"type\":\"seg\",\"node\":{node},\"rank\":{rank}")?;
     match seg {
-        Segment::Host { seconds, label } => out.push_str(&format!(
-            "{head},\"kind\":\"host\",\"seconds\":{},\"label\":\"{}\"}}\n",
-            num(*seconds),
-            esc(label)
-        )),
-        Segment::Kernel { profile, dispatch } => out.push_str(&format!(
+        Segment::Host { seconds, label } => writeln!(
+            out,
+            ",\"kind\":\"host\",\"seconds\":{},\"label\":\"{}\"}}",
+            Num(*seconds),
+            Esc(label)
+        ),
+        Segment::Kernel { profile, dispatch } => writeln!(
+            out,
             concat!(
-                "{},\"kind\":\"kernel\",\"name\":\"{}\",\"items\":{},",
+                ",\"kind\":\"kernel\",\"name\":\"{}\",\"items\":{},",
                 "\"flops_per_item\":{},\"bytes_per_item\":{},\"divergence\":{},",
-                "\"dispatch\":{}}}\n",
+                "\"dispatch\":{}}}",
             ),
-            head,
-            esc(&profile.name),
-            num(profile.items),
-            num(profile.flops_per_item),
-            num(profile.bytes_per_item),
-            num(profile.divergence),
-            num(*dispatch),
-        )),
-        Segment::Transfer { bytes, dir, label } => out.push_str(&format!(
-            "{head},\"kind\":\"transfer\",\"bytes\":{},\"dir\":\"{}\",\"label\":\"{}\"}}\n",
-            num(*bytes),
+            Esc(&profile.name),
+            Num(profile.items),
+            Num(profile.flops_per_item),
+            Num(profile.bytes_per_item),
+            Num(profile.divergence),
+            Num(*dispatch),
+        ),
+        Segment::Transfer { bytes, dir, label } => writeln!(
+            out,
+            ",\"kind\":\"transfer\",\"bytes\":{},\"dir\":\"{}\",\"label\":\"{}\"}}",
+            Num(*bytes),
             match dir {
                 TransferDir::HostToDevice => "h2d",
                 TransferDir::DeviceToHost => "d2h",
             },
-            esc(label)
-        )),
-        Segment::DeviceAlloc { seconds } => out.push_str(&format!(
-            "{head},\"kind\":\"alloc\",\"seconds\":{}}}\n",
-            num(*seconds)
-        )),
+            Esc(label)
+        ),
+        Segment::DeviceAlloc { seconds } => {
+            writeln!(out, ",\"kind\":\"alloc\",\"seconds\":{}}}", Num(*seconds))
+        }
         Segment::Collective {
             seconds,
             bytes,
             label,
-        } => out.push_str(&format!(
-            "{head},\"kind\":\"collective\",\"seconds\":{},\"bytes\":{},\"label\":\"{}\"}}\n",
-            num(*seconds),
-            num(*bytes),
-            esc(label)
-        )),
+        } => writeln!(
+            out,
+            ",\"kind\":\"collective\",\"seconds\":{},\"bytes\":{},\"label\":\"{}\"}}",
+            Num(*seconds),
+            Num(*bytes),
+            Esc(label)
+        ),
     }
 }
 
-fn parse_meta(f: &mut Fields, ln: usize) -> Result<RecordMeta, WhatifError> {
+fn parse_meta(f: &mut Fields<'_>, ln: usize) -> Result<RecordMeta, WhatifError> {
     let version: u32 = f.int("version")?;
     if version != 1 {
         return Err(parse_err(ln, format!("unsupported version {version}")));
@@ -651,8 +658,8 @@ fn parse_meta(f: &mut Fields, ln: usize) -> Result<RecordMeta, WhatifError> {
     })
 }
 
-fn parse_segment(f: &mut Fields, ln: usize) -> Result<Segment, WhatifError> {
-    Ok(match f.str("kind")?.as_str() {
+fn parse_segment(f: &mut Fields<'_>, ln: usize) -> Result<Segment, WhatifError> {
+    Ok(match &*f.str_ref("kind")? {
         "host" => Segment::Host {
             seconds: f.f64("seconds")?,
             label: f.str("label")?,
@@ -669,7 +676,7 @@ fn parse_segment(f: &mut Fields, ln: usize) -> Result<Segment, WhatifError> {
         },
         "transfer" => Segment::Transfer {
             bytes: f.f64("bytes")?,
-            dir: match f.str("dir")?.as_str() {
+            dir: match &*f.str_ref("dir")? {
                 "h2d" => TransferDir::HostToDevice,
                 "d2h" => TransferDir::DeviceToHost,
                 other => return Err(parse_err(ln, format!("unknown transfer dir '{other}'"))),

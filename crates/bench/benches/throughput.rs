@@ -3,7 +3,8 @@
 //!
 //! Every row has the schema `{layer, case, unit, work, iters, seconds,
 //! value}`: `work` is the work one iteration does, in code-independent
-//! units, and `value = work × iters / seconds`. A faster engine does the
+//! units (a whole number except for the codec rows' megabytes), and
+//! `value = work × iters / seconds`. A faster engine does the
 //! same work in less wall time; it cannot inflate its score by redefining
 //! the unit.
 //! - `engine` rows replay 1, 8 and 64 nodes of 8 ranks, without and with
@@ -14,6 +15,11 @@
 //!   compiles the recording once and prices each calibration once.
 //!   `naive` is what a script looping `whatif --replay` pays per point:
 //!   parse the JSONL recording, compile, price and replay.
+//! - `codec` rows read and write one fixed synthetic recording (4 nodes
+//!   of 8 ranks, 250 segments per rank) through the JSONL workload format:
+//!   `parse recording` is `RecordedWorkload::parse_jsonl`, `write
+//!   recording` is `RecordedWorkload::to_jsonl`; one unit of work is the
+//!   recording's size in MB (MB/s).
 //! - `live` rows run one configuration end to end through `run_config`,
 //!   one row per style (`cpu`, `omp`, `jax`), at Fig. 6's cell: medium
 //!   problem, scale 1e-3, 16 processes. One unit of work is one run
@@ -38,12 +44,12 @@
 //! resolve there.
 
 use std::error::Error;
-use std::fmt::Display;
+use std::fmt::{self, Display, Write as _};
 use std::hint::black_box;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use accel_sim::json::{self, as_f64, Fields, JsonError, Value};
+use accel_sim::json::{self, as_f64, Esc, Fields, JsonError, Node, Num};
 use accel_sim::sweep::{sweep, SweepCalib, SweepSpec};
 use accel_sim::whatif::presets;
 use accel_sim::{
@@ -56,9 +62,12 @@ use scenario::{ImplKind, ProblemSize, Scenario};
 /// `(layer, unit)` of each kind of row.
 const ENGINE: (&str, &str) = ("engine", "segments/s");
 const SWEEP: (&str, &str) = ("sweep", "points/s");
+const CODEC: (&str, &str) = ("codec", "MB/s");
 const LIVE: (&str, &str) = ("live", "runs/s");
 const RANKS_PER_NODE: usize = 8;
 const SWEEP_NODES: usize = 4;
+/// Segments per rank of the codec rows' recording, in both modes.
+const CODEC_SEGMENTS: usize = 250;
 const USAGE: &str = "usage: throughput [--smoke] [--out <path>] [--baseline <file>]";
 
 struct Opts {
@@ -169,7 +178,7 @@ struct Row {
     layer: &'static str,
     case: String,
     unit: &'static str,
-    work: u64,
+    work: f64,
     iters: u64,
     seconds: f64,
     value: f64,
@@ -181,7 +190,7 @@ struct Row {
 fn measure<T, E: Display>(
     (layer, unit): (&'static str, &'static str),
     case: impl Into<String>,
-    work: u64,
+    work: f64,
     budget: Duration,
     mut step: impl FnMut() -> Result<T, E>,
 ) -> Result<Row, String> {
@@ -194,7 +203,7 @@ fn measure<T, E: Display>(
         iters += 1;
     }
     let seconds = start.elapsed().as_secs_f64();
-    let value = work as f64 * iters as f64 / seconds;
+    let value = work * iters as f64 / seconds;
     println!("{layer}/{case}: {iters} iters, {seconds:.3}s, {value:.3e} {unit}");
     Ok(Row {
         layer,
@@ -253,14 +262,14 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
             };
             let overlap = if overlap { "on" } else { "off" };
             let case = format!("nodes={nodes} overlap={overlap}");
-            let work = (nodes * RANKS_PER_NODE * engine_segments) as u64;
+            let work = (nodes * RANKS_PER_NODE * engine_segments) as f64;
             rows.push(measure(ENGINE, case, work, budget, || {
                 simulate_cluster(&traces, &cfg)
             })?);
         }
     }
 
-    let points = spec.point_count() as u64;
+    let points = spec.point_count() as f64;
     rows.push(measure(SWEEP, "batched", points, budget, || {
         sweep(&workload, &spec)
     })?);
@@ -279,13 +288,30 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
     };
     rows.push(measure(SWEEP, "naive", points, budget, naive)?);
 
+    let codec = RecordedWorkload::capture(
+        vec![synth_node(CODEC_SEGMENTS); SWEEP_NODES],
+        RecordMeta {
+            label: "codec bench".into(),
+            total_ranks: (SWEEP_NODES * RANKS_PER_NODE) as u32,
+            ..RecordMeta::default()
+        },
+    );
+    let text = codec.to_jsonl();
+    let mb = text.len() as f64 / 1e6;
+    rows.push(measure(CODEC, "parse recording", mb, budget, || {
+        RecordedWorkload::parse_jsonl(&text)
+    })?);
+    rows.push(measure(CODEC, "write recording", mb, budget, || {
+        Ok::<_, String>(codec.to_jsonl())
+    })?);
+
     for (case, kind) in [
         ("cpu", ImplKind::Cpu),
         ("omp", ImplKind::OmpTarget),
         ("jax", ImplKind::Jit),
     ] {
         let cfg = RunConfig::from_scenario(&live_cell(kind, smoke))?;
-        rows.push(measure(LIVE, case, 1, budget, || {
+        rows.push(measure(LIVE, case, 1.0, budget, || {
             run_config(&cfg).map_err(|e| e.to_string())?.node_wall
         })?);
     }
@@ -309,11 +335,11 @@ fn live_cell(kind: ImplKind, smoke: bool) -> Scenario {
 /// `(layer, case, value)` of every row of an earlier bench file, read
 /// strictly: any malformed line or unknown key is an error naming it.
 fn read_baseline(text: &str) -> Result<Vec<(String, String, f64)>, JsonError> {
-    let mut top = Fields::of(json::parse(text)?, "bench file", 1)?;
+    let mut top = Fields::of(json::parse_line(text, 1)?, "bench file", 1)?;
     top.str("mode")?;
     let (rows, line) = top.require("rows")?;
     top.finish()?;
-    let Value::Arr(rows) = rows else {
+    let Node::Arr(rows) = rows else {
         return Err(JsonError::Malformed {
             line,
             msg: "field 'rows' must be an array".into(),
@@ -322,13 +348,13 @@ fn read_baseline(text: &str) -> Result<Vec<(String, String, f64)>, JsonError> {
     rows.into_iter()
         .map(|row| {
             let line = match &row {
-                Value::Obj(members) => members.first().map_or(line, |m| m.2),
+                Node::Obj(members) => members.first().map_or(line, |m| m.2),
                 _ => line,
             };
             let mut f = Fields::of(row, "row", line)?;
             let key = (f.str("layer")?, f.str("case")?);
             f.str("unit")?;
-            f.int::<u64>("work")?;
+            f.f64("work")?;
             f.int::<u64>("iters")?;
             f.f64("seconds")?;
             let value = f.f64("value")?;
@@ -347,29 +373,38 @@ fn read_baseline(text: &str) -> Result<Vec<(String, String, f64)>, JsonError> {
 }
 
 fn to_json(smoke: bool, rows: &[Row]) -> String {
-    let rows: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let vs = r.baseline.map_or(String::new(), |b| {
-                format!(",\"baseline\":{},\"ratio\":{}", json::num(b), json::num(r.value / b))
-            });
-            format!(
-                "    {{\"layer\":\"{}\",\"case\":\"{}\",\"unit\":\"{}\",\"work\":{},\"iters\":{},\"seconds\":{},\"value\":{}{vs}}}",
-                r.layer,
-                json::esc(&r.case),
-                r.unit,
-                r.work,
-                r.iters,
-                json::num(r.seconds),
-                json::num(r.value),
-            )
-        })
-        .collect();
+    json::write_string(|out| write_json(smoke, rows, out))
+}
+
+fn write_json(smoke: bool, rows: &[Row], out: &mut String) -> fmt::Result {
     let mode = if smoke { "smoke" } else { "full" };
-    format!(
-        "{{\n  \"mode\": \"{mode}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
-        rows.join(",\n")
-    )
+    write!(out, "{{\n  \"mode\": \"{mode}\",\n  \"rows\": [\n")?;
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.write_str(",\n")?;
+        }
+        write!(
+            out,
+            "    {{\"layer\":\"{}\",\"case\":\"{}\",\"unit\":\"{}\",\"work\":{},\"iters\":{},\"seconds\":{},\"value\":{}",
+            r.layer,
+            Esc(&r.case),
+            r.unit,
+            r.work,
+            r.iters,
+            Num(r.seconds),
+            Num(r.value),
+        )?;
+        if let Some(b) = r.baseline {
+            write!(
+                out,
+                ",\"baseline\":{},\"ratio\":{}",
+                Num(b),
+                Num(r.value / b)
+            )?;
+        }
+        out.write_char('}')?;
+    }
+    out.write_str("\n  ]\n}\n")
 }
 
 fn run(opts: &Opts) -> Result<(), String> {

@@ -500,7 +500,13 @@ fn mps(base: &Scenario, pts: &[Point]) -> Result<String, String> {
         ]);
     }
     let scale = base.problem.scale;
-    let title = format!("Ablation — MPS on/off for the offload port (medium, scale {scale})");
+    let port = match base.kind {
+        Cpu => "the CPU baseline",
+        OmpTarget => "the offload port",
+        Jit => "the JIT port",
+        JitCpu => "the JIT port on its CPU backend",
+    };
+    let title = format!("Ablation — MPS on/off for {port} (medium, scale {scale})");
     let notes = "paper: without MPS, >1 process per device stops paying off.\n";
     Ok(page(&title, &dumps(pts), "ablation_mps", &t, notes))
 }

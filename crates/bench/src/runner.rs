@@ -441,8 +441,20 @@ pub fn recorded_workload(
         .as_ref()
         .map_err(|e| format!("cannot record an out-of-memory run ({e})"))?;
     let nodes = cfg.nodes.unwrap_or(1).max(1);
-    let node_traces: Vec<Vec<accel_sim::RankTrace>> =
-        (0..nodes).map(|_| out.traces.clone()).collect();
+    // A recording keeps each rank's segments and peak, not its span
+    // events, so only those are copied per node.
+    let node_traces: Vec<Vec<accel_sim::RankTrace>> = (0..nodes)
+        .map(|_| {
+            out.traces
+                .iter()
+                .map(|t| accel_sim::RankTrace {
+                    segments: t.segments.clone(),
+                    events: Vec::new(),
+                    peak_device_bytes: t.peak_device_bytes,
+                })
+                .collect()
+        })
+        .collect();
     let meta = RecordMeta {
         version: 1,
         label: label.to_string(),
@@ -705,6 +717,19 @@ mod tests {
         // Flag-driven recordings stay scenario-free.
         let (_, w2) = record_run(&cfg, "no scenario", None).unwrap();
         assert!(w2.meta.scenario.is_none());
+    }
+
+    #[test]
+    fn recorded_workload_keeps_what_a_full_clone_would() {
+        let mut cfg = tiny_cfg(ImplKind::OmpTarget, 4);
+        cfg.nodes = Some(2);
+        let out = run_config(&cfg).unwrap();
+        assert!(out.traces.iter().all(|t| !t.events.is_empty()));
+        let w = recorded_workload(&cfg, &out, "copy check", None).unwrap();
+        // The recording as captured from whole cloned traces.
+        let full = RecordedWorkload::capture(vec![out.traces.clone(); 2], w.meta.clone());
+        assert_eq!(w.nodes, full.nodes);
+        assert_eq!(w.to_jsonl(), full.to_jsonl());
     }
 
     #[test]

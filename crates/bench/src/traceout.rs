@@ -14,12 +14,12 @@
 //! simulator's per-label `LabelStats::seconds`.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use accel_sim::json::{self, esc, Fields, JsonError, Value};
+use accel_sim::json::{self, Esc, Fields, JsonError, Node};
 use accel_sim::{NodeTimeline, RankTrace, TimelineKind};
 
 /// On-disk trace flavour.
@@ -59,98 +59,136 @@ pub fn render_trace(
 }
 
 fn render_chrome(traces: &[RankTrace], timeline: Option<&NodeTimeline>) -> String {
-    let mut lines: Vec<String> = Vec::new();
+    json::write_string(|out| {
+        out.write_str("[\n")?;
+        write_chrome_events(traces, timeline, out)?;
+        out.write_str("\n]\n")
+    })
+}
+
+/// The Chrome events, one per line, separated by `,\n`.
+fn write_chrome_events(
+    traces: &[RankTrace],
+    timeline: Option<&NodeTimeline>,
+    out: &mut String,
+) -> fmt::Result {
+    let mut sep = "";
     for (rank, trace) in traces.iter().enumerate() {
         for e in &trace.events {
-            let ph = if e.dur > 0.0 || e.kind.is_timed() {
-                r#""ph":"X""#.to_string() + &format!(r#","dur":{}"#, secs_to_us(e.dur))
+            write!(
+                out,
+                r#"{sep}{{"name":"{}","cat":"{}","#,
+                Esc(&e.label),
+                e.kind.name()
+            )?;
+            if e.dur > 0.0 || e.kind.is_timed() {
+                write!(out, r#""ph":"X","dur":{}"#, secs_to_us(e.dur))?;
             } else {
-                r#""ph":"i","s":"t""#.to_string()
-            };
-            lines.push(format!(
-                r#"{{"name":"{}","cat":"{}",{},"ts":{},"pid":0,"tid":{rank},"args":{{"scope":"{}","bytes":{}}}}}"#,
-                esc(&e.label),
-                e.kind.name(),
-                ph,
+                out.write_str(r#""ph":"i","s":"t""#)?;
+            }
+            write!(
+                out,
+                r#","ts":{},"pid":0,"tid":{rank},"args":{{"scope":"{}","bytes":{}}}}}"#,
                 secs_to_us(e.start),
-                esc(&e.scope),
+                Esc(&e.scope),
                 e.bytes,
-            ));
+            )?;
+            sep = ",\n";
         }
     }
     if let Some(tl) = timeline {
         for e in &tl.events {
-            let gpu = e.gpu.map_or("null".to_string(), |g| g.to_string());
-            let ph = if e.kind == TimelineKind::ContextSwitch {
-                r#""ph":"i","s":"t""#.to_string()
+            write!(
+                out,
+                r#"{sep}{{"name":"{}","cat":"{}","#,
+                Esc(&e.label),
+                e.kind.name()
+            )?;
+            if e.kind == TimelineKind::ContextSwitch {
+                out.write_str(r#""ph":"i","s":"t""#)?;
             } else {
-                format!(r#""ph":"X","dur":{}"#, secs_to_us(e.end - e.start))
-            };
-            lines.push(format!(
-                r#"{{"name":"{}","cat":"{}",{},"ts":{},"pid":1,"tid":{},"args":{{"gpu":{gpu}}}}}"#,
-                esc(&e.label),
-                e.kind.name(),
-                ph,
+                write!(out, r#""ph":"X","dur":{}"#, secs_to_us(e.end - e.start))?;
+            }
+            write!(
+                out,
+                r#","ts":{},"pid":1,"tid":{},"args":{{"gpu":{}}}}}"#,
                 secs_to_us(e.start),
                 e.rank,
-            ));
+                Gpu(e.gpu),
+            )?;
+            sep = ",\n";
         }
         for s in &tl.occupancy {
-            lines.push(format!(
-                r#"{{"name":"gpu{} occupancy","ph":"C","ts":{},"pid":2,"tid":0,"args":{{"load":{}}}}}"#,
+            write!(
+                out,
+                r#"{sep}{{"name":"gpu{} occupancy","ph":"C","ts":{},"pid":2,"tid":0,"args":{{"load":{}}}}}"#,
                 s.gpu,
                 secs_to_us(s.t),
                 s.load,
-            ));
+            )?;
+            sep = ",\n";
         }
     }
-    let mut out = String::from("[\n");
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]\n");
-    out
+    Ok(())
 }
 
 fn render_jsonl(traces: &[RankTrace], timeline: Option<&NodeTimeline>) -> String {
-    let mut out = String::new();
+    json::write_string(|out| write_jsonl_records(traces, timeline, out))
+}
+
+fn write_jsonl_records(
+    traces: &[RankTrace],
+    timeline: Option<&NodeTimeline>,
+    out: &mut String,
+) -> fmt::Result {
     for (rank, trace) in traces.iter().enumerate() {
         for e in &trace.events {
             writeln!(
                 out,
                 r#"{{"type":"span","rank":{rank},"kind":"{}","label":"{}","scope":"{}","start":{},"dur":{},"bytes":{}}}"#,
                 e.kind.name(),
-                esc(&e.label),
-                esc(&e.scope),
+                Esc(&e.label),
+                Esc(&e.scope),
                 e.start,
                 e.dur,
                 e.bytes,
-            )
-            .unwrap();
+            )?;
         }
     }
     if let Some(tl) = timeline {
         for e in &tl.events {
-            let gpu = e.gpu.map_or("null".to_string(), |g| g.to_string());
             writeln!(
                 out,
-                r#"{{"type":"timeline","rank":{},"gpu":{gpu},"kind":"{}","label":"{}","start":{},"end":{}}}"#,
+                r#"{{"type":"timeline","rank":{},"gpu":{},"kind":"{}","label":"{}","start":{},"end":{}}}"#,
                 e.rank,
+                Gpu(e.gpu),
                 e.kind.name(),
-                esc(&e.label),
+                Esc(&e.label),
                 e.start,
                 e.end,
-            )
-            .unwrap();
+            )?;
         }
         for s in &tl.occupancy {
             writeln!(
                 out,
                 r#"{{"type":"occupancy","gpu":{},"t":{},"load":{}}}"#,
                 s.gpu, s.t, s.load,
-            )
-            .unwrap();
+            )?;
         }
     }
-    out
+    Ok(())
+}
+
+/// A timeline event's GPU, or `null` for host-side events.
+struct Gpu(Option<usize>);
+
+impl fmt::Display for Gpu {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(g) => write!(f, "{g}"),
+            None => f.write_str("null"),
+        }
+    }
 }
 
 /// Write the trace to `path`, format chosen from the extension.
@@ -186,8 +224,8 @@ pub fn span_seconds_from_file(path: &Path) -> io::Result<BTreeMap<String, f64>> 
 fn span_seconds(text: &str, chrome: bool) -> Result<BTreeMap<String, f64>, JsonError> {
     // Every record with the line it starts on; a Chrome event's line is
     // that of its first key.
-    let records: Vec<(Value, usize)> = if chrome {
-        let Value::Arr(events) = json::parse(text)? else {
+    let records: Vec<(Node<'_>, usize)> = if chrome {
+        let Node::Arr(events) = json::parse_line(text, 1)? else {
             return Err(JsonError::Malformed {
                 line: 1,
                 msg: "a Chrome trace must be a JSON array".into(),
@@ -197,7 +235,7 @@ fn span_seconds(text: &str, chrome: bool) -> Result<BTreeMap<String, f64>, JsonE
             .into_iter()
             .map(|e| {
                 let line = match &e {
-                    Value::Obj(kv) => kv.first().map_or(1, |k| k.2),
+                    Node::Obj(kv) => kv.first().map_or(1, |k| k.2),
                     _ => 1,
                 };
                 (e, line)
@@ -217,17 +255,17 @@ fn span_seconds(text: &str, chrome: bool) -> Result<BTreeMap<String, f64>, JsonE
         let mut f = Fields::of(v, "trace record", line)?;
         let (label, kind, seconds) = if chrome {
             // Complete events on the virtual-rank track, in µs.
-            if f.int::<u64>("pid")? != 0 || f.str("ph")? != "X" {
+            if f.int::<u64>("pid")? != 0 || f.str_ref("ph")? != "X" {
                 continue;
             }
-            (f.str("name")?, f.str("cat")?, f.f64("dur")? / 1e6)
+            (f.str("name")?, f.str_ref("cat")?, f.f64("dur")? / 1e6)
         } else {
-            if f.str("type")? != "span" {
+            if f.str_ref("type")? != "span" {
                 continue;
             }
-            (f.str("label")?, f.str("kind")?, f.f64("dur")?)
+            (f.str("label")?, f.str_ref("kind")?, f.f64("dur")?)
         };
-        if TIMED_KINDS.contains(&kind.as_str()) {
+        if TIMED_KINDS.contains(&&*kind) {
             *out.entry(label).or_insert(0.0) += seconds;
         }
     }

@@ -136,6 +136,32 @@ fn mps_ablation_traces_are_named_by_implementation() {
 }
 
 #[test]
+fn mps_ablation_title_names_the_selected_implementation() {
+    let dir = scratch("mps_title");
+    let scenario = dir.join("tiny.json");
+    std::fs::write(&scenario, TINY).unwrap();
+    let path = scenario.to_str().unwrap();
+    // The scenario's own cpu implementation, then `--impl jax` over it.
+    for (extra, port) in [(None, "the CPU baseline"), (Some("jax"), "the JIT port")] {
+        let mut args = vec!["ablation_mps", "--scenario", path];
+        args.extend(extra.map(|kind| ["--impl", kind]).into_iter().flatten());
+        let out = figures(&args, &dir);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let title = stdout.lines().next().unwrap_or_default();
+        assert_eq!(
+            title,
+            format!("Ablation — MPS on/off for {port} (medium, scale 0.001)")
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn line_counts_outside_the_repository_are_an_error_not_a_panic() {
     let dir = scratch("loc");
     for fig in ["fig2_loc", "fig3_loc_per_kernel"] {

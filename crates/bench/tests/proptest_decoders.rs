@@ -143,7 +143,10 @@ fn every_text_field_round_trips_every_escape() {
     *host = s.clone();
     let text = w.to_jsonl();
     for (i, line) in text.lines().enumerate() {
-        json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
+        let owned = json::parse(line).unwrap_or_else(|e| panic!("line {}: {e}: {line}", i + 1));
+        // The owned tree is the borrowed one, copied: escaped strings
+        // decode the same either way.
+        assert_eq!(owned, json::parse_line(line, 1).unwrap().into_owned());
     }
     let back = RecordedWorkload::parse_jsonl(&text).unwrap();
     assert_eq!(back.meta.label, s);

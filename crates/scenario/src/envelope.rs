@@ -57,10 +57,9 @@ impl JobRequest {
     /// JSON, a missing/unknown envelope field, or an invalid embedded
     /// scenario — each naming the offending field and line.
     pub fn parse(line: &str) -> Result<Self, ScenarioError> {
-        let root = json::parse(line)?;
+        let root = json::parse_line(line, 1)?;
         let mut f = Fields::of(root, "request", 1)?;
-        let kind = f.str("type")?;
-        let req = match kind.as_str() {
+        let req = match &*f.str_ref("type")? {
             "submit" => {
                 let id = f.str("id")?;
                 let (sv, line) = f.require("scenario")?;

@@ -20,6 +20,8 @@
 
 #![forbid(unsafe_code)]
 
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 use std::io::Read as _;
 use std::path::Path;
 use std::str::FromStr;
@@ -38,7 +40,7 @@ pub use accel_sim::json;
 pub use analyze::check_scenario;
 pub use envelope::JobRequest;
 
-use json::{as_f64, as_int, as_str, Fields, JsonError, Value};
+use json::{as_f64, as_int, as_str, Esc, Fields, JsonError, Node, Num};
 
 // Re-export the types a Scenario is made of, so downstream code can build
 // and match scenarios with `use scenario::…` alone.
@@ -392,41 +394,39 @@ impl Scenario {
     /// file reproduces it byte-for-byte (the golden files are written this
     /// way).
     pub fn to_json(&self) -> String {
-        let mut s = render(&self.encode(), false, 0);
-        s.push('\n');
-        s
+        json::write_string(|out| {
+            render(&self.encode(), false, 0, out)?;
+            out.write_char('\n')
+        })
     }
 
     /// One-line JSON with identical content — the form embedded in
     /// what-if recording metadata.
     pub fn to_json_compact(&self) -> String {
-        render(&self.encode(), true, 0)
+        json::write_string(|out| render(&self.encode(), true, 0, out))
     }
 
-    fn encode(&self) -> J {
+    fn encode(&self) -> J<'_> {
         let mut fields: Vec<(&'static str, J)> = vec![
-            ("schema_version", J::Raw(SCHEMA_VERSION.to_string())),
-            ("name", J::Str(self.name.clone())),
+            ("schema_version", J::Int(SCHEMA_VERSION)),
+            ("name", J::Str(self.name.as_str().into())),
             ("problem", self.encode_problem()),
-            ("impl", J::Str(self.kind.to_string())),
-            ("procs_per_node", J::Raw(self.procs_per_node.to_string())),
-            ("gpus", J::Raw(self.gpus.to_string())),
-            ("mps", J::Raw(self.mps.to_string())),
-            ("movement", J::Str(self.movement.to_string())),
-            ("schedule", J::Str(self.schedule.to_string())),
+            ("impl", J::Str(self.kind.to_string().into())),
+            ("procs_per_node", J::Int(self.procs_per_node.into())),
+            ("gpus", J::Int(self.gpus.into())),
+            ("mps", J::Bool(self.mps)),
+            ("movement", J::Str(self.movement.to_string().into())),
+            ("schedule", J::Str(self.schedule.to_string().into())),
         ];
         if let Some(n) = self.nodes {
-            fields.push(("nodes", J::Raw(n.to_string())));
+            fields.push(("nodes", J::Int(n.into())));
         }
-        fields.push((
-            "overlap_transfers",
-            J::Raw(self.overlap_transfers.to_string()),
-        ));
+        fields.push(("overlap_transfers", J::Bool(self.overlap_transfers)));
         fields.push((
             "calib",
             match &self.calib {
-                CalibSpec::Auto => J::Str("auto".to_string()),
-                CalibSpec::Preset(name) => J::Str(name.clone()),
+                CalibSpec::Auto => J::Str("auto".into()),
+                CalibSpec::Preset(name) => J::Str(name.as_str().into()),
                 CalibSpec::Inline { node, net } => J::Obj(vec![
                     ("node", encode_node_calib(node)),
                     ("net", encode_net_calib(net)),
@@ -436,57 +436,54 @@ impl Scenario {
         if !self.output.is_empty() {
             let mut out = Vec::new();
             if let Some(p) = &self.output.trace_out {
-                out.push(("trace_out", J::Str(p.clone())));
+                out.push(("trace_out", J::Str(p.as_str().into())));
             }
             if let Some(p) = &self.output.record_out {
-                out.push(("record_out", J::Str(p.clone())));
+                out.push(("record_out", J::Str(p.as_str().into())));
             }
             fields.push(("output", J::Obj(out)));
         }
         J::Obj(fields)
     }
 
-    fn encode_problem(&self) -> J {
+    fn encode_problem(&self) -> J<'_> {
         let p = &self.problem;
         let size = match p.size {
             ProblemSize::Medium => "medium",
             ProblemSize::Large => "large",
         };
-        let mut fields = vec![
-            ("size", J::Str(size.to_string())),
-            ("scale", J::Raw(json::num(p.scale))),
-        ];
+        let mut fields = vec![("size", J::Str(size.into())), ("scale", J::Num(p.scale))];
         if let Some(v) = p.total_samples {
-            fields.push(("total_samples", J::Raw(json::num(v))));
+            fields.push(("total_samples", J::Num(v)));
         }
         if let Some(v) = p.n_det_total {
-            fields.push(("n_det_total", J::Raw(v.to_string())));
+            fields.push(("n_det_total", J::Int(v as u64)));
         }
         if let Some(v) = p.nside {
-            fields.push(("nside", J::Raw(v.to_string())));
+            fields.push(("nside", J::Int(v)));
         }
         if let Some(v) = p.n_obs {
-            fields.push(("n_obs", J::Raw(v.to_string())));
+            fields.push(("n_obs", J::Int(v as u64)));
         }
         if let Some(v) = p.passes {
-            fields.push(("passes", J::Raw(v.to_string())));
+            fields.push(("passes", J::Int(v as u64)));
         }
         if let Some(v) = p.seed {
-            fields.push(("seed", J::Raw(v.to_string())));
+            fields.push(("seed", J::Int(v)));
         }
         J::Obj(fields)
     }
 
     /// Parse and validate a scenario document.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
-        Self::from_value(json::parse(text)?, 1)
+        Self::from_value(json::parse_line(text, 1)?, 1)
     }
 
     /// Decode and validate an already-parsed JSON value. The service's
     /// job envelope carries scenarios as nested objects, so decoding
     /// must compose; `line` is where the object appeared in its
     /// enclosing document, for error context.
-    pub fn from_value(root: Value, line: usize) -> Result<Self, ScenarioError> {
+    pub fn from_value(root: Node<'_>, line: usize) -> Result<Self, ScenarioError> {
         let mut f = Fields::of(root, "scenario", line)?;
         let version: u64 = f.int("schema_version")?;
         if version != SCHEMA_VERSION {
@@ -567,114 +564,105 @@ pub fn expand_sweep(base: &Scenario, spec: &SweepSpec) -> Vec<Scenario> {
 // Encoding/decoding internals
 // ---------------------------------------------------------------------------
 
-/// A value ready to serialize: raw token, string, or ordered object.
-enum J {
-    Raw(String),
-    Str(String),
-    Obj(Vec<(&'static str, J)>),
+/// A value ready to serialize, in the order its fields are written.
+enum J<'s> {
+    Int(u64),
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'s, str>),
+    Obj(Vec<(&'static str, J<'s>)>),
 }
 
-fn render(j: &J, compact: bool, indent: usize) -> String {
+/// Append `j` to `out`: compact on one line, or pretty with two-space
+/// indentation starting at `indent` levels.
+fn render(j: &J<'_>, compact: bool, indent: usize, out: &mut String) -> fmt::Result {
     match j {
-        J::Raw(s) => s.clone(),
-        J::Str(s) => format!("\"{}\"", json::esc(s)),
+        J::Int(v) => write!(out, "{v}"),
+        J::Bool(b) => write!(out, "{b}"),
+        J::Num(v) => write!(out, "{}", Num(*v)),
+        J::Str(s) => write!(out, "\"{}\"", Esc(s)),
         J::Obj(fields) => {
             if fields.is_empty() {
-                return "{}".to_string();
+                return out.write_str("{}");
             }
-            let mut out = String::from("{");
+            out.write_char('{')?;
             for (i, (k, v)) in fields.iter().enumerate() {
                 if i > 0 {
-                    out.push(',');
+                    out.write_char(',')?;
                 }
                 if compact {
-                    out.push_str(&format!("\"{k}\":{}", render(v, true, 0)));
+                    write!(out, "\"{k}\":")?;
                 } else {
-                    out.push('\n');
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&format!("\"{k}\": {}", render(v, false, indent + 1)));
+                    write!(out, "\n{:w$}\"{k}\": ", "", w = 2 * (indent + 1))?;
                 }
+                render(v, compact, indent + 1, out)?;
             }
             if !compact {
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
+                write!(out, "\n{:w$}", "", w = 2 * indent)?;
             }
-            out.push('}');
-            out
+            out.write_char('}')
         }
     }
 }
 
-fn encode_node_calib(n: &NodeCalib) -> J {
+fn encode_node_calib(n: &NodeCalib) -> J<'static> {
     J::Obj(vec![
         (
             "cpu",
             J::Obj(vec![
-                ("cores", J::Raw(n.cpu.cores.to_string())),
-                ("core_flops", J::Raw(json::num(n.cpu.core_flops))),
-                ("socket_bw", J::Raw(json::num(n.cpu.socket_bw))),
-                ("mem_bytes", J::Raw(n.cpu.mem_bytes.to_string())),
-                ("thread_overhead", J::Raw(json::num(n.cpu.thread_overhead))),
+                ("cores", J::Int(n.cpu.cores.into())),
+                ("core_flops", J::Num(n.cpu.core_flops)),
+                ("socket_bw", J::Num(n.cpu.socket_bw)),
+                ("mem_bytes", J::Int(n.cpu.mem_bytes)),
+                ("thread_overhead", J::Num(n.cpu.thread_overhead)),
             ]),
         ),
         (
             "gpu",
             J::Obj(vec![
-                ("fp64_peak", J::Raw(json::num(n.gpu.fp64_peak))),
-                ("hbm_bw", J::Raw(json::num(n.gpu.hbm_bw))),
-                ("mem_bytes", J::Raw(n.gpu.mem_bytes.to_string())),
-                ("launch_latency", J::Raw(json::num(n.gpu.launch_latency))),
-                (
-                    "saturation_items",
-                    J::Raw(json::num(n.gpu.saturation_items)),
-                ),
-                ("pcie_bw", J::Raw(json::num(n.gpu.pcie_bw))),
-                ("pcie_latency", J::Raw(json::num(n.gpu.pcie_latency))),
-                ("context_switch", J::Raw(json::num(n.gpu.context_switch))),
-                ("mps_crowding", J::Raw(json::num(n.gpu.mps_crowding))),
-                ("alloc_latency", J::Raw(json::num(n.gpu.alloc_latency))),
+                ("fp64_peak", J::Num(n.gpu.fp64_peak)),
+                ("hbm_bw", J::Num(n.gpu.hbm_bw)),
+                ("mem_bytes", J::Int(n.gpu.mem_bytes)),
+                ("launch_latency", J::Num(n.gpu.launch_latency)),
+                ("saturation_items", J::Num(n.gpu.saturation_items)),
+                ("pcie_bw", J::Num(n.gpu.pcie_bw)),
+                ("pcie_latency", J::Num(n.gpu.pcie_latency)),
+                ("context_switch", J::Num(n.gpu.context_switch)),
+                ("mps_crowding", J::Num(n.gpu.mps_crowding)),
+                ("alloc_latency", J::Num(n.gpu.alloc_latency)),
             ]),
         ),
         (
             "framework",
             J::Obj(vec![
-                ("jit_dispatch", J::Raw(json::num(n.framework.jit_dispatch))),
-                ("jit_compile", J::Raw(json::num(n.framework.jit_compile))),
-                ("omp_region", J::Raw(json::num(n.framework.omp_region))),
-                (
-                    "jit_mem_overhead",
-                    J::Raw(json::num(n.framework.jit_mem_overhead)),
-                ),
+                ("jit_dispatch", J::Num(n.framework.jit_dispatch)),
+                ("jit_compile", J::Num(n.framework.jit_compile)),
+                ("omp_region", J::Num(n.framework.omp_region)),
+                ("jit_mem_overhead", J::Num(n.framework.jit_mem_overhead)),
                 (
                     "jit_process_device_bytes",
-                    J::Raw(json::num(n.framework.jit_process_device_bytes)),
+                    J::Num(n.framework.jit_process_device_bytes),
                 ),
                 (
                     "omp_process_device_bytes",
-                    J::Raw(json::num(n.framework.omp_process_device_bytes)),
+                    J::Num(n.framework.omp_process_device_bytes),
                 ),
-                (
-                    "jit_runtime_factor",
-                    J::Raw(json::num(n.framework.jit_runtime_factor)),
-                ),
+                ("jit_runtime_factor", J::Num(n.framework.jit_runtime_factor)),
                 (
                     "jit_cpu_backend_eff",
-                    J::Raw(json::num(n.framework.jit_cpu_backend_eff)),
+                    J::Num(n.framework.jit_cpu_backend_eff),
                 ),
             ]),
         ),
     ])
 }
 
-fn encode_net_calib(n: &NetCalib) -> J {
-    J::Obj(vec![
-        ("bw", J::Raw(json::num(n.bw))),
-        ("latency", J::Raw(json::num(n.latency))),
-    ])
+fn encode_net_calib(n: &NetCalib) -> J<'static> {
+    J::Obj(vec![("bw", J::Num(n.bw)), ("latency", J::Num(n.latency))])
 }
 
 fn decode_enum<T: FromStr<Err = String>>(
-    v: (Value, usize),
+    v: (Node<'_>, usize),
     field: &str,
 ) -> Result<T, ScenarioError> {
     let s = as_str(v, field)?;
@@ -684,10 +672,10 @@ fn decode_enum<T: FromStr<Err = String>>(
     })
 }
 
-fn decode_problem(v: (Value, usize)) -> Result<ProblemSpec, ScenarioError> {
+fn decode_problem(v: (Node<'_>, usize)) -> Result<ProblemSpec, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "problem", line)?;
-    let size = match f.str("size")?.as_str() {
+    let size = match &*f.str_ref("size")? {
         "medium" => ProblemSize::Medium,
         "large" => ProblemSize::Large,
         other => {
@@ -717,12 +705,12 @@ fn decode_problem(v: (Value, usize)) -> Result<ProblemSpec, ScenarioError> {
     })
 }
 
-fn decode_calib(v: (Value, usize)) -> Result<CalibSpec, ScenarioError> {
+fn decode_calib(v: (Node<'_>, usize)) -> Result<CalibSpec, ScenarioError> {
     let (value, line) = v;
     match value {
-        Value::Str(s) if s == "auto" => Ok(CalibSpec::Auto),
-        Value::Str(s) => Ok(CalibSpec::Preset(s)),
-        value @ Value::Obj(_) => {
+        Node::Str(s) if s == "auto" => Ok(CalibSpec::Auto),
+        Node::Str(s) => Ok(CalibSpec::Preset(s.into_owned())),
+        value @ Node::Obj(_) => {
             let mut f = Fields::of(value, "calib", line)?;
             let node = decode_node_calib(f.require("node")?)?;
             let net = decode_net_calib(f.require("net")?)?;
@@ -736,7 +724,7 @@ fn decode_calib(v: (Value, usize)) -> Result<CalibSpec, ScenarioError> {
     }
 }
 
-fn decode_node_calib(v: (Value, usize)) -> Result<NodeCalib, ScenarioError> {
+fn decode_node_calib(v: (Node<'_>, usize)) -> Result<NodeCalib, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "calib.node", line)?;
 
@@ -789,7 +777,7 @@ fn decode_node_calib(v: (Value, usize)) -> Result<NodeCalib, ScenarioError> {
     })
 }
 
-fn decode_net_calib(v: (Value, usize)) -> Result<NetCalib, ScenarioError> {
+fn decode_net_calib(v: (Node<'_>, usize)) -> Result<NetCalib, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "calib.net", line)?;
     let net = NetCalib {
@@ -800,7 +788,7 @@ fn decode_net_calib(v: (Value, usize)) -> Result<NetCalib, ScenarioError> {
     Ok(net)
 }
 
-fn decode_output(v: (Value, usize)) -> Result<OutputSpec, ScenarioError> {
+fn decode_output(v: (Node<'_>, usize)) -> Result<OutputSpec, ScenarioError> {
     let (value, line) = v;
     let mut f = Fields::of(value, "output", line)?;
     let trace_out = f.opt("trace_out", as_str)?;

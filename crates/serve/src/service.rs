@@ -13,7 +13,7 @@ use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use accel_sim::json::{self, esc, num, Value};
+use accel_sim::json::{self, Esc, Node, Num, OptNum};
 use accel_sim::{
     check_workload, sweep_digest, workload_digest, CompiledSweep, RecordedWorkload, Report,
     SweepCheckpoint, SweepPoint, SweepSpec,
@@ -151,35 +151,43 @@ impl ServeStats {
         }
     }
 
-    /// The `stats` response line.
-    pub fn to_json(&self, queue_depth: usize, bound: usize) -> String {
-        format!(
-            concat!(
-                "{{\"type\":\"stats\",\"queue_depth\":{},\"bound\":{},\"submitted\":{},",
-                "\"admitted\":{},\"rejected\":{},\"rejected_lint\":{},",
-                "\"rejected_invalid\":{},\"rejected_queue_full\":{},\"completed\":{},",
-                "\"failed\":{},\"batches\":{},\"max_batch\":{},\"sweep_compiles\":{},",
-                "\"sweep_jobs_coalesced\":{},\"points_evaluated\":{},",
-                "\"segments_replayed\":{},\"busy_seconds\":{},\"events_per_sec\":{}}}"
+    /// Emit the `stats` response line.
+    pub fn write_json<W: Write>(
+        &self,
+        w: &mut W,
+        queue_depth: usize,
+        bound: usize,
+    ) -> io::Result<()> {
+        emit(
+            w,
+            format_args!(
+                concat!(
+                    "{{\"type\":\"stats\",\"queue_depth\":{},\"bound\":{},\"submitted\":{},",
+                    "\"admitted\":{},\"rejected\":{},\"rejected_lint\":{},",
+                    "\"rejected_invalid\":{},\"rejected_queue_full\":{},\"completed\":{},",
+                    "\"failed\":{},\"batches\":{},\"max_batch\":{},\"sweep_compiles\":{},",
+                    "\"sweep_jobs_coalesced\":{},\"points_evaluated\":{},",
+                    "\"segments_replayed\":{},\"busy_seconds\":{},\"events_per_sec\":{}}}"
+                ),
+                queue_depth,
+                bound,
+                self.submitted,
+                self.admitted,
+                self.rejected(),
+                self.rejected_lint,
+                self.rejected_invalid,
+                self.rejected_queue_full,
+                self.completed,
+                self.failed,
+                self.batches,
+                self.max_batch,
+                self.sweep_compiles,
+                self.sweep_jobs_coalesced,
+                self.points_evaluated,
+                self.segments_replayed,
+                Num(self.busy_seconds),
+                Num(self.events_per_sec()),
             ),
-            queue_depth,
-            bound,
-            self.submitted,
-            self.admitted,
-            self.rejected(),
-            self.rejected_lint,
-            self.rejected_invalid,
-            self.rejected_queue_full,
-            self.completed,
-            self.failed,
-            self.batches,
-            self.max_batch,
-            self.sweep_compiles,
-            self.sweep_jobs_coalesced,
-            self.points_evaluated,
-            self.segments_replayed,
-            num(self.busy_seconds),
-            num(self.events_per_sec()),
         )
     }
 }
@@ -249,7 +257,10 @@ impl<E: ScenarioExec> Service<E> {
     /// A line longer than [`MAX_LINE_BYTES`] or not valid UTF-8 gets an
     /// `error` event and the connection keeps serving; the long line's
     /// excess is skipped, never buffered.
-    pub fn serve<R: BufRead, W: Write>(&mut self, mut reader: R, mut w: W) -> io::Result<bool> {
+    pub fn serve<R: BufRead, W: Write>(&mut self, mut reader: R, w: W) -> io::Result<bool> {
+        // Events are written field by field; the buffer hands each line
+        // to the transport in one piece when `emit` flushes it.
+        let mut w = io::BufWriter::new(w);
         let mut buf = Vec::new();
         loop {
             buf.clear();
@@ -289,14 +300,14 @@ impl<E: ScenarioExec> Service<E> {
                 if let Some(id) = request_id(line) {
                     self.stats.submitted += 1;
                     self.stats.rejected_invalid += 1;
-                    status(w, &id, "queued", "")?;
+                    status(w, &id, "queued", format_args!(""))?;
                     status(
                         w,
                         &id,
                         "rejected",
-                        &format!(
+                        format_args!(
                             ",\"reason\":\"invalid\",\"error\":\"{}\"",
-                            esc(&e.to_string())
+                            Esc(&e.to_string())
                         ),
                     )?;
                 } else {
@@ -321,15 +332,13 @@ impl<E: ScenarioExec> Service<E> {
                 self.admit_sweep(id, recording, grid, deadline, out, w)?;
             }
             JobRequest::Stats => {
-                emit(
-                    w,
-                    &self.stats.to_json(self.queue.len(), self.cfg.queue_bound),
-                )?;
+                self.stats
+                    .write_json(w, self.queue.len(), self.cfg.queue_bound)?;
             }
             JobRequest::Drain => self.drain(w)?,
             JobRequest::Shutdown => {
                 self.drain(w)?;
-                emit(w, "{\"type\":\"bye\"}")?;
+                emit(w, format_args!("{{\"type\":\"bye\"}}"))?;
                 return Ok(Flow::Shutdown);
             }
         }
@@ -359,11 +368,11 @@ impl<E: ScenarioExec> Service<E> {
             w,
             id,
             "rejected",
-            &format!(
+            format_args!(
                 ",\"reason\":\"queue_full\",\"queue_depth\":{},\"bound\":{},\"error\":\"{}\"",
                 qf.depth,
                 qf.bound,
-                esc(&qf.to_string())
+                Esc(&qf.to_string())
             ),
         )
     }
@@ -374,7 +383,7 @@ impl<E: ScenarioExec> Service<E> {
             w,
             id,
             "rejected",
-            &format!(",\"reason\":\"invalid\",\"error\":\"{}\"", esc(error)),
+            format_args!(",\"reason\":\"invalid\",\"error\":\"{}\"", Esc(error)),
         )
     }
 
@@ -388,10 +397,7 @@ impl<E: ScenarioExec> Service<E> {
             w,
             id,
             "rejected",
-            &format!(
-                ",\"reason\":\"lint\",\"diagnostics\":[{}]",
-                diags_json(report)
-            ),
+            format_args!(",\"reason\":\"lint\",\"diagnostics\":[{}]", Diags(report)),
         )
     }
 
@@ -401,7 +407,7 @@ impl<E: ScenarioExec> Service<E> {
         scenario: Box<Scenario>,
         w: &mut W,
     ) -> io::Result<()> {
-        status(w, &id, "queued", "")?;
+        status(w, &id, "queued", format_args!(""))?;
         if let Err(qf) = self.check_depth() {
             return self.reject_queue_full(&id, qf, w);
         }
@@ -414,7 +420,7 @@ impl<E: ScenarioExec> Service<E> {
             w,
             &id,
             "admitted",
-            &format!(
+            format_args!(
                 ",\"job\":\"scenario\",\"warnings\":{}",
                 report.warnings().count()
             ),
@@ -432,7 +438,7 @@ impl<E: ScenarioExec> Service<E> {
         out: Option<String>,
         w: &mut W,
     ) -> io::Result<()> {
-        status(w, &id, "queued", "")?;
+        status(w, &id, "queued", format_args!(""))?;
         if let Err(qf) = self.check_depth() {
             return self.reject_queue_full(&id, qf, w);
         }
@@ -456,7 +462,7 @@ impl<E: ScenarioExec> Service<E> {
             w,
             &id,
             "admitted",
-            &format!(
+            format_args!(
                 ",\"job\":\"sweep\",\"points\":{},\"warnings\":{}",
                 spec.point_count(),
                 report.warnings().count()
@@ -480,7 +486,7 @@ impl<E: ScenarioExec> Service<E> {
     fn drain<W: Write>(&mut self, w: &mut W) -> io::Result<()> {
         let batch: Vec<Job> = self.queue.drain(..).collect();
         if batch.is_empty() {
-            return emit(w, "{\"type\":\"drained\",\"jobs\":0}");
+            return emit(w, format_args!("{{\"type\":\"drained\",\"jobs\":0}}"));
         }
         self.stats.batches += 1;
         self.stats.max_batch = self.stats.max_batch.max(batch.len() as u64);
@@ -489,7 +495,7 @@ impl<E: ScenarioExec> Service<E> {
         for job in &batch {
             match job {
                 Job::Scenario { id, scenario } => {
-                    status(w, id, "running", ",\"job\":\"scenario\"")?;
+                    status(w, id, "running", format_args!(",\"job\":\"scenario\""))?;
                     match self.exec.run_scenario(scenario) {
                         Ok(o) => {
                             self.stats.completed += 1;
@@ -498,16 +504,16 @@ impl<E: ScenarioExec> Service<E> {
                                 w,
                                 id,
                                 "done",
-                                &format!(
+                                format_args!(
                                     concat!(
                                         ",\"job\":\"scenario\",\"makespan\":{},",
                                         "\"node_wall\":{},\"comm_seconds\":{},",
                                         "\"transfer_bytes\":{},\"segments\":{}"
                                     ),
-                                    num(o.makespan),
-                                    num(o.node_wall),
-                                    num(o.comm_seconds),
-                                    num(o.transfer_bytes),
+                                    Num(o.makespan),
+                                    Num(o.node_wall),
+                                    Num(o.comm_seconds),
+                                    Num(o.transfer_bytes),
                                     o.segments,
                                 ),
                             )?;
@@ -540,7 +546,7 @@ impl<E: ScenarioExec> Service<E> {
         self.stats.busy_seconds += t0.elapsed().as_secs_f64();
         emit(
             w,
-            &format!("{{\"type\":\"drained\",\"jobs\":{}}}", batch.len()),
+            format_args!("{{\"type\":\"drained\",\"jobs\":{}}}", batch.len()),
         )
     }
 }
@@ -576,7 +582,7 @@ fn run_sweep_job<W: Write>(
         w,
         &sj.id,
         "running",
-        &format!(
+        format_args!(
             ",\"job\":\"sweep\",\"total\":{total},\"resumed\":{}",
             completed.len()
         ),
@@ -606,7 +612,7 @@ fn run_sweep_job<W: Write>(
                 w,
                 &sj.id,
                 "checkpoint",
-                &format!(",\"completed\":{},\"total\":{total}", pts.len()),
+                format_args!(",\"completed\":{},\"total\":{total}", pts.len()),
             ) {
                 io_err = Some(e);
                 return;
@@ -634,34 +640,34 @@ fn run_sweep_job<W: Write>(
             stats.segments_replayed += (res.compiled_segments * res.evaluated) as u64;
             // The front is sorted by makespan ascending, so its first
             // member is the fastest evaluated point.
-            let best = res
-                .pareto
-                .first()
-                .and_then(|&i| res.points[i].makespan)
-                .map_or_else(|| "null".to_string(), num);
-            let mut extra = format!(
-                concat!(
-                    ",\"job\":\"sweep\",\"points\":{},\"evaluated\":{},\"pruned\":{},",
-                    "\"pareto\":{},\"best_makespan\":{}"
-                ),
-                res.points.len(),
-                res.evaluated,
-                res.pruned,
-                res.pareto.len(),
-                best,
-            );
+            let best = res.pareto.first().and_then(|&i| res.points[i].makespan);
             if let Some(path) = &sj.out {
                 if let Err(e) = std::fs::write(path, res.to_jsonl()) {
                     return fail(stats, w, &sj.id, &format!("cannot write '{path}': {e}"));
                 }
-                extra.push_str(&format!(",\"out\":\"{}\"", esc(path)));
             }
             // The job is complete; its cursor has served its purpose.
             if let Some(path) = &ckpt_path {
                 let _ = std::fs::remove_file(path);
             }
             stats.completed += 1;
-            status(w, &sj.id, "done", &extra)
+            status(
+                w,
+                &sj.id,
+                "done",
+                format_args!(
+                    concat!(
+                        ",\"job\":\"sweep\",\"points\":{},\"evaluated\":{},\"pruned\":{},",
+                        "\"pareto\":{},\"best_makespan\":{}{}"
+                    ),
+                    res.points.len(),
+                    res.evaluated,
+                    res.pruned,
+                    res.pareto.len(),
+                    OptNum(best),
+                    OutField(sj.out.as_deref()),
+                ),
+            )
         }
         Err(e) => fail(stats, w, &sj.id, &e.to_string()),
     }
@@ -670,11 +676,16 @@ fn run_sweep_job<W: Write>(
 /// Count a failed job and emit its `failed` event.
 fn fail<W: Write>(stats: &mut ServeStats, w: &mut W, id: &str, error: &str) -> io::Result<()> {
     stats.failed += 1;
-    status(w, id, "failed", &format!(",\"error\":\"{}\"", esc(error)))
+    status(
+        w,
+        id,
+        "failed",
+        format_args!(",\"error\":\"{}\"", Esc(error)),
+    )
 }
 
 /// Write one event line and flush — clients follow progress live.
-fn emit<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
+fn emit<W: Write>(w: &mut W, line: fmt::Arguments<'_>) -> io::Result<()> {
     writeln!(w, "{line}")?;
     w.flush()
 }
@@ -683,27 +694,46 @@ fn emit<W: Write>(w: &mut W, line: &str) -> io::Result<()> {
 fn error_event<W: Write>(w: &mut W, error: &str) -> io::Result<()> {
     emit(
         w,
-        &format!("{{\"type\":\"error\",\"error\":\"{}\"}}", esc(error)),
+        format_args!("{{\"type\":\"error\",\"error\":\"{}\"}}", Esc(error)),
     )
 }
 
-fn status<W: Write>(w: &mut W, id: &str, state: &str, extra: &str) -> io::Result<()> {
+/// A `status` event: the job id and state, then `extra` members.
+fn status<W: Write>(w: &mut W, id: &str, state: &str, extra: fmt::Arguments<'_>) -> io::Result<()> {
     emit(
         w,
-        &format!(
+        format_args!(
             "{{\"type\":\"status\",\"id\":\"{}\",\"state\":\"{state}\"{extra}}}",
-            esc(id)
+            Esc(id)
         ),
     )
 }
 
-fn diags_json(report: &Report) -> String {
-    report
-        .diagnostics
-        .iter()
-        .map(|d| d.to_json())
-        .collect::<Vec<_>>()
-        .join(",")
+/// A report's diagnostics as comma-separated JSON objects.
+struct Diags<'r>(&'r Report);
+
+impl fmt::Display for Diags<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, d) in self.0.diagnostics.iter().enumerate() {
+            if i > 0 {
+                f.write_str(",")?;
+            }
+            d.write_json(f)?;
+        }
+        Ok(())
+    }
+}
+
+/// The `out` member of a sweep's `done` event; nothing without a path.
+struct OutField<'p>(Option<&'p str>);
+
+impl fmt::Display for OutField<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(path) => write!(f, ",\"out\":\"{}\"", Esc(path)),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The string `id` of a line that failed envelope decoding, read from
@@ -713,7 +743,7 @@ fn request_id(line: &str) -> Option<String> {
     json::leading_members(line)
         .into_iter()
         .find_map(|(key, value, _)| match value {
-            Value::Str(id) if key == "id" => Some(id),
+            Node::Str(id) if key == "id" => Some(id.into_owned()),
             _ => None,
         })
 }
