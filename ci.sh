@@ -141,8 +141,8 @@ throughput --out "$bench_json" >/dev/null
 jq -e '
   def rows($l): [.rows[] | select(.layer == $l)];
   .mode == "smoke"
-  and (.rows | length == 13)
-  and (rows("engine") | length == 6 and ([.[].case] | unique | length == 6))
+  and (.rows | length == 14)
+  and (rows("engine") | length == 7 and ([.[].case] | unique | length == 7))
   and ([rows("engine")[].work] | unique | .[1] == 8 * .[0] and .[2] == 64 * .[0] and length == 3)
   and ([rows("sweep")[] | [.case, .work]] == [["batched", 120], ["naive", 120]])
   and ([rows("codec")[] | [.case, .unit]] == [["parse recording", "MB/s"], ["write recording", "MB/s"]])

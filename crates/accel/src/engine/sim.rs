@@ -62,6 +62,14 @@
 //!   replay reports [`EngineError::Deadlock`] naming the waiting ranks.
 //!   A shard that runs past its step limit, sized from its trace, stops
 //!   with [`EngineError::NoConvergence`].
+//! * **One shard per class of identical nodes.** A multi-node recording
+//!   is usually one node's ranks copied onto every node. Compile gives
+//!   each node a *class*: the lowest node whose loop inputs (rank ranges,
+//!   barrier topology, step limit, arena slice) are bit-identical to its
+//!   own. The loop steps one shard per class; a replica's every event,
+//!   arrival and total equals its representative's, so the barriers
+//!   count representatives only and each cross-node step reads a node's
+//!   representative under that node's own rank and GPU bases.
 //!
 //! # Determinism contract
 //!
@@ -70,11 +78,14 @@
 //! stepping, events within a shard pop in `(time, seq)` order (`seq` is
 //! taken by every schedule call, in engine order), load
 //! sums and policy inputs are assembled in ascending rank order, and all
-//! cross-shard reductions (arrival draining, release, output merge) walk
-//! shards in node order. The golden-path regression in `repro-bench`
-//! holds makespans to the pre-refactor analytic replay within 1e-9, and
-//! the determinism suite asserts byte-identical exported traces across
-//! repeated runs and thread counts.
+//! cross-shard reductions (arrival draining, release) walk shards in node
+//! order and every per-node one (error scan, deadlock roster, output
+//! merge) walks nodes in node order, so sums add the same terms in the
+//! same order whether or not nodes share a shard. The golden-path
+//! regression in `repro-bench` holds makespans to the pre-refactor
+//! analytic replay within 1e-9, and the determinism suite asserts
+//! byte-identical exported traces across repeated runs and thread
+//! counts.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -161,8 +172,82 @@ pub(crate) enum QSeg {
     },
 }
 
+impl QSeg {
+    /// Equal variant, flag and labels, and every `f64` equal by its bits:
+    /// two such entries price to bit-identical costs under any
+    /// calibration. (Field by field: comparing packed integer keys
+    /// instead cost 5× as much, ≈20 % of a compile.)
+    fn same_bits(&self, other: &QSeg) -> bool {
+        let eq = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        match (*self, *other) {
+            (
+                QSeg::Host {
+                    seconds,
+                    alloc,
+                    label,
+                },
+                QSeg::Host {
+                    seconds: s2,
+                    alloc: a2,
+                    label: l2,
+                },
+            ) => eq(seconds, s2) && alloc == a2 && label == l2,
+            (
+                QSeg::Kernel {
+                    items,
+                    flops_per_item,
+                    bytes_per_item,
+                    divergence,
+                    dispatch,
+                    name,
+                    dispatch_label,
+                },
+                QSeg::Kernel {
+                    items: i2,
+                    flops_per_item: f2,
+                    bytes_per_item: b2,
+                    divergence: d2,
+                    dispatch: p2,
+                    name: n2,
+                    dispatch_label: l2,
+                },
+            ) => {
+                eq(items, i2)
+                    && eq(flops_per_item, f2)
+                    && eq(bytes_per_item, b2)
+                    && eq(divergence, d2)
+                    && eq(dispatch, p2)
+                    && name == n2
+                    && dispatch_label == l2
+            }
+            (
+                QSeg::Transfer { bytes, label },
+                QSeg::Transfer {
+                    bytes: b2,
+                    label: l2,
+                },
+            ) => eq(bytes, b2) && label == l2,
+            (
+                QSeg::Collective {
+                    seconds,
+                    bytes,
+                    label,
+                    wait_label,
+                },
+                QSeg::Collective {
+                    seconds: s2,
+                    bytes: b2,
+                    label: l2,
+                    wait_label: w2,
+                },
+            ) => eq(seconds, s2) && eq(bytes, b2) && label == l2 && wait_label == w2,
+            _ => false,
+        }
+    }
+}
+
 /// Per-rank replay metadata, calibration-invariant.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CRank {
     /// Node-local arena range: this rank replays
     /// `node_segs[seg_start..seg_end]`.
@@ -185,6 +270,27 @@ pub(crate) struct CNode {
     pub(crate) local_expected: Vec<u32>,
     /// Convergence guard for the event loop, sized from the trace.
     pub(crate) step_limit: usize,
+    /// The lowest node whose loop inputs are bit-identical to this
+    /// node's (this node itself when no earlier one is): the event loop
+    /// replays each class once.
+    pub(crate) class: usize,
+}
+
+impl CNode {
+    /// Whether the event loop would replay `self` and `other` alike: the
+    /// same ranks, barrier topology and step limit, and arena slices
+    /// equal entry by entry (`f64`s by their bits).
+    fn same_loop_inputs(&self, other: &CNode, qsegs: &[QSeg]) -> bool {
+        let slice = |n: &CNode| &qsegs[n.seg_base..n.seg_base + n.seg_len];
+        self.ranks == other.ranks
+            && self.local_expected == other.local_expected
+            && self.step_limit == other.step_limit
+            && self.seg_len == other.seg_len
+            && slice(self)
+                .iter()
+                .zip(slice(other))
+                .all(|(a, b)| a.same_bits(b))
+    }
 }
 
 /// A workload compiled once into the calibration-invariant arena: the
@@ -368,6 +474,7 @@ impl CompiledWorkload {
                 ranks,
                 local_expected,
                 step_limit,
+                class: nodes.len(),
             });
         }
         // Barriers are global: pad every node's expectation vector to the
@@ -381,6 +488,11 @@ impl CompiledWorkload {
                 let participants = node.local_expected.first().copied().unwrap_or(0);
                 node.local_expected.resize(global_seq, participants);
             }
+        }
+        for n in 0..nodes.len() {
+            let class = (0..n)
+                .find(|&m| nodes[m].class == m && nodes[m].same_loop_inputs(&nodes[n], &qsegs));
+            nodes[n].class = class.unwrap_or(n);
         }
         src.extend(skipped_src);
         Ok(Self {
@@ -704,9 +816,8 @@ struct Group {
 struct Shard<'a> {
     /// This node's index in the job.
     node: usize,
-    /// Global index of local rank 0 / local GPU 0.
+    /// Global index of local rank 0.
     rank_base: usize,
-    gpu_base: usize,
     policy: &'a dyn SchedulePolicy,
     cfg: &'a NodeConfig,
     record: bool,
@@ -797,7 +908,7 @@ pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(),
 }
 
 /// The event loop of [`simulate_compiled`], for a configuration [`admit`]
-/// accepted.
+/// accepted. Nodes of one class share their representative's shard.
 pub(crate) fn run_loop(
     compiled: &CompiledWorkload,
     costs: &[CSeg],
@@ -805,26 +916,36 @@ pub(crate) fn run_loop(
     record: bool,
 ) -> Result<SimOutput, EngineError> {
     debug_assert_eq!(costs.len(), compiled.src.len());
-    let mut shards: Vec<Shard<'_>> = Vec::with_capacity(compiled.nodes.len());
+    let mut shards: Vec<Shard<'_>> = Vec::new();
+    // Per node, in node order: its class's shard and its global rank base.
+    let mut placement: Vec<(usize, usize)> = Vec::with_capacity(compiled.nodes.len());
     let mut rank_base = 0usize;
     for (n, node) in compiled.nodes.iter().enumerate() {
-        let segs = &costs[node.seg_base..node.seg_base + node.seg_len];
-        shards.push(Shard::new(
-            node,
-            segs,
-            n,
-            rank_base,
-            cfg,
-            record,
-            compiled.lbl_stream_sync,
-            compiled.lbl_context_switch,
-        ));
+        if node.class == n {
+            let segs = &costs[node.seg_base..node.seg_base + node.seg_len];
+            placement.push((shards.len(), rank_base));
+            shards.push(Shard::new(
+                node,
+                segs,
+                n,
+                rank_base,
+                cfg,
+                record,
+                compiled.lbl_stream_sync,
+                compiled.lbl_context_switch,
+            ));
+        } else {
+            placement.push((placement[node.class].0, rank_base));
+        }
         rank_base += node.ranks.len();
     }
     // Barrier groups: collective `s` involves every rank that performs
     // collectives at all (MPI semantics), so symmetric jobs synchronise
     // globally and a ragged trace — one rank finishing its collectives
-    // while peers still wait — deadlocks, as the real job would.
+    // while peers still wait — deadlocks, as the real job would. Groups
+    // count representatives only, which is exact: a replica's arrivals
+    // are its representative's, so a group is short iff some
+    // representative is short, and the max arrival is the same.
     let max_seq = shards
         .iter()
         .map(|s| s.local_expected.len())
@@ -849,15 +970,17 @@ pub(crate) fn run_loop(
     // Phase loop: step all shards (in parallel) until each is blocked on
     // the earliest unreleased barrier, then release it at the global max
     // arrival time. Shards share nothing while stepping; every reduction
-    // below walks them in node order, so results are deterministic
-    // regardless of thread count.
+    // below walks the shards or the nodes in node order, so results are
+    // deterministic regardless of thread count.
     let mut next_seq = 0usize;
     loop {
         let target = (next_seq < groups.len()).then_some(next_seq as u32);
         shards
             .par_iter_mut()
             .for_each(|shard| shard.run_until_blocked(target));
-        for shard in &shards {
+        // A representative is the lowest node of its class, so the first
+        // node in order with an error is the node the error names.
+        for (shard, _) in by_node(&shards, &placement) {
             if let Some(e) = &shard.error {
                 return Err(e.clone());
             }
@@ -873,15 +996,15 @@ pub(crate) fn run_loop(
         let Some(seq) = target else {
             // No barriers left and every queue drained: anything not
             // Done is stuck for good.
-            if blocked_ranks(&shards) > 0 {
-                return Err(deadlock_error(&shards, &compiled.labels));
+            if blocked_ranks(&shards, &placement) > 0 {
+                return Err(deadlock_error(&shards, &placement, &compiled.labels));
             }
             break;
         };
         let group = &groups[seq as usize];
         if group.arrived < group.expected {
             // Every shard quiesced, yet the frontier barrier is short.
-            return Err(deadlock_error(&shards, &compiled.labels));
+            return Err(deadlock_error(&shards, &placement, &compiled.labels));
         }
         let release_at = group.max_arrival;
         for shard in &mut shards {
@@ -890,44 +1013,63 @@ pub(crate) fn run_loop(
         next_seq += 1;
     }
 
-    Ok(merge_output(shards, &compiled.labels, record))
+    Ok(merge_output(&shards, &placement, &compiled.labels, record))
 }
 
-fn blocked_ranks(shards: &[Shard<'_>]) -> usize {
-    shards
-        .iter()
-        .flat_map(|s| &s.ranks)
+fn blocked_ranks(shards: &[Shard<'_>], placement: &[(usize, usize)]) -> usize {
+    by_node(shards, placement)
+        .flat_map(|(s, _)| &s.ranks)
         .filter(|r| !matches!(r.activity, Act::Done))
         .count()
 }
 
 /// Assemble the deadlock report: every non-Done rank counts as blocked,
 /// and the ones stuck *at a barrier* are named with the collective label
-/// they wait under, in global rank order (shards are walked in node
-/// order, ranks ascending, so the roster is deterministic).
-fn deadlock_error(shards: &[Shard<'_>], labels: &LabelTable) -> EngineError {
+/// they wait under, in global rank order (nodes are walked in order,
+/// ranks ascending, so the roster is deterministic).
+fn deadlock_error(
+    shards: &[Shard<'_>],
+    placement: &[(usize, usize)],
+    labels: &LabelTable,
+) -> EngineError {
     let mut waiting = Vec::new();
-    for shard in shards {
+    for (shard, rank_base) in by_node(shards, placement) {
         for (local, rank) in shard.ranks.iter().enumerate() {
             if matches!(rank.activity, Act::Barrier { .. }) {
                 waiting.push((
-                    shard.rank_base + local,
+                    rank_base + local,
                     labels.resolve(rank.cur_label).to_string(),
                 ));
             }
         }
     }
     EngineError::Deadlock {
-        blocked: blocked_ranks(shards),
+        blocked: blocked_ranks(shards, placement),
         waiting,
     }
 }
 
-/// Concatenate per-shard results in node order and resolve interned
+/// Every node in node order: its class's shard and its global rank base.
+fn by_node<'s, 'a>(
+    shards: &'s [Shard<'a>],
+    placement: &'s [(usize, usize)],
+) -> impl Iterator<Item = (&'s Shard<'a>, usize)> {
+    placement
+        .iter()
+        .map(|&(s, rank_base)| (&shards[s], rank_base))
+}
+
+/// Concatenate per-node results in node order — each node's class's
+/// shard under the node's own rank and GPU bases — and resolve interned
 /// labels back to strings for the public timeline.
-fn merge_output(shards: Vec<Shard<'_>>, labels: &LabelTable, record: bool) -> SimOutput {
+fn merge_output(
+    shards: &[Shard<'_>],
+    placement: &[(usize, usize)],
+    labels: &LabelTable,
+    record: bool,
+) -> SimOutput {
     let mut out = SimOutput::default();
-    for shard in shards {
+    for (n, (shard, rank_base)) in by_node(shards, placement).enumerate() {
         out.rank_seconds
             .extend(shard.ranks.iter().map(|r| r.finish));
         out.gpu_busy.extend(shard.pools.iter().map(|p| p.res.busy));
@@ -937,11 +1079,10 @@ fn merge_output(shards: Vec<Shard<'_>>, labels: &LabelTable, record: bool) -> Si
         out.collective_seconds += shard.nic.res.collective_seconds;
         out.collective_wait_seconds += shard.collective_wait_seconds;
         if record {
-            let rank_base = shard.rank_base;
-            let gpu_base = shard.gpu_base;
+            let gpu_base = n * shard.pools.len();
             out.timeline
                 .events
-                .extend(shard.raw_events.into_iter().map(|e| TimelineEvent {
+                .extend(shard.raw_events.iter().map(|e| TimelineEvent {
                     rank: rank_base + e.rank as usize,
                     gpu: e.gpu.map(|g| gpu_base + g as usize),
                     label: labels.resolve(e.label).to_string(),
@@ -951,9 +1092,9 @@ fn merge_output(shards: Vec<Shard<'_>>, labels: &LabelTable, record: bool) -> Si
                 }));
             out.timeline
                 .occupancy
-                .extend(shard.occupancy.into_iter().map(|s| GpuSample {
+                .extend(shard.occupancy.iter().map(|s| GpuSample {
                     gpu: gpu_base + s.gpu,
-                    ..s
+                    ..*s
                 }));
         }
     }
@@ -1015,7 +1156,6 @@ impl<'a> Shard<'a> {
         Self {
             node: index,
             rank_base,
-            gpu_base: index * gpus,
             policy: cfg.schedule.resolve(cfg.mps),
             cfg,
             record,
@@ -1584,14 +1724,16 @@ fn member_key(m: (u32, FlowId)) -> (u32, u8) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::policy::SchedulePolicyKind;
     use crate::profile::KernelProfile;
+    use crate::trace::TransferDir;
+    use proptest::prelude::*;
 
-    #[test]
-    fn step_limit_is_a_typed_error_naming_the_node() {
-        let rank = || RankTrace {
+    fn host_kernel_rank(seconds: f64) -> RankTrace {
+        RankTrace {
             segments: vec![
                 Segment::Host {
-                    seconds: 1e-3,
+                    seconds,
                     label: "h".into(),
                 },
                 Segment::Kernel {
@@ -1600,10 +1742,18 @@ mod tests {
                 },
             ],
             ..RankTrace::default()
-        };
-        let node = vec![rank(), rank()];
+        }
+    }
+
+    #[test]
+    fn step_limit_is_a_typed_error_naming_the_node() {
+        // Two distinct nodes, so node 1 steps its own shard and its own
+        // step limit.
+        let first = vec![host_kernel_rank(1e-3), host_kernel_rank(1e-3)];
+        let second = vec![host_kernel_rank(2e-3), host_kernel_rank(2e-3)];
         let cfg = NodeConfig::default();
-        let mut compiled = CompiledWorkload::compile(&[&node, &node]).unwrap();
+        let mut compiled = CompiledWorkload::compile(&[&first, &second]).unwrap();
+        assert_eq!(compiled.nodes[1].class, 1);
         let costs = compiled
             .cost_table(&cfg.calib.gpu, &Reprice::Identity)
             .unwrap();
@@ -1612,5 +1762,148 @@ mod tests {
         compiled.nodes[1].step_limit = 3;
         let err = simulate_compiled(&compiled, &costs, &cfg, false).unwrap_err();
         assert_eq!(err, EngineError::NoConvergence { node: 1, steps: 3 });
+    }
+
+    #[test]
+    fn bit_identical_nodes_share_the_lowest_node_as_their_class() {
+        let a = vec![host_kernel_rank(1e-3), host_kernel_rank(1e-3)];
+        let b = vec![
+            host_kernel_rank(1e-3),
+            host_kernel_rank(1e-3 + f64::EPSILON),
+        ];
+        let one_rank = vec![host_kernel_rank(1e-3)];
+        let compiled = CompiledWorkload::compile(&[&b, &a, &one_rank, &a, &b, &a]).unwrap();
+        let classes: Vec<usize> = compiled.nodes.iter().map(|n| n.class).collect();
+        assert_eq!(classes, [0, 1, 2, 1, 0, 1]);
+    }
+
+    /// A SplitMix64 stream: one seed draws a whole random workload.
+    struct Gen(u64);
+
+    impl Gen {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+
+        /// One of 16 values spread over `[base, 4 · base)`.
+        fn scaled(&mut self, base: f64) -> f64 {
+            base * (1.0 + self.below(16) as f64 / 5.0)
+        }
+    }
+
+    /// 1–4 ranks of 0–8 random segments each, plus `collectives`
+    /// collectives per rank (or a random count when `None`, which leaves
+    /// most barriers short).
+    fn random_node(g: &mut Gen, collectives: Option<u64>) -> Vec<RankTrace> {
+        (0..1 + g.below(4))
+            .map(|_| {
+                let mut segments: Vec<Segment> = (0..g.below(9))
+                    .map(|_| match g.below(5) {
+                        0 => Segment::Host {
+                            seconds: if g.below(4) == 0 { 0.0 } else { g.scaled(1e-4) },
+                            label: ["h", "g"][g.below(2) as usize].into(),
+                        },
+                        1 => Segment::Kernel {
+                            profile: KernelProfile::uniform(
+                                ["k1", "k2"][g.below(2) as usize],
+                                g.scaled(1e5),
+                                g.scaled(20.0),
+                                8.0,
+                            ),
+                            dispatch: 1e-5,
+                        },
+                        2 => Segment::Transfer {
+                            bytes: g.scaled(1e6),
+                            dir: TransferDir::HostToDevice,
+                            label: "up".into(),
+                        },
+                        3 => Segment::DeviceAlloc {
+                            seconds: g.scaled(1e-5),
+                        },
+                        _ => Segment::Transfer {
+                            bytes: g.scaled(1e6),
+                            dir: TransferDir::DeviceToHost,
+                            label: "down".into(),
+                        },
+                    })
+                    .collect();
+                for _ in 0..collectives.unwrap_or_else(|| g.below(3)) {
+                    let at = g.below(segments.len() as u64 + 1) as usize;
+                    segments.insert(
+                        at,
+                        Segment::Collective {
+                            seconds: g.scaled(1e-4),
+                            bytes: 1e6,
+                            label: "allreduce".into(),
+                        },
+                    );
+                }
+                RankTrace {
+                    segments,
+                    ..RankTrace::default()
+                }
+            })
+            .collect()
+    }
+
+    /// A replay's whole result, every `f64` by its shortest round-trip
+    /// text, so two equal renderings are bit-equal replays.
+    fn render(result: Result<SimOutput, EngineError>) -> String {
+        format!("{result:?}")
+    }
+
+    proptest! {
+        #[test]
+        fn one_shard_per_class_replays_bit_equal_to_one_shard_per_node(seed: u64) {
+            let mut g = Gen(seed);
+            let balanced = g.below(3) > 0;
+            let collectives = g.below(3);
+            let templates: Vec<Vec<RankTrace>> = (0..1 + g.below(3))
+                .map(|_| random_node(&mut g, balanced.then_some(collectives)))
+                .collect();
+            let picks: Vec<usize> = (0..1 + g.below(6))
+                .map(|_| g.below(templates.len() as u64) as usize)
+                .collect();
+            let nodes: Vec<&[RankTrace]> = picks.iter().map(|&t| templates[t].as_slice()).collect();
+            let cfg = NodeConfig {
+                gpus: 1 + g.below(3) as u32,
+                mps: g.below(2) == 0,
+                schedule: [
+                    SchedulePolicyKind::Auto,
+                    SchedulePolicyKind::MpsFluid,
+                    SchedulePolicyKind::TimeSliced,
+                    SchedulePolicyKind::Fifo,
+                    SchedulePolicyKind::Priority,
+                ][g.below(5) as usize],
+                overlap_transfers: g.below(2) == 0,
+                ..NodeConfig::default()
+            };
+            let record = g.below(2) == 0;
+
+            let mut compiled = CompiledWorkload::compile(&nodes).unwrap();
+            for (n, &t) in picks.iter().enumerate() {
+                let first = picks.iter().position(|&p| p == t).unwrap();
+                prop_assert!(compiled.nodes[n].class <= first);
+            }
+            // Sometimes cap one class's step limit, on every node of it.
+            if g.below(4) == 0 {
+                let class = compiled.nodes[g.below(nodes.len() as u64) as usize].class;
+                let limit = 1 + g.below(40) as usize;
+                for node in compiled.nodes.iter_mut().filter(|n| n.class == class) {
+                    node.step_limit = limit;
+                }
+            }
+            let costs = compiled.cost_table(&cfg.calib.gpu, &Reprice::Identity).unwrap();
+            let by_class = render(simulate_compiled(&compiled, &costs, &cfg, record));
+            for (n, node) in compiled.nodes.iter_mut().enumerate() {
+                node.class = n;
+            }
+            let by_node = render(simulate_compiled(&compiled, &costs, &cfg, record));
+            prop_assert_eq!(by_class, by_node);
+        }
     }
 }

@@ -507,7 +507,14 @@ pub fn workload_digest(workload: &RecordedWorkload) -> u64 {
 /// digest against the job's before adopting it, so a checkpoint written
 /// for different inputs is never spliced into a sweep.
 pub fn sweep_digest(workload: &RecordedWorkload, spec: &SweepSpec) -> u64 {
-    let mut h = workload_digest(workload);
+    sweep_digest_from(workload_digest(workload), spec)
+}
+
+/// [`sweep_digest`] for a recording whose [`workload_digest`] is already
+/// known: the grid folded onto it, without serializing the recording
+/// again.
+pub fn sweep_digest_from(workload_digest: u64, spec: &SweepSpec) -> u64 {
+    let mut h = workload_digest;
     for c in &spec.calibs {
         h = fnv1a(h, c.name.as_bytes());
         h = fnv1a(h, b",");
@@ -582,7 +589,10 @@ impl std::error::Error for SweepResumeError {}
 ///   time** — links and NICs are shared equally, aggregate rate 1.
 ///
 /// Barrier waits and contention only add time, so pruning on
-/// `lower_bound > deadline` never discards a feasible point.
+/// `lower_bound > deadline` never discards a feasible point. A node whose
+/// class is an earlier node adds only terms that node already added, and
+/// `f64::max` of bit-equal values changes nothing, so each class is
+/// bounded once.
 pub(crate) fn lower_bound(
     compiled: &CompiledWorkload,
     costs: &[CSeg],
@@ -591,7 +601,10 @@ pub(crate) fn lower_bound(
 ) -> f64 {
     let gpus = gpus.max(1) as usize;
     let mut bound: f64 = 0.0;
-    for node in &compiled.nodes {
+    for (n, node) in compiled.nodes.iter().enumerate() {
+        if node.class != n {
+            continue;
+        }
         let segs = &costs[node.seg_base..node.seg_base + node.seg_len];
         let mut gpu_work = vec![0.0f64; gpus];
         let mut link_work = vec![0.0f64; gpus];
@@ -1545,6 +1558,19 @@ mod tests {
         other.gpus = vec![1, 2, 4];
         assert_ne!(sweep_digest(&w, &spec), sweep_digest(&w, &other));
         assert_eq!(sweep_digest(&w, &spec), sweep_digest(&w, &spec.clone()));
+    }
+
+    #[test]
+    fn sweep_digest_is_the_grid_folded_onto_the_workload_digest() {
+        let w = sample_workload();
+        let mut spec = SweepSpec::default_grid(&w.meta);
+        spec.deadline = Some(0.25);
+        let folded = sweep_digest_from(workload_digest(&w), &spec);
+        assert_eq!(sweep_digest(&w, &spec), folded);
+        // Checkpoints written before the fold must still resume: the
+        // values are pinned.
+        assert_eq!(workload_digest(&w), 0x4452_d8db_9708_8d09);
+        assert_eq!(folded, 0x4a45_ad23_777e_3869);
     }
 
     #[test]

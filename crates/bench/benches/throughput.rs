@@ -9,7 +9,11 @@
 //! the unit.
 //! - `engine` rows replay 1, 8 and 64 nodes of 8 ranks, without and with
 //!   overlapped transfer streams; one unit of work is one recorded
-//!   [`Segment`] replayed (segments/s).
+//!   [`Segment`] replayed (segments/s). These nodes are copies of one
+//!   node, which the engine replays once, so past one node they measure
+//!   that collapse. The `nodes=64 distinct` row perturbs every node's
+//!   host charges, so each node is replayed and the row tracks the event
+//!   loop's per-segment rate.
 //! - `sweep` rows evaluate one 120-point what-if grid over a 4-node
 //!   recording (points/s). `batched` is `accel_sim::sweep::sweep`, which
 //!   compiles the recording once and prices each calibration once.
@@ -104,8 +108,10 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
 
 /// One node's rank traces: host work, kernels of varying occupancy,
 /// transfers both ways and a collective every 13 segments, skewed per
-/// rank so contention is asymmetric.
-fn synth_node(segments_per_rank: usize) -> Vec<RankTrace> {
+/// rank so contention is asymmetric. Host charges scale by
+/// `1 + 1e-3 · node`, so nodes with different indices differ.
+fn synth_node(segments_per_rank: usize, node: usize) -> Vec<RankTrace> {
+    let host = 1.0 + 1e-3 * node as f64;
     (0..RANKS_PER_NODE)
         .map(|r| {
             let f = 1.0 + 0.2 * r as f64;
@@ -114,7 +120,7 @@ fn synth_node(segments_per_rank: usize) -> Vec<RankTrace> {
             while segs.len() < segments_per_rank {
                 segs.push(match i % 5 {
                     0 => Segment::Host {
-                        seconds: 2e-4 * f,
+                        seconds: 2e-4 * f * host,
                         label: "h".into(),
                     },
                     1 => Segment::Transfer {
@@ -247,12 +253,13 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
         total_ranks: (SWEEP_NODES * RANKS_PER_NODE) as u32,
         ..RecordMeta::default()
     };
-    let workload = RecordedWorkload::capture(vec![synth_node(sweep_segments); SWEEP_NODES], meta);
+    let workload =
+        RecordedWorkload::capture(vec![synth_node(sweep_segments, 0); SWEEP_NODES], meta);
     let spec = bench_grid(&workload.meta)?;
     check_identity(&workload, &spec)?;
 
     let mut rows = Vec::new();
-    let node = synth_node(engine_segments);
+    let node = synth_node(engine_segments, 0);
     for nodes in [1usize, 8, 64] {
         let traces = vec![node.clone(); nodes];
         for overlap in [false, true] {
@@ -268,6 +275,12 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
             })?);
         }
     }
+    let distinct: Vec<Vec<RankTrace>> = (0..64).map(|n| synth_node(engine_segments, n)).collect();
+    let work = (distinct.len() * RANKS_PER_NODE * engine_segments) as f64;
+    let case = "nodes=64 distinct overlap=off";
+    rows.push(measure(ENGINE, case, work, budget, || {
+        simulate_cluster(&distinct, &NodeConfig::default())
+    })?);
 
     let points = spec.point_count() as f64;
     rows.push(measure(SWEEP, "batched", points, budget, || {
@@ -289,7 +302,7 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
     rows.push(measure(SWEEP, "naive", points, budget, naive)?);
 
     let codec = RecordedWorkload::capture(
-        vec![synth_node(CODEC_SEGMENTS); SWEEP_NODES],
+        vec![synth_node(CODEC_SEGMENTS, 0); SWEEP_NODES],
         RecordMeta {
             label: "codec bench".into(),
             total_ranks: (SWEEP_NODES * RANKS_PER_NODE) as u32,

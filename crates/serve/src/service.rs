@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use accel_sim::json::{self, Esc, Node, Num, OptNum};
 use accel_sim::{
-    check_workload, sweep_digest, workload_digest, CompiledSweep, RecordedWorkload, Report,
+    check_workload, sweep_digest_from, workload_digest, CompiledSweep, RecordedWorkload, Report,
     SweepCheckpoint, SweepPoint, SweepSpec,
 };
 use scenario::{check_scenario, JobRequest, Scenario};
@@ -212,7 +212,7 @@ struct SweepJob {
     workload: RecordedWorkload,
     spec: SweepSpec,
     out: Option<String>,
-    /// [`sweep_digest`] of (workload, spec) — the checkpoint guard.
+    /// [`accel_sim::sweep_digest`] of (workload, spec) — the checkpoint guard.
     digest: u64,
     /// [`workload_digest`] alone — the batch-coalescing key.
     wdigest: u64,
@@ -468,8 +468,8 @@ impl<E: ScenarioExec> Service<E> {
                 report.warnings().count()
             ),
         )?;
-        let digest = sweep_digest(&workload, &spec);
         let wdigest = workload_digest(&workload);
+        let digest = sweep_digest_from(wdigest, &spec);
         self.queue.push_back(Job::Sweep(Box::new(SweepJob {
             id,
             workload,
