@@ -16,6 +16,8 @@
 //! order, same collective labels — that the engine would return after
 //! replaying to quiescence.
 
+use std::sync::Arc;
+
 use crate::engine::error::EngineError;
 use crate::trace::{RankTrace, Segment};
 
@@ -28,11 +30,11 @@ struct Shape<'a> {
     collectives: Vec<(usize, &'a str)>,
 }
 
-fn shapes(nodes: &[Vec<RankTrace>]) -> Vec<Shape<'_>> {
+fn shapes(nodes: &[Arc<[RankTrace]>]) -> Vec<Shape<'_>> {
     let mut out = Vec::new();
     let mut rank = 0usize;
     for node in nodes {
-        for trace in node {
+        for trace in node.iter() {
             let collectives = trace
                 .segments
                 .iter()
@@ -51,7 +53,7 @@ fn shapes(nodes: &[Vec<RankTrace>]) -> Vec<Shape<'_>> {
 
 /// The exact [`EngineError::Deadlock`] the engine would produce for
 /// this workload, or `None` when every barrier provably fills.
-pub(crate) fn predict_deadlock(nodes: &[Vec<RankTrace>]) -> Option<EngineError> {
+pub(crate) fn predict_deadlock(nodes: &[Arc<[RankTrace]>]) -> Option<EngineError> {
     let shapes = shapes(nodes);
     let participants: Vec<&Shape<'_>> = shapes
         .iter()
@@ -77,7 +79,7 @@ pub(crate) fn predict_deadlock(nodes: &[Vec<RankTrace>]) -> Option<EngineError> 
 /// `B002` warning when ranks synchronise on differently-labelled
 /// collectives, and a `B003` warning when only part of the job
 /// participates in collectives.
-pub(crate) fn barrier_pass(nodes: &[Vec<RankTrace>]) -> Vec<Diagnostic> {
+pub(crate) fn barrier_pass(nodes: &[Arc<[RankTrace]>]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let shapes = shapes(nodes);
     let participants: Vec<&Shape<'_>> = shapes
@@ -169,6 +171,7 @@ pub(crate) fn barrier_pass(nodes: &[Vec<RankTrace>]) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::shared_nodes;
 
     fn coll(label: &str) -> Segment {
         Segment::Collective {
@@ -194,23 +197,23 @@ mod tests {
 
     #[test]
     fn symmetric_jobs_prove_deadlock_free() {
-        let nodes = vec![
+        let nodes = shared_nodes(vec![
             vec![
                 trace(vec![host(), coll("a"), coll("b")]),
                 trace(vec![coll("a"), host(), coll("b")]),
             ],
             vec![trace(vec![coll("a"), coll("b")])],
-        ];
+        ]);
         assert_eq!(predict_deadlock(&nodes), None);
         assert!(barrier_pass(&nodes).is_empty());
     }
 
     #[test]
     fn ragged_counts_predict_the_exact_engine_error() {
-        let nodes = vec![vec![
+        let nodes = shared_nodes(vec![vec![
             trace(vec![coll("a"), coll("b")]),
             trace(vec![coll("a")]),
-        ]];
+        ]]);
         let err = predict_deadlock(&nodes).expect("ragged job deadlocks");
         assert_eq!(
             err,
@@ -235,10 +238,10 @@ mod tests {
 
     #[test]
     fn cross_node_raggedness_is_a_deadlock_too() {
-        let nodes = vec![
+        let nodes = shared_nodes(vec![
             vec![trace(vec![coll("a"), coll("b")])],
             vec![trace(vec![coll("a")])],
-        ];
+        ]);
         let err = predict_deadlock(&nodes).expect("cross-node ragged job deadlocks");
         assert_eq!(
             err,
@@ -251,10 +254,10 @@ mod tests {
 
     #[test]
     fn label_divergence_is_a_warning_not_an_error() {
-        let nodes = vec![vec![
+        let nodes = shared_nodes(vec![vec![
             trace(vec![coll("allreduce_x")]),
             trace(vec![coll("allreduce_y")]),
-        ]];
+        ]]);
         assert_eq!(predict_deadlock(&nodes), None);
         let diags = barrier_pass(&nodes);
         assert_eq!(diags.len(), 1);
@@ -265,11 +268,11 @@ mod tests {
 
     #[test]
     fn partial_participation_warns_on_the_first_outsider() {
-        let nodes = vec![vec![
+        let nodes = shared_nodes(vec![vec![
             trace(vec![coll("a")]),
             trace(vec![host()]),
             trace(vec![coll("a")]),
-        ]];
+        ]]);
         let diags = barrier_pass(&nodes);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::PartialParticipation);
@@ -278,7 +281,7 @@ mod tests {
 
     #[test]
     fn collective_free_workloads_have_nothing_to_say() {
-        let nodes = vec![vec![trace(vec![host()]), trace(vec![host()])]];
+        let nodes = shared_nodes(vec![vec![trace(vec![host()]), trace(vec![host()])]]);
         assert_eq!(predict_deadlock(&nodes), None);
         assert!(barrier_pass(&nodes).is_empty());
     }

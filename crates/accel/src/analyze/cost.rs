@@ -20,6 +20,8 @@
 //!    non-finite kernel/transfer cost is caught at lint time with the
 //!    same locus the engine would report.
 
+use std::sync::Arc;
+
 use crate::calib::DeviceCalib;
 use crate::engine::error::EngineError;
 use crate::engine::sim::{CompiledWorkload, Reprice};
@@ -69,11 +71,11 @@ fn check_finite(
 
 /// Scan every recorded charge (see module docs). `overlap` mirrors the
 /// workload's `overlap_transfers` flag and gates the `C004` check.
-pub(crate) fn raw_cost_pass(nodes: &[Vec<RankTrace>], overlap: bool) -> Vec<Diagnostic> {
+pub(crate) fn raw_cost_pass(nodes: &[Arc<[RankTrace]>], overlap: bool) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut rank = 0usize;
     for node in nodes {
-        for trace in node {
+        for trace in node.iter() {
             for (i, seg) in trace.segments.iter().enumerate() {
                 let label = seg.label();
                 let check = |out: &mut Vec<Diagnostic>, value: f64| {
@@ -157,10 +159,10 @@ pub(crate) fn raw_cost_pass(nodes: &[Vec<RankTrace>], overlap: bool) -> Vec<Diag
 /// non-finite recorded charge (compile fails on those first, with the
 /// same code).
 pub(crate) fn derived_cost_check(
-    nodes: &[Vec<RankTrace>],
+    nodes: &[Arc<[RankTrace]>],
     gpu: &DeviceCalib,
 ) -> Option<Diagnostic> {
-    let slices: Vec<&[RankTrace]> = nodes.iter().map(|v| v.as_slice()).collect();
+    let slices: Vec<&[RankTrace]> = nodes.iter().map(|n| &**n).collect();
     let err = match CompiledWorkload::compile(&slices) {
         Ok(compiled) => compiled.cost_table(gpu, &Reprice::Identity).err()?,
         Err(e) => e,
@@ -197,11 +199,11 @@ mod tests {
     use super::*;
     use crate::profile::KernelProfile;
 
-    fn trace(segments: Vec<Segment>) -> Vec<Vec<RankTrace>> {
-        vec![vec![RankTrace {
+    fn trace(segments: Vec<Segment>) -> Vec<Arc<[RankTrace]>> {
+        vec![Arc::from(vec![RankTrace {
             segments,
             ..RankTrace::default()
-        }]]
+        }])]
     }
 
     fn kernel(items: f64, dispatch: f64) -> Segment {

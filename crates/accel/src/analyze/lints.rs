@@ -7,6 +7,8 @@
 //! [`NodeCalib::validate`]/[`NetCalib::validate`] becomes an
 //! admission-blocking `S005` naming the offending field.
 
+use std::sync::Arc;
+
 use crate::calib::{NetCalib, NodeCalib};
 use crate::trace::{RankTrace, Segment};
 
@@ -14,7 +16,7 @@ use super::diag::{Code, Diagnostic, Locus};
 
 /// Layout lints over a recorded workload's node/rank structure.
 pub(crate) fn layout_lints(
-    nodes: &[Vec<RankTrace>],
+    nodes: &[Arc<[RankTrace]>],
     gpus: u32,
     mps: bool,
     overlap: bool,
@@ -50,7 +52,7 @@ pub(crate) fn layout_lints(
     if overlap {
         let any_transfer = nodes
             .iter()
-            .flatten()
+            .flat_map(|n| n.iter())
             .flat_map(|t| &t.segments)
             .any(|s| matches!(s, Segment::Transfer { .. }));
         if !any_transfer {
@@ -86,8 +88,8 @@ pub(crate) fn calib_lints(node: &NodeCalib, net: &NetCalib) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
 
-    fn ranks(n: usize) -> Vec<Vec<RankTrace>> {
-        vec![vec![RankTrace::default(); n]]
+    fn ranks(n: usize) -> Vec<Arc<[RankTrace]>> {
+        vec![vec![RankTrace::default(); n].into()]
     }
 
     #[test]
@@ -120,7 +122,8 @@ mod tests {
                 label: "h2d".into(),
             }],
             ..RankTrace::default()
-        }]];
+        }]
+        .into()];
         assert!(layout_lints(&with_transfer, 1, true, true).is_empty());
     }
 

@@ -144,6 +144,14 @@ pub fn check_calib(node: &NodeCalib, net: &NetCalib) -> Vec<Diagnostic> {
     lints::calib_lints(node, net)
 }
 
+/// Test input: each node's traces as shared storage.
+#[cfg(test)]
+pub(crate) fn shared_nodes(
+    nodes: Vec<Vec<crate::trace::RankTrace>>,
+) -> Vec<std::sync::Arc<[crate::trace::RankTrace]>> {
+    nodes.into_iter().map(Into::into).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,7 +200,7 @@ mod tests {
             .collect();
         RecordedWorkload {
             meta: RecordMeta::default(),
-            nodes: vec![traces],
+            nodes: vec![Vec::into(traces)],
         }
     }
 
@@ -213,8 +221,9 @@ mod tests {
         // One workload tripping three passes at once: ragged collectives
         // (B001), an OOM pool (M001) and a NaN charge (C001).
         let mut w = sample_workload(2, &[2, 1]);
-        w.nodes[0][0].peak_device_bytes = u64::MAX / 2;
-        w.nodes[0][0].segments.push(Segment::Host {
+        let node = std::sync::Arc::make_mut(&mut w.nodes[0]);
+        node[0].peak_device_bytes = u64::MAX / 2;
+        node[0].segments.push(Segment::Host {
             seconds: f64::NAN,
             label: "bad".into(),
         });

@@ -12,6 +12,8 @@
 //! warns (`M002`) when a pool lands within a configurable headroom of
 //! capacity — feasible, but one calibration tweak away from rejection.
 
+use std::sync::Arc;
+
 use crate::engine::error::EngineError;
 use crate::node::NodeOom;
 use crate::trace::RankTrace;
@@ -21,7 +23,7 @@ use super::diag::{Code, Diagnostic, Locus};
 /// The exact [`EngineError::Oom`] the engine's admission check would
 /// raise for this layout, or `None` when every pool fits.
 pub(crate) fn predict_oom(
-    nodes: &[Vec<RankTrace>],
+    nodes: &[Arc<[RankTrace]>],
     mem_bytes: u64,
     gpus: u32,
 ) -> Option<EngineError> {
@@ -51,7 +53,7 @@ pub(crate) fn predict_oom(
 /// pools that must OOM, `M002` warnings for pools above
 /// `headroom × capacity`.
 pub(crate) fn residency_pass(
-    nodes: &[Vec<RankTrace>],
+    nodes: &[Arc<[RankTrace]>],
     mem_bytes: u64,
     gpus: u32,
     headroom: f64,
@@ -105,6 +107,7 @@ pub(crate) fn residency_pass(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::shared_nodes;
 
     fn rank(peak: u64) -> RankTrace {
         RankTrace {
@@ -115,7 +118,7 @@ mod tests {
 
     #[test]
     fn fitting_layouts_predict_nothing() {
-        let nodes = vec![vec![rank(10), rank(10), rank(10), rank(10)]];
+        let nodes = shared_nodes(vec![vec![rank(10), rank(10), rank(10), rank(10)]]);
         assert_eq!(predict_oom(&nodes, 100, 2), None);
         assert!(residency_pass(&nodes, 100, 2, 0.9).is_empty());
     }
@@ -124,7 +127,7 @@ mod tests {
     fn prediction_matches_the_engine_error_shape() {
         // gpus=2: ranks {0,2} on gpu 0 (30+40=70 fits), {1,3} on gpu 1
         // (50+60=110 overflows).
-        let nodes = vec![vec![rank(30), rank(50), rank(40), rank(60)]];
+        let nodes = shared_nodes(vec![vec![rank(30), rank(50), rank(40), rank(60)]]);
         let err = predict_oom(&nodes, 100, 2).expect("pool 1 overflows");
         assert_eq!(
             err,
@@ -148,7 +151,7 @@ mod tests {
 
     #[test]
     fn the_pass_reports_every_pool_the_engine_stops_at_the_first() {
-        let nodes = vec![vec![rank(200)], vec![rank(300)]];
+        let nodes = shared_nodes(vec![vec![rank(200)], vec![rank(300)]]);
         // Engine (and predict_oom) name only node 0's pool…
         let first = predict_oom(&nodes, 100, 1).expect("overflow");
         assert_eq!(first.as_oom().expect("oom").gpu, 0);
@@ -160,19 +163,19 @@ mod tests {
 
     #[test]
     fn headroom_is_a_warning_band_under_capacity() {
-        let nodes = vec![vec![rank(95)]];
+        let nodes = shared_nodes(vec![vec![rank(95)]]);
         assert_eq!(predict_oom(&nodes, 100, 1), None);
         let diags = residency_pass(&nodes, 100, 1, 0.9);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::OomHeadroom);
         assert_eq!(diags[0].severity, super::super::Severity::Warn);
         // Exactly at capacity is still feasible; below the band, silent.
-        assert!(residency_pass(&[vec![rank(80)]], 100, 1, 0.9).is_empty());
+        assert!(residency_pass(&shared_nodes(vec![vec![rank(80)]]), 100, 1, 0.9).is_empty());
     }
 
     #[test]
     fn gpus_zero_clamps_to_one_like_the_engine() {
-        let nodes = vec![vec![rank(60), rank(60)]];
+        let nodes = shared_nodes(vec![vec![rank(60), rank(60)]]);
         let err = predict_oom(&nodes, 100, 0).expect("one pool holds both");
         assert_eq!(err.as_oom().expect("oom").demanded, 120);
     }

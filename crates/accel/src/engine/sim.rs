@@ -62,14 +62,17 @@
 //!   replay reports [`EngineError::Deadlock`] naming the waiting ranks.
 //!   A shard that runs past its step limit, sized from its trace, stops
 //!   with [`EngineError::NoConvergence`].
-//! * **One shard per class of identical nodes.** A multi-node recording
-//!   is usually one node's ranks copied onto every node. Compile gives
-//!   each node a *class*: the lowest node whose loop inputs (rank ranges,
-//!   barrier topology, step limit, arena slice) are bit-identical to its
-//!   own. The loop steps one shard per class; a replica's every event,
-//!   arrival and total equals its representative's, so the barriers
-//!   count representatives only and each cross-node step reads a node's
-//!   representative under that node's own rank and GPU bases.
+//! * **One class of identical nodes, compiled, priced and stepped
+//!   once.** A multi-node recording is usually one node's ranks copied
+//!   onto every node. Compile gives each node a *class*: the lowest node
+//!   whose rank traces are bit-identical to its own (pointer-equal slices
+//!   without a look at their contents). Only representatives enter the
+//!   arena and the cost table; a replica's [`CNode`] reads its
+//!   representative's slice. The loop steps one shard per class; a
+//!   replica's every event, arrival and total equals its
+//!   representative's, so the barriers count representatives only and
+//!   each cross-node step reads a node's representative under that
+//!   node's own rank and GPU bases.
 //!
 //! # Determinism contract
 //!
@@ -88,6 +91,7 @@
 //! counts.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -100,7 +104,7 @@ use crate::engine::policy::{GpuSchedContext, KernelReq, SchedulePolicy};
 use crate::engine::resources::{Nic, PcieLink, SmPool};
 use crate::node::{GpuSample, NodeConfig, NodeOom, NodeTimeline, TimelineEvent, TimelineKind};
 use crate::profile::{device_seconds_raw, solo_utilization_raw};
-use crate::trace::{LabelId, LabelTable, RankTrace, Segment};
+use crate::trace::{same_node, LabelId, LabelTable, RankTrace, Segment};
 
 /// Completion tolerance on a flow's remaining demand (matches the
 /// pre-optimization engine's per-event check).
@@ -172,80 +176,6 @@ pub(crate) enum QSeg {
     },
 }
 
-impl QSeg {
-    /// Equal variant, flag and labels, and every `f64` equal by its bits:
-    /// two such entries price to bit-identical costs under any
-    /// calibration. (Field by field: comparing packed integer keys
-    /// instead cost 5× as much, ≈20 % of a compile.)
-    fn same_bits(&self, other: &QSeg) -> bool {
-        let eq = |a: f64, b: f64| a.to_bits() == b.to_bits();
-        match (*self, *other) {
-            (
-                QSeg::Host {
-                    seconds,
-                    alloc,
-                    label,
-                },
-                QSeg::Host {
-                    seconds: s2,
-                    alloc: a2,
-                    label: l2,
-                },
-            ) => eq(seconds, s2) && alloc == a2 && label == l2,
-            (
-                QSeg::Kernel {
-                    items,
-                    flops_per_item,
-                    bytes_per_item,
-                    divergence,
-                    dispatch,
-                    name,
-                    dispatch_label,
-                },
-                QSeg::Kernel {
-                    items: i2,
-                    flops_per_item: f2,
-                    bytes_per_item: b2,
-                    divergence: d2,
-                    dispatch: p2,
-                    name: n2,
-                    dispatch_label: l2,
-                },
-            ) => {
-                eq(items, i2)
-                    && eq(flops_per_item, f2)
-                    && eq(bytes_per_item, b2)
-                    && eq(divergence, d2)
-                    && eq(dispatch, p2)
-                    && name == n2
-                    && dispatch_label == l2
-            }
-            (
-                QSeg::Transfer { bytes, label },
-                QSeg::Transfer {
-                    bytes: b2,
-                    label: l2,
-                },
-            ) => eq(bytes, b2) && label == l2,
-            (
-                QSeg::Collective {
-                    seconds,
-                    bytes,
-                    label,
-                    wait_label,
-                },
-                QSeg::Collective {
-                    seconds: s2,
-                    bytes: b2,
-                    label: l2,
-                    wait_label: w2,
-                },
-            ) => eq(seconds, s2) && eq(bytes, b2) && label == l2 && wait_label == w2,
-            _ => false,
-        }
-    }
-}
-
 /// Per-rank replay metadata, calibration-invariant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CRank {
@@ -257,12 +187,15 @@ pub(crate) struct CRank {
     pub(crate) peak_device_bytes: u64,
 }
 
-/// One node's slice of the flat arena plus its barrier structure.
+/// One node's slice of the flat arena plus its barrier structure. A
+/// replica's slice and skipped range are its representative's.
 #[derive(Debug, Clone)]
 pub(crate) struct CNode {
     /// Offset of this node's segments in the flat arena.
     pub(crate) seg_base: usize,
     pub(crate) seg_len: usize,
+    /// This node's entries in [`CompiledWorkload::skipped`].
+    skipped: Range<usize>,
     pub(crate) ranks: Vec<CRank>,
     /// Local participants per barrier seq — the node's full collective
     /// participant count at every seq (MPI semantics: a collective
@@ -270,27 +203,10 @@ pub(crate) struct CNode {
     pub(crate) local_expected: Vec<u32>,
     /// Convergence guard for the event loop, sized from the trace.
     pub(crate) step_limit: usize,
-    /// The lowest node whose loop inputs are bit-identical to this
-    /// node's (this node itself when no earlier one is): the event loop
-    /// replays each class once.
+    /// The lowest node whose rank traces are bit-identical to this
+    /// node's (this node itself when no earlier one is): compile interns,
+    /// the cost table prices and the event loop replays each class once.
     pub(crate) class: usize,
-}
-
-impl CNode {
-    /// Whether the event loop would replay `self` and `other` alike: the
-    /// same ranks, barrier topology and step limit, and arena slices
-    /// equal entry by entry (`f64`s by their bits).
-    fn same_loop_inputs(&self, other: &CNode, qsegs: &[QSeg]) -> bool {
-        let slice = |n: &CNode| &qsegs[n.seg_base..n.seg_base + n.seg_len];
-        self.ranks == other.ranks
-            && self.local_expected == other.local_expected
-            && self.step_limit == other.step_limit
-            && self.seg_len == other.seg_len
-            && slice(self)
-                .iter()
-                .zip(slice(other))
-                .all(|(a, b)| a.same_bits(b))
-    }
 }
 
 /// A workload compiled once into the calibration-invariant arena: the
@@ -301,6 +217,7 @@ impl CNode {
 #[derive(Debug)]
 pub(crate) struct CompiledWorkload {
     pub(crate) labels: LabelTable,
+    /// The representatives' segments, node after node.
     qsegs: Vec<QSeg>,
     /// Host and alloc segments charged ≤ 0 s: the engine has nothing to
     /// replay for them, so they stay out of the arena, but the cost table
@@ -309,7 +226,9 @@ pub(crate) struct CompiledWorkload {
     skipped: Vec<(u32, QSeg)>,
     /// Provenance of each arena entry, then of each skipped segment —
     /// `(global rank, original segment index)` — so cost-table errors
-    /// report the recorded segment.
+    /// report the recorded segment. A representative is the lowest node
+    /// of its class, so the first failing entry names the rank and
+    /// segment a table over every node would.
     src: Vec<(u32, u32)>,
     pub(crate) nodes: Vec<CNode>,
     lbl_stream_sync: LabelId,
@@ -343,10 +262,31 @@ pub(crate) enum Reprice {
 }
 
 impl CompiledWorkload {
-    /// Compile traces (one slice per node) into the flat arena: intern
-    /// every label, validate every recorded quantity finite, capture the
-    /// per-rank segment ranges and barrier topology.
+    /// Compile traces (one slice per node) into the flat arena: class
+    /// the nodes, then for each class's representative intern every
+    /// label, validate every recorded quantity finite, and capture the
+    /// per-rank segment ranges and barrier topology. A replica copies its
+    /// representative's entry (its ranks are the same), so every check
+    /// it would fail, its representative failed first.
     pub(crate) fn compile(node_traces: &[&[RankTrace]]) -> Result<Self, EngineError> {
+        // A node's class: the lowest earlier representative with
+        // bit-identical traces. Pointer-equal slices (one node's traces
+        // shared by every node) match without a content compare.
+        let mut classes: Vec<usize> = Vec::with_capacity(node_traces.len());
+        for (n, traces) in node_traces.iter().enumerate() {
+            let class = (0..n).find(|&m| classes[m] == m && same_node(node_traces[m], traces));
+            classes.push(class.unwrap_or(n));
+        }
+        Self::compile_classes(node_traces, &classes)
+    }
+
+    /// [`Self::compile`] under given classes: `classes[n]` is node `n`'s
+    /// representative, the lowest node of its class, whose traces equal
+    /// node `n`'s bit for bit.
+    fn compile_classes(
+        node_traces: &[&[RankTrace]],
+        classes: &[usize],
+    ) -> Result<Self, EngineError> {
         let mut labels = LabelTable::default();
         let lbl_stream_sync = labels.intern("stream_sync");
         let lbl_context_switch = labels.intern("context_switch");
@@ -359,7 +299,9 @@ impl CompiledWorkload {
 
         let total: usize = node_traces
             .iter()
-            .flat_map(|n| n.iter())
+            .enumerate()
+            .filter(|&(n, _)| classes[n] == n)
+            .flat_map(|(_, traces)| traces.iter())
             .map(|t| t.segments.len())
             .sum();
         let mut qsegs: Vec<QSeg> = Vec::with_capacity(total);
@@ -368,8 +310,14 @@ impl CompiledWorkload {
         let mut skipped_src: Vec<(u32, u32)> = Vec::new();
         let mut nodes: Vec<CNode> = Vec::with_capacity(node_traces.len());
         let mut rank_base = 0usize;
-        for traces in node_traces {
+        for (n, traces) in node_traces.iter().enumerate() {
+            if classes[n] != n {
+                nodes.push(nodes[classes[n]].clone());
+                rank_base += traces.len();
+                continue;
+            }
             let seg_base = qsegs.len();
+            let skipped_start = skipped.len();
             let mut ranks: Vec<CRank> = Vec::with_capacity(traces.len());
             for (local, trace) in traces.iter().enumerate() {
                 let seg_start = (qsegs.len() - seg_base) as u32;
@@ -471,10 +419,11 @@ impl CompiledWorkload {
             nodes.push(CNode {
                 seg_base,
                 seg_len: qsegs.len() - seg_base,
+                skipped: skipped_start..skipped.len(),
                 ranks,
                 local_expected,
                 step_limit,
-                class: nodes.len(),
+                class: n,
             });
         }
         // Barriers are global: pad every node's expectation vector to the
@@ -489,11 +438,6 @@ impl CompiledWorkload {
                 node.local_expected.resize(global_seq, participants);
             }
         }
-        for n in 0..nodes.len() {
-            let class = (0..n)
-                .find(|&m| nodes[m].class == m && nodes[m].same_loop_inputs(&nodes[n], &qsegs));
-            nodes[n].class = class.unwrap_or(n);
-        }
         src.extend(skipped_src);
         Ok(Self {
             labels,
@@ -506,9 +450,10 @@ impl CompiledWorkload {
         })
     }
 
-    /// Number of compiled arena entries (= cost-table length).
+    /// Arena entries over every node, replicas counted as if each held
+    /// its own copy: the logical segment count of the job.
     pub(crate) fn segment_count(&self) -> usize {
-        self.qsegs.len()
+        self.nodes.iter().map(|n| n.seg_len).sum()
     }
 
     /// Whether the arena holds no kernel and no transfer: no replay then
@@ -522,7 +467,9 @@ impl CompiledWorkload {
     }
 
     /// Materialize the per-calibration cost table: one [`CSeg`] per arena
-    /// entry, then one per skipped segment, kernel and transfer costs
+    /// entry, then one per skipped segment (so one per segment of each
+    /// class's representative; replicas read their representative's
+    /// slice), kernel and transfer costs
     /// priced from `gpu`, record-time charges rescaled per `reprice`.
     /// Every derived cost is validated finite — a broken calibration
     /// cannot smuggle NaN into the replay.
@@ -625,8 +572,10 @@ impl CompiledWorkload {
     /// `device_seconds / util + dispatch + launch latency`, transfers
     /// their link time and bytes, host, alloc and collective segments
     /// their (repriced) charge and bytes. Segments are summed in recorded
-    /// order, skipped ones included; under the recorded calibration each
-    /// term is bit-identical to the charge `Context` recorded for it.
+    /// order, skipped ones included, every node's terms in node order (a
+    /// replica adds its representative's terms again); under the recorded
+    /// calibration each term is bit-identical to the charge `Context`
+    /// recorded for it.
     pub(crate) fn label_stats(
         &self,
         costs: &[CSeg],
@@ -656,15 +605,23 @@ impl CompiledWorkload {
             e.bytes += bytes;
         };
         let (arena, tail) = costs.split_at(self.qsegs.len());
-        let mut skipped = self.skipped.iter().zip(tail).peekable();
-        for (i, (q, c)) in self.qsegs.iter().zip(arena).enumerate() {
-            while let Some(((_, sq), sc)) = skipped.next_if(|((at, _), _)| *at as usize == i) {
+        for node in &self.nodes {
+            let range = node.skipped.clone();
+            let mut skipped = self.skipped[range.clone()]
+                .iter()
+                .zip(&tail[range])
+                .peekable();
+            let span = node.seg_base..node.seg_base + node.seg_len;
+            let entries = self.qsegs[span.clone()].iter().zip(&arena[span.clone()]);
+            for (i, (q, c)) in span.zip(entries) {
+                while let Some(((_, sq), sc)) = skipped.next_if(|((at, _), _)| *at as usize == i) {
+                    add(sq, sc);
+                }
+                add(q, c);
+            }
+            for ((_, sq), sc) in skipped {
                 add(sq, sc);
             }
-            add(q, c);
-        }
-        for ((_, sq), sc) in skipped {
-            add(sq, sc);
         }
         self.labels
             .names()
@@ -887,6 +844,11 @@ pub(crate) fn simulate_compiled(
 pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(), EngineError> {
     let gpus = cfg.gpus.max(1) as usize;
     for (n, node) in compiled.nodes.iter().enumerate() {
+        // A replica demands what its representative, an earlier node,
+        // demanded.
+        if node.class != n {
+            continue;
+        }
         for g in 0..gpus {
             let demanded: u64 = node
                 .ranks
@@ -1061,7 +1023,9 @@ fn by_node<'s, 'a>(
 
 /// Concatenate per-node results in node order — each node's class's
 /// shard under the node's own rank and GPU bases — and resolve interned
-/// labels back to strings for the public timeline.
+/// labels back to strings for the public timeline, once per class: a
+/// replica's events are copies of its representative's, moved to its own
+/// bases.
 fn merge_output(
     shards: &[Shard<'_>],
     placement: &[(usize, usize)],
@@ -1069,7 +1033,11 @@ fn merge_output(
     record: bool,
 ) -> SimOutput {
     let mut out = SimOutput::default();
-    for (n, (shard, rank_base)) in by_node(shards, placement).enumerate() {
+    // Per shard: where its representative's events landed, and that
+    // node's rank and GPU bases.
+    let mut resolved: Vec<Option<(Range<usize>, usize, usize)>> = vec![None; shards.len()];
+    for (n, &(s, rank_base)) in placement.iter().enumerate() {
+        let shard = &shards[s];
         out.rank_seconds
             .extend(shard.ranks.iter().map(|r| r.finish));
         out.gpu_busy.extend(shard.pools.iter().map(|p| p.res.busy));
@@ -1080,16 +1048,28 @@ fn merge_output(
         out.collective_wait_seconds += shard.collective_wait_seconds;
         if record {
             let gpu_base = n * shard.pools.len();
-            out.timeline
-                .events
-                .extend(shard.raw_events.iter().map(|e| TimelineEvent {
-                    rank: rank_base + e.rank as usize,
-                    gpu: e.gpu.map(|g| gpu_base + g as usize),
-                    label: labels.resolve(e.label).to_string(),
-                    kind: e.kind,
-                    start: e.start,
-                    end: e.end,
-                }));
+            let events = &mut out.timeline.events;
+            let start = events.len();
+            match &resolved[s] {
+                Some((rep, rep_rank_base, rep_gpu_base)) => {
+                    events.extend_from_within(rep.clone());
+                    for e in &mut events[start..] {
+                        e.rank += rank_base - rep_rank_base;
+                        e.gpu = e.gpu.map(|g| g + gpu_base - rep_gpu_base);
+                    }
+                }
+                None => {
+                    events.extend(shard.raw_events.iter().map(|e| TimelineEvent {
+                        rank: rank_base + e.rank as usize,
+                        gpu: e.gpu.map(|g| gpu_base + g as usize),
+                        label: labels.resolve(e.label).to_string(),
+                        kind: e.kind,
+                        start: e.start,
+                        end: e.end,
+                    }));
+                    resolved[s] = Some((start..events.len(), rank_base, gpu_base));
+                }
+            }
             out.timeline
                 .occupancy
                 .extend(shard.occupancy.iter().map(|s| GpuSample {
@@ -1904,6 +1884,93 @@ mod tests {
             }
             let by_node = render(simulate_compiled(&compiled, &costs, &cfg, record));
             prop_assert_eq!(by_class, by_node);
+        }
+
+        #[test]
+        fn classed_compile_prices_like_a_compile_per_node(seed: u64) {
+            let mut g = Gen(seed);
+            let mut templates: Vec<Vec<RankTrace>> = (0..1 + g.below(3))
+                .map(|_| random_node(&mut g, None))
+                .collect();
+            // Sometimes a non-finite recorded charge, which compile rejects.
+            if g.below(6) == 0 {
+                let t = g.below(templates.len() as u64) as usize;
+                let r = g.below(templates[t].len() as u64) as usize;
+                templates[t][r].segments.push(Segment::Host {
+                    seconds: f64::NAN,
+                    label: "bad".into(),
+                });
+            }
+            let picks: Vec<usize> = (0..1 + g.below(6))
+                .map(|_| g.below(templates.len() as u64) as usize)
+                .collect();
+            // Each node either shares its template's storage or holds an
+            // equal copy of its own, so both ways of finding a class run.
+            let copies: Vec<Vec<RankTrace>> = picks.iter().map(|&t| templates[t].clone()).collect();
+            let nodes: Vec<&[RankTrace]> = picks
+                .iter()
+                .zip(&copies)
+                .map(|(&t, copy)| if g.below(2) == 0 { &templates[t] } else { copy.as_slice() })
+                .collect();
+            // A random calibration, sometimes one that prices a charge
+            // non-finite (an infinite ratio also turns a skipped 0 s
+            // charge into NaN).
+            let ratio = |g: &mut Gen| [1.0, 0.5, 2.5, 1.0, 1.0, 1.0, 1.0, f64::INFINITY][g.below(8) as usize];
+            let reprice = Reprice::Scaled {
+                host_ratio: ratio(&mut g),
+                alloc_ratio: ratio(&mut g),
+                recorded_net: NetCalib::slingshot10(),
+                net: [NetCalib::slingshot10(), NetCalib::slingshot11()][g.below(2) as usize],
+                total_ranks: 1 + g.below(16) as u32,
+            };
+            let mut gpu = [DeviceCalib::default(), DeviceCalib::h100()][g.below(2) as usize];
+            if g.below(8) == 0 {
+                gpu.pcie_bw = 0.0;
+            }
+
+            let priced = |c: Result<CompiledWorkload, EngineError>| {
+                c.and_then(|c| c.cost_table(&gpu, &reprice).map(|costs| (c, costs)))
+            };
+            let per_node: Vec<usize> = (0..nodes.len()).collect();
+            let classed = priced(CompiledWorkload::compile(&nodes));
+            let alone = priced(CompiledWorkload::compile_classes(&nodes, &per_node));
+            let ((c, c_costs), (a, a_costs)) = match (classed, alone) {
+                (Ok(c), Ok(a)) => (c, a),
+                (c, a) => {
+                    prop_assert_eq!(format!("{:?}", c.err()), format!("{:?}", a.err()));
+                    return Ok(());
+                }
+            };
+            for (n, &t) in picks.iter().enumerate() {
+                let first = picks.iter().position(|&p| p == t).unwrap();
+                prop_assert!(c.nodes[n].class <= first);
+            }
+            prop_assert_eq!(c.segment_count(), a.segment_count());
+            // One node's arena slice and skipped entries, priced.
+            let slice = |w: &CompiledWorkload, costs: &[CSeg], n: usize| {
+                let node = &w.nodes[n];
+                let tail = &costs[w.qsegs.len()..];
+                format!(
+                    "{:?} {:?}",
+                    &costs[node.seg_base..node.seg_base + node.seg_len],
+                    &tail[node.skipped.clone()]
+                )
+            };
+            for n in 0..nodes.len() {
+                prop_assert_eq!(slice(&c, &c_costs, n), slice(&a, &a_costs, n));
+            }
+            prop_assert_eq!(
+                format!("{:?}", c.label_stats(&c_costs, &gpu)),
+                format!("{:?}", a.label_stats(&a_costs, &gpu))
+            );
+            for gpus in 1..4 {
+                for overlap in [false, true] {
+                    let bound = |w: &CompiledWorkload, costs: &[CSeg]| {
+                        crate::sweep::lower_bound(w, costs, gpus, overlap).to_bits()
+                    };
+                    prop_assert_eq!(bound(&c, &c_costs), bound(&a, &a_costs));
+                }
+            }
         }
     }
 }

@@ -64,7 +64,7 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{admit, run_loop, CSeg, CompiledWorkload};
@@ -844,7 +844,7 @@ fn fan_out<T: Send>(
 
 /// The static pre-flight context of a [`sweep_preflight`] grid.
 struct Preflight<'a> {
-    nodes: &'a [Vec<RankTrace>],
+    nodes: &'a [Arc<[RankTrace]>],
     deadlock: Option<String>,
 }
 
@@ -880,9 +880,11 @@ struct GridCtx<'a> {
     spec: &'a SweepSpec,
     meta: &'a RecordMeta,
     compiled: &'a CompiledWorkload,
-    /// One cost table per calibration, shared across the gpus × schedule
-    /// sub-grid. A broken calibration poisons only its own points.
-    tables: Vec<Result<Vec<CSeg>, EngineError>>,
+    /// One cost table per calibration, priced by the first point of the
+    /// calibration that needs it, inside the fan-out, and shared across
+    /// the gpus × schedule sub-grid. A broken calibration poisons only its
+    /// own points.
+    tables: Vec<OnceLock<Result<Vec<CSeg>, EngineError>>>,
     /// One makespan lower bound per (calibration, GPU count), filled by
     /// the first point of the pair that needs it: the bound reads only
     /// the cost table, the GPU count and `overlap_transfers`, so every
@@ -902,14 +904,6 @@ struct GridCtx<'a> {
 impl<'a> GridCtx<'a> {
     fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec, preflight: bool) -> Self {
         let meta = &cs.workload.meta;
-        let tables = spec
-            .calibs
-            .iter()
-            .map(|c| {
-                cs.compiled
-                    .cost_table(&c.node.gpu, &reprice(meta, &c.node, &c.net))
-            })
-            .collect();
         // Pre-flight: the deadlock verdict is a property of the workload
         // alone (it depends on neither calibration nor GPU count), so it
         // is decided once here; the OOM verdict depends on (calibration,
@@ -925,7 +919,7 @@ impl<'a> GridCtx<'a> {
             spec,
             meta,
             compiled: &cs.compiled,
-            tables,
+            tables: spec.calibs.iter().map(|_| OnceLock::new()).collect(),
             bounds: (0..spec.calibs.len() * spec.gpus.len())
                 .map(|_| OnceLock::new())
                 .collect(),
@@ -990,7 +984,11 @@ impl<'a> GridCtx<'a> {
     fn admit(&self, i: usize, pt: &mut SweepPoint) -> Option<Admitted<'_>> {
         let c = i / self.per_calib;
         let calib = &self.spec.calibs[c];
-        let costs = match &self.tables[c] {
+        let table = self.tables[c].get_or_init(|| {
+            let reprice = reprice(self.meta, &calib.node, &calib.net);
+            self.compiled.cost_table(&calib.node.gpu, &reprice)
+        });
+        let costs = match table {
             Ok(t) => t,
             Err(e) => {
                 pt.error = Some(e.to_string());
@@ -1167,7 +1165,7 @@ mod tests {
                 total_ranks: 8,
                 ..RecordMeta::default()
             },
-            nodes: vec![vec![mk(1.0), mk(1.4), mk(1.8), mk(2.2)]; 2],
+            nodes: vec![Arc::from(vec![mk(1.0), mk(1.4), mk(1.8), mk(2.2)]); 2],
         }
     }
 
@@ -1329,7 +1327,7 @@ mod tests {
     #[test]
     fn per_point_oom_does_not_abort_the_sweep() {
         let mut w = sample_workload();
-        for trace in w.nodes.iter_mut().flatten() {
+        for trace in w.nodes.iter_mut().flat_map(Arc::make_mut) {
             trace.peak_device_bytes = 30 << 30; // ~30 GB per rank
         }
         // 4 ranks on 1 GPU cannot fit; on 4 GPUs they can.
@@ -1351,7 +1349,7 @@ mod tests {
     #[test]
     fn preflight_is_bit_identical_on_grids_with_oom_points() {
         let mut w = sample_workload();
-        for trace in w.nodes.iter_mut().flatten() {
+        for trace in w.nodes.iter_mut().flat_map(Arc::make_mut) {
             trace.peak_device_bytes = 30 << 30;
         }
         // gpus=1 stacks 4 ranks (~120 GB) on one device: infeasible
@@ -1380,11 +1378,13 @@ mod tests {
         let mut w = sample_workload();
         // One extra collective on rank 0 makes the job ragged: every
         // grid point now deadlocks at replay time.
-        w.nodes[0][0].segments.push(Segment::Collective {
-            seconds: 1e-3,
-            bytes: 1e6,
-            label: "mpi_allreduce".into(),
-        });
+        Arc::make_mut(&mut w.nodes[0])[0]
+            .segments
+            .push(Segment::Collective {
+                seconds: 1e-3,
+                bytes: 1e6,
+                label: "mpi_allreduce".into(),
+            });
         let spec = SweepSpec {
             calibs: vec![SweepCalib::resolve("identity", &w.meta).unwrap()],
             gpus: vec![2, 4],

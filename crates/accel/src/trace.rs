@@ -71,6 +71,79 @@ impl Segment {
             Segment::Collective { label, .. } => label,
         }
     }
+
+    /// Equal variant, direction and labels (byte for byte), and every
+    /// `f64` equal by its bits: unlike `==`, `-0.0` differs from `0.0` and
+    /// a NaN equals itself, so two such segments serialize to the same
+    /// bytes and price to the same bits under any calibration.
+    pub(crate) fn same_bits(&self, other: &Segment) -> bool {
+        let eq = |a: f64, b: f64| a.to_bits() == b.to_bits();
+        match (self, other) {
+            (
+                Segment::Host { seconds, label },
+                Segment::Host {
+                    seconds: s2,
+                    label: l2,
+                },
+            ) => eq(*seconds, *s2) && label == l2,
+            (
+                Segment::Kernel { profile, dispatch },
+                Segment::Kernel {
+                    profile: p2,
+                    dispatch: d2,
+                },
+            ) => {
+                eq(*dispatch, *d2)
+                    && eq(profile.items, p2.items)
+                    && eq(profile.flops_per_item, p2.flops_per_item)
+                    && eq(profile.bytes_per_item, p2.bytes_per_item)
+                    && eq(profile.divergence, p2.divergence)
+                    && profile.name == p2.name
+            }
+            (
+                Segment::Transfer { bytes, dir, label },
+                Segment::Transfer {
+                    bytes: b2,
+                    dir: d2,
+                    label: l2,
+                },
+            ) => eq(*bytes, *b2) && dir == d2 && label == l2,
+            (Segment::DeviceAlloc { seconds }, Segment::DeviceAlloc { seconds: s2 }) => {
+                eq(*seconds, *s2)
+            }
+            (
+                Segment::Collective {
+                    seconds,
+                    bytes,
+                    label,
+                },
+                Segment::Collective {
+                    seconds: s2,
+                    bytes: b2,
+                    label: l2,
+                },
+            ) => eq(*seconds, *s2) && eq(*bytes, *b2) && label == l2,
+            _ => false,
+        }
+    }
+}
+
+/// Whether two nodes' rank traces record the same charges bit for bit:
+/// the same rank count, and per rank the same peak device bytes and
+/// segments equal by [`Segment::same_bits`] (span events are not charges
+/// and are ignored). Pointer-equal slices are equal without a look at
+/// their contents.
+pub(crate) fn same_node(a: &[RankTrace], b: &[RankTrace]) -> bool {
+    std::ptr::eq(a, b)
+        || (a.len() == b.len()
+            && a.iter().zip(b).all(|(x, y)| {
+                x.peak_device_bytes == y.peak_device_bytes
+                    && x.segments.len() == y.segments.len()
+                    && x.segments
+                        .iter()
+                        .zip(&y.segments)
+                        .all(|(s, t)| s.same_bits(t))
+            }))
 }
 
 /// An interned label: an index into a [`LabelTable`].

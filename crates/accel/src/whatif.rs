@@ -38,6 +38,7 @@ use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
 use crate::context::LabelStats;
@@ -46,7 +47,7 @@ use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_str, Esc, Fields, JsonError, Num};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
-use crate::trace::{RankTrace, Segment, TransferDir};
+use crate::trace::{same_node, RankTrace, Segment, TransferDir};
 
 /// Everything needed to replay a recording without the code that made it:
 /// the replay configuration, the calibration in force at record time, and
@@ -108,11 +109,20 @@ impl Default for RecordMeta {
 /// A recorded workload: meta plus one [`RankTrace`] per rank per node
 /// (segments and peak device bytes only — span events are a live-run
 /// observability artifact and are not part of the charge record).
+///
+/// Each node's traces are shared, immutable storage, so `clone()` copies
+/// one pointer per node. A multi-node job is usually one node's ranks
+/// copied onto every node: [`RecordedWorkload::capture`] and
+/// [`RecordedWorkload::parse_jsonl`] store such copies once, and the
+/// engine compiles and prices each distinct node once. Sharing is
+/// invisible in the JSONL form, which still writes every node.
 #[derive(Debug, Clone)]
 pub struct RecordedWorkload {
     pub meta: RecordMeta,
-    /// One `Vec<RankTrace>` per node, node-major like the engine.
-    pub nodes: Vec<Vec<RankTrace>>,
+    /// One slice of rank traces per node, node-major like the engine.
+    /// Bit-identical nodes may share one allocation; edit one node
+    /// through `Arc::make_mut`, which leaves the others alone.
+    pub nodes: Vec<Arc<[RankTrace]>>,
 }
 
 /// What loading or parsing a recorded workload can fail with.
@@ -319,7 +329,8 @@ impl CompiledRecording<'_> {
 
 impl RecordedWorkload {
     /// Capture a workload from live rank traces, stripping the span
-    /// events (the segment list *is* the charge record).
+    /// events (the segment list *is* the charge record). A node
+    /// bit-identical to an earlier one shares its storage.
     pub fn capture(node_traces: Vec<Vec<RankTrace>>, meta: RecordMeta) -> Self {
         let nodes = node_traces
             .into_iter()
@@ -334,13 +345,17 @@ impl RecordedWorkload {
                     .collect()
             })
             .collect();
-        Self { meta, nodes }
+        Self {
+            meta,
+            nodes: share_nodes(nodes),
+        }
     }
 
     /// Compile the recording into the engine's calibration-invariant
-    /// arena (one slice of rank traces per node).
+    /// arena (one slice of rank traces per node; shared nodes stay
+    /// pointer-equal, so compile classes them without a content compare).
     pub(crate) fn compile(&self) -> Result<CompiledWorkload, EngineError> {
-        let slices: Vec<&[RankTrace]> = self.nodes.iter().map(Vec::as_slice).collect();
+        let slices: Vec<&[RankTrace]> = self.nodes.iter().map(|n| &**n).collect();
         CompiledWorkload::compile(&slices)
     }
 
@@ -400,7 +415,9 @@ impl RecordedWorkload {
 
     /// Parse the JSONL workload format. Every line is one JSON object
     /// read through [`crate::json`]; a key the writer does not emit is an
-    /// error naming its line.
+    /// error naming its line. Bit-identical nodes share storage, decided
+    /// after the last line, since `seg` lines of different nodes may
+    /// interleave.
     pub fn parse_jsonl(text: &str) -> Result<Self, WhatifError> {
         let mut meta: Option<RecordMeta> = None;
         let mut nodes: Vec<Vec<RankTrace>> = Vec::new();
@@ -456,7 +473,10 @@ impl RecordedWorkload {
             f.finish()?;
         }
         let meta = meta.ok_or_else(|| parse_err(1, "no meta line"))?;
-        Ok(Self { meta, nodes })
+        Ok(Self {
+            meta,
+            nodes: share_nodes(nodes),
+        })
     }
 
     /// Write the workload to `path` as JSONL.
@@ -473,6 +493,24 @@ impl RecordedWorkload {
     pub fn read(path: &Path) -> Result<Self, WhatifError> {
         Self::parse_jsonl(&fs::read_to_string(path)?)
     }
+}
+
+/// Each node as shared storage: a node bit-identical to an earlier
+/// distinct node ([`same_node`]) becomes a second pointer to that node's
+/// allocation, and its own copy is dropped.
+fn share_nodes(nodes: Vec<Vec<RankTrace>>) -> Vec<Arc<[RankTrace]>> {
+    let mut shared: Vec<Arc<[RankTrace]>> = Vec::with_capacity(nodes.len());
+    let mut distinct: Vec<usize> = Vec::new();
+    for node in nodes {
+        match distinct.iter().find(|&&m| same_node(&shared[m], &node)) {
+            Some(&m) => shared.push(Arc::clone(&shared[m])),
+            None => {
+                distinct.push(shared.len());
+                shared.push(node.into());
+            }
+        }
+    }
+    shared
 }
 
 pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> WhatifError {
@@ -738,7 +776,7 @@ mod tests {
                 total_ranks: 4,
                 ..RecordMeta::default()
             },
-            nodes: vec![vec![mk(1.0), mk(1.5)], vec![mk(1.0), mk(1.5)]],
+            nodes: vec![vec![mk(1.0), mk(1.5)].into(), vec![mk(1.0), mk(1.5)].into()],
         }
     }
 
@@ -749,12 +787,78 @@ mod tests {
         let parsed = RecordedWorkload::parse_jsonl(&text).unwrap();
         assert_eq!(parsed.meta, w.meta);
         assert_eq!(parsed.nodes.len(), w.nodes.len());
-        for (a, b) in parsed.nodes.iter().flatten().zip(w.nodes.iter().flatten()) {
+        let ranks = |w: &RecordedWorkload| {
+            w.nodes
+                .iter()
+                .flat_map(|n| n.iter())
+                .cloned()
+                .collect::<Vec<_>>()
+        };
+        for (a, b) in ranks(&parsed).iter().zip(&ranks(&w)) {
             assert_eq!(a.segments, b.segments);
             assert_eq!(a.peak_device_bytes, b.peak_device_bytes);
         }
         // Re-serialization is byte-identical.
         assert_eq!(parsed.to_jsonl(), text);
+    }
+
+    #[test]
+    fn bit_identical_nodes_share_storage_through_parse_and_capture() {
+        let w = sample_workload();
+        // Node 2 differs from node 0 only by a `-0.0` host charge where
+        // node 0 has `0.0`: equal by `==`, not by bits.
+        let node = |zero: f64| {
+            let mut ranks = w.nodes[0].to_vec();
+            ranks[1].segments.push(Segment::Host {
+                seconds: zero,
+                label: "idle".into(),
+            });
+            ranks
+        };
+        let traces = vec![node(0.0), node(0.0), node(-0.0), node(0.0)];
+        let captured = RecordedWorkload::capture(traces, w.meta.clone());
+        let text = captured.to_jsonl();
+        let parsed = RecordedWorkload::parse_jsonl(&text).unwrap();
+        for r in [&captured, &parsed] {
+            let shared = |a: usize, b: usize| Arc::ptr_eq(&r.nodes[a], &r.nodes[b]);
+            assert!(shared(0, 1) && shared(0, 3));
+            assert!(!shared(0, 2));
+            assert_eq!(r.to_jsonl(), text);
+        }
+        // The `-0.0` node keeps its own bytes.
+        let minus_zero = text
+            .lines()
+            .filter(|l| l.contains("\"seconds\":-0"))
+            .count();
+        assert_eq!(minus_zero, 1);
+        assert!(text
+            .lines()
+            .any(|l| l.starts_with("{\"type\":\"seg\",\"node\":2,") && l.contains("-0")));
+    }
+
+    #[test]
+    fn a_clone_shares_storage_and_make_mut_edits_one_node() {
+        let mut w = sample_workload();
+        w.nodes[1] = Arc::clone(&w.nodes[0]);
+        let copy = w.clone();
+        for (a, b) in w.nodes.iter().zip(&copy.nodes) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        let before = w.to_jsonl();
+        let mut edited = w.clone();
+        Arc::make_mut(&mut edited.nodes[1])[0].peak_device_bytes += 1;
+        assert!(Arc::ptr_eq(&edited.nodes[0], &w.nodes[0]));
+        assert!(!Arc::ptr_eq(&edited.nodes[1], &w.nodes[1]));
+        assert_eq!(
+            edited.nodes[0][0].peak_device_bytes,
+            w.nodes[0][0].peak_device_bytes
+        );
+        assert_eq!(
+            edited.nodes[1][0].peak_device_bytes,
+            w.nodes[0][0].peak_device_bytes + 1
+        );
+        assert_eq!(w.to_jsonl(), before);
+        assert_eq!(copy.to_jsonl(), before);
     }
 
     #[test]
@@ -779,7 +883,7 @@ mod tests {
         w.write(&path).unwrap();
         let r = RecordedWorkload::read(&path).unwrap();
         assert_eq!(r.meta, w.meta);
-        assert_eq!(r.nodes.iter().map(Vec::len).sum::<usize>(), 4);
+        assert_eq!(r.nodes.iter().map(|n| n.len()).sum::<usize>(), 4);
         std::fs::remove_file(&path).ok();
     }
 
@@ -837,7 +941,7 @@ mod tests {
         let sum = |f: &dyn Fn(&Segment) -> Option<f64>| {
             w.nodes
                 .iter()
-                .flatten()
+                .flat_map(|n| n.iter())
                 .flat_map(|t| &t.segments)
                 .filter_map(f)
                 .fold(0.0, |acc, v| acc + v)
@@ -912,7 +1016,7 @@ mod tests {
         // The engine has nothing to replay for a charge of 0 s, but the
         // report still counts the segment, as the live run's stats do.
         let mut w = sample_workload();
-        for t in w.nodes.iter_mut().flatten() {
+        for t in w.nodes.iter_mut().flat_map(Arc::make_mut) {
             t.segments.push(Segment::Host {
                 seconds: 0.0,
                 label: "idle".into(),

@@ -15,6 +15,8 @@
 //! symmetric workload, removing a single collective from one rank
 //! always trips the barrier pass.
 
+use std::sync::Arc;
+
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::{
     check_workload, Code, EngineError, KernelProfile, RankTrace, Segment, Severity, TransferDir,
@@ -62,7 +64,7 @@ fn rank(segments: Vec<Segment>, peak: u64) -> RankTrace {
 fn workload(nodes: Vec<Vec<RankTrace>>) -> RecordedWorkload {
     RecordedWorkload {
         meta: RecordMeta::default(),
-        nodes,
+        nodes: nodes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -164,7 +166,7 @@ fn corpus_calibration_induced_infinity_is_caught_before_replay() {
     meta.node_calib.gpu.pcie_bw = 0.0;
     let w = RecordedWorkload {
         meta,
-        nodes: vec![vec![rank(vec![host(1e-3), transfer(1e6)], 0)]],
+        nodes: vec![vec![rank(vec![host(1e-3), transfer(1e6)], 0)].into()],
     };
 
     let err = replay_verdict(&w).expect_err("zero PCIe bandwidth prices h2d as infinite");
@@ -196,7 +198,7 @@ fn corpus_stream_underflow_risk_warns_but_replays() {
     };
     let w = RecordedWorkload {
         meta,
-        nodes: vec![vec![rank(vec![host(1e-3), transfer(0.0), kernel(1e6)], 0)]],
+        nodes: vec![vec![rank(vec![host(1e-3), transfer(0.0), kernel(1e6)], 0)].into()],
     };
 
     replay_verdict(&w).expect("the engine absorbs the empty transfer");
@@ -303,7 +305,7 @@ proptest! {
 
         let victim = victim_seed as usize % clean.nodes[0].len();
         let mut mutant = clean;
-        let segs = &mut mutant.nodes[0][victim].segments;
+        let segs = &mut Arc::make_mut(&mut mutant.nodes[0])[victim].segments;
         let last_coll = segs
             .iter()
             .rposition(|s| matches!(s, Segment::Collective { .. }))

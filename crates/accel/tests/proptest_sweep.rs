@@ -73,7 +73,7 @@ fn workload_from_specs(specs: Vec<Vec<(u8, f64, f64)>>) -> RecordedWorkload {
             total_ranks: 8,
             ..RecordMeta::default()
         },
-        nodes,
+        nodes: nodes.into_iter().map(Into::into).collect(),
     }
 }
 
@@ -147,7 +147,7 @@ fn arb_grid_workload() -> impl Strategy<Value = RecordedWorkload> {
                 mps: mps == 1,
                 ..RecordMeta::default()
             },
-            nodes,
+            nodes: nodes.into_iter().map(Into::into).collect(),
         }
     })
 }
@@ -329,7 +329,7 @@ proptest! {
             .filter(|p| p.makespan.is_some() || p.error.as_deref().is_some_and(|e| !e.contains("memory")))
             .count();
         prop_assert!(one.replays <= admitted);
-        if w.nodes.iter().flatten().flat_map(|r| &r.segments).all(|s| {
+        if w.nodes.iter().flat_map(|n| n.iter()).flat_map(|r| &r.segments).all(|s| {
             !matches!(s, Segment::Kernel { .. } | Segment::Transfer { .. })
         }) {
             prop_assert!(one.replays <= spec.calibs.len());

@@ -11,6 +11,8 @@
 #[path = "common/reprice_oracle.rs"]
 mod reprice_oracle;
 
+use std::sync::Arc;
+
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
 use accel_sim::{KernelProfile, NetCalib, NodeCalib, RankTrace, Segment, TransferDir};
 use proptest::prelude::*;
@@ -101,7 +103,7 @@ fn workload_from_specs(specs: Vec<Vec<(u8, f64, f64)>>, nodes: usize) -> Recorde
             total_ranks: 8,
             ..RecordMeta::default()
         },
-        nodes: vec![ranks; nodes],
+        nodes: vec![Arc::from(ranks); nodes],
     }
 }
 
@@ -130,7 +132,8 @@ fn single_segment_workload(seg: Segment) -> RecordedWorkload {
         nodes: vec![vec![RankTrace {
             segments: vec![seg],
             ..RankTrace::default()
-        }]],
+        }]
+        .into()],
     }
 }
 
@@ -234,7 +237,7 @@ proptest! {
         let mut w = workload_from_specs(specs, nodes);
         w.meta.total_ranks = total_ranks;
         w.meta.node_calib = scaled_calib(NodeCalib::default(), recorded);
-        for t in w.nodes.iter_mut().flatten() {
+        for t in w.nodes.iter_mut().flat_map(Arc::make_mut) {
             t.peak_device_bytes = peak_gib << 30;
         }
         let (node, net) = if identity == 0 {

@@ -117,11 +117,6 @@ impl Array {
         Self::new(Shape::scalar(), Data::F64(Arc::new([v])))
     }
 
-    /// i64 scalar.
-    pub fn scalar_i64(v: i64) -> Self {
-        Self::new(Shape::scalar(), Data::I64(Arc::new([v])))
-    }
-
     /// All-zero f64 array.
     pub fn zeros(shape: impl Into<Shape>) -> Self {
         let shape = shape.into();

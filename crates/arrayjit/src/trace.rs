@@ -272,10 +272,6 @@ impl Tracer {
     pub fn le_s(&self, v: f64) -> Tracer {
         self.binary(BinaryOp::Le, &self.ctx().constant(v))
     }
-    /// Elementwise `>= scalar`.
-    pub fn ge_s(&self, v: f64) -> Tracer {
-        self.binary(BinaryOp::Ge, &self.ctx().constant(v))
-    }
     /// Elementwise Euclidean remainder by a scalar.
     pub fn rem_s(&self, v: f64) -> Tracer {
         self.binary(BinaryOp::Rem, &self.ctx().constant(v))
@@ -296,10 +292,6 @@ impl Tracer {
     /// Elementwise add an i64 scalar.
     pub fn add_s_i(&self, v: i64) -> Tracer {
         self.binary(BinaryOp::Add, &self.ctx().constant_i64(v))
-    }
-    /// Elementwise Euclidean remainder by an i64 scalar.
-    pub fn rem_s_i(&self, v: i64) -> Tracer {
-        self.binary(BinaryOp::Rem, &self.ctx().constant_i64(v))
     }
     /// Elementwise Euclidean division by an i64 scalar.
     pub fn div_s_i(&self, v: i64) -> Tracer {

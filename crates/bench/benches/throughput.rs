@@ -13,7 +13,10 @@
 //!   node, which the engine replays once, so past one node they measure
 //!   that collapse. The `nodes=64 distinct` row perturbs every node's
 //!   host charges, so each node is replayed and the row tracks the event
-//!   loop's per-segment rate.
+//!   loop's per-segment rate. The `nodes=64 compile+cost table` row
+//!   times the copied 64-node job's compile and one cost table without
+//!   its event loop (a one-point sweep whose zero deadline prunes the
+//!   point), so it and `nodes=64 overlap=off` split that row's time.
 //! - `sweep` rows evaluate one 120-point what-if grid over a 4-node
 //!   recording (points/s). `batched` is `accel_sim::sweep::sweep`, which
 //!   compiles the recording once and prices each calibration once.
@@ -51,6 +54,7 @@ use std::error::Error;
 use std::fmt::{self, Display, Write as _};
 use std::hint::black_box;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use accel_sim::json::{self, as_f64, Esc, Fields, JsonError, Node, Num};
@@ -275,6 +279,31 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
             })?);
         }
     }
+    // Copies held apart, like the engine rows' traces.
+    let copied = RecordedWorkload {
+        meta: RecordMeta::default(),
+        nodes: (0..64).map(|_| Arc::from(node.as_slice())).collect(),
+    };
+    let priced_only = SweepSpec {
+        calibs: vec![SweepCalib::resolve("identity", &copied.meta)?],
+        gpus: vec![copied.meta.gpus],
+        schedules: vec![copied.meta.schedule],
+        deadline: Some(0.0),
+    };
+    let work = (copied.nodes.len() * RANKS_PER_NODE * engine_segments) as f64;
+    rows.push(measure(
+        ENGINE,
+        "nodes=64 compile+cost table",
+        work,
+        budget,
+        || {
+            let res = sweep(&copied, &priced_only).map_err(|e| e.to_string())?;
+            match res.pruned {
+                1 => Ok(res),
+                _ => Err("the zero-deadline point reached the event loop".to_string()),
+            }
+        },
+    )?);
     let distinct: Vec<Vec<RankTrace>> = (0..64).map(|n| synth_node(engine_segments, n)).collect();
     let work = (distinct.len() * RANKS_PER_NODE * engine_segments) as f64;
     let case = "nodes=64 distinct overlap=off";

@@ -40,7 +40,7 @@ fn main() {
             println!(
                 "linting recording {path} ('{}', {} rank(s))",
                 w.meta.label,
-                w.nodes.iter().map(Vec::len).sum::<usize>()
+                w.nodes.iter().map(|n| n.len()).sum::<usize>()
             );
             check_workload(&w)
         }

@@ -131,7 +131,7 @@ fn record() {
     let segments: usize = workload
         .nodes
         .iter()
-        .flatten()
+        .flat_map(|n| n.iter())
         .map(|t| t.segments.len())
         .sum();
     println!(

@@ -1,6 +1,7 @@
 //! Executing one benchmark configuration end to end.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use accel_sim::calib::{NetCalib, NodeCalib};
 use accel_sim::comm::allreduce_seconds;
@@ -423,8 +424,8 @@ pub fn replay(cfg: &RunConfig, live: &LiveRun) -> Replay {
 }
 
 /// Capture a [`RecordedWorkload`] from a finished run, for what-if
-/// repricing (`whatif --record`). The recording holds one node's traces
-/// replicated across [`RunConfig::nodes`] (the runner's own cluster
+/// repricing (`whatif --record`). The recording holds one node's traces,
+/// stored once and shared by every node of [`RunConfig::nodes`] (the runner's own cluster
 /// convention: every node runs a statistically identical set of ranks), so
 /// an identity-calibration replay reproduces `out.node_wall` exactly.
 /// When the run came from a scenario, pass it so the recording carries
@@ -440,19 +441,16 @@ pub fn recorded_workload(
         .node_wall
         .as_ref()
         .map_err(|e| format!("cannot record an out-of-memory run ({e})"))?;
-    let nodes = cfg.nodes.unwrap_or(1).max(1);
+    let nodes = cfg.nodes.unwrap_or(1).max(1) as usize;
     // A recording keeps each rank's segments and peak, not its span
-    // events, so only those are copied per node.
-    let node_traces: Vec<Vec<accel_sim::RankTrace>> = (0..nodes)
-        .map(|_| {
-            out.traces
-                .iter()
-                .map(|t| accel_sim::RankTrace {
-                    segments: t.segments.clone(),
-                    events: Vec::new(),
-                    peak_device_bytes: t.peak_device_bytes,
-                })
-                .collect()
+    // events, so only those are copied, once: every node shares them.
+    let node: Arc<[accel_sim::RankTrace]> = out
+        .traces
+        .iter()
+        .map(|t| accel_sim::RankTrace {
+            segments: t.segments.clone(),
+            events: Vec::new(),
+            peak_device_bytes: t.peak_device_bytes,
         })
         .collect();
     let meta = RecordMeta {
@@ -469,7 +467,10 @@ pub fn recorded_workload(
         net_calib: cfg.net_calib(),
         scenario: scenario.map(|s| s.to_json_compact()),
     };
-    Ok(RecordedWorkload::capture(node_traces, meta))
+    Ok(RecordedWorkload {
+        meta,
+        nodes: vec![node; nodes],
+    })
 }
 
 /// Run a configuration and capture its workload in one step — the common
@@ -729,6 +730,9 @@ mod tests {
         // The recording as captured from whole cloned traces.
         let full = RecordedWorkload::capture(vec![out.traces.clone(); 2], w.meta.clone());
         assert_eq!(w.nodes, full.nodes);
+        // Both store the one node once.
+        assert!(Arc::ptr_eq(&w.nodes[0], &w.nodes[1]));
+        assert!(Arc::ptr_eq(&full.nodes[0], &full.nodes[1]));
         assert_eq!(w.to_jsonl(), full.to_jsonl());
     }
 

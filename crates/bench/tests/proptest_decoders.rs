@@ -13,7 +13,7 @@
 //! field that is written to a file.
 
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use accel_sim::json::{self, JsonError};
 use accel_sim::{
@@ -77,7 +77,8 @@ fn small_recording() -> &'static str {
             segments,
             peak_device_bytes: w.nodes[0][0].peak_device_bytes,
             ..RankTrace::default()
-        }]];
+        }]
+        .into()];
         w.to_jsonl()
     })
 }
@@ -132,7 +133,7 @@ fn every_text_field_round_trips_every_escape() {
     // Recording: the meta label (which the run's scenario name becomes),
     // the embedded scenario, and a host-segment label.
     let mut w = record(&s);
-    let host = w.nodes[0][0]
+    let host = Arc::make_mut(&mut w.nodes[0])[0]
         .segments
         .iter_mut()
         .find_map(|seg| match seg {

@@ -18,7 +18,7 @@ fn replay(args: &[&str]) -> Output {
     };
     RecordedWorkload {
         meta: RecordMeta::default(),
-        nodes: vec![vec![rank]],
+        nodes: vec![vec![rank].into()],
     }
     .write(&path)
     .expect("write recording");

@@ -183,14 +183,6 @@ impl ExecCtx {
             jits,
         }
     }
-
-    /// The arrayjit backend for JIT-kind kernels.
-    pub fn jit_backend(&self, kind: ImplKind) -> arrayjit::Backend {
-        match kind {
-            ImplKind::JitCpu => arrayjit::Backend::Cpu,
-            _ => arrayjit::Backend::Device,
-        }
-    }
 }
 
 /// Dispatch one kernel against the workspace.

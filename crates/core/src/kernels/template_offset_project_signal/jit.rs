@@ -5,7 +5,7 @@
 //! kernel).
 
 use accel_sim::Context;
-use arrayjit::{Backend, DType, Jit, StageKind};
+use arrayjit::{Backend, DType, Jit};
 
 use crate::memory::{JitStore, ResidencyError};
 use crate::workspace::{BufferId, Workspace};
@@ -84,14 +84,6 @@ pub fn run(
         .reshaped(vec![n_det * ws.n_amp]);
     store.replace(BufferId::AmpOut, out)?;
     Ok(())
-}
-
-/// Whether the compiled program hit the library-dot path (exposed for the
-/// ablation bench).
-pub fn used_library_path(jit: &Jit, args: &[arrayjit::Array], statics: &[i64]) -> bool {
-    jit.program_for(args, statics)
-        .map(|p| p.stages.iter().any(|s| s.kind == StageKind::LibraryDot))
-        .unwrap_or(false)
 }
 
 #[cfg(test)]

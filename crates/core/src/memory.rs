@@ -258,11 +258,6 @@ impl JitStore {
 }
 
 impl OmpStore {
-    /// Fetch an f64 device buffer (must be resident).
-    pub fn f64_buf(&self, id: BufferId) -> Result<&DeviceBuffer<f64>, ResidencyError> {
-        self.f64_bufs.get(&id).ok_or(ResidencyError { buffer: id })
-    }
-
     /// Fetch an f64 device buffer mutably.
     pub fn f64_buf_mut(&mut self, id: BufferId) -> Result<&mut DeviceBuffer<f64>, ResidencyError> {
         self.f64_bufs

@@ -119,13 +119,6 @@ pub fn pix2ang_nest(nside: Nside, pix: u64) -> (f64, f64) {
     crate::ring::pix2ang_ring(nside, crate::convert::nest2ring(nside, pix))
 }
 
-/// NESTED pixel index → unit vector at the pixel centre.
-#[inline]
-pub fn pix2vec_nest(nside: Nside, pix: u64) -> [f64; 3] {
-    let (theta, phi) = pix2ang_nest(nside, pix);
-    crate::ang::ang2vec(theta, phi)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

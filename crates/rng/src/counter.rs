@@ -75,14 +75,6 @@ impl CounterRng {
         dist::box_muller(u1, u2)
     }
 
-    /// Fill `out` with uniform `[0,1)` variates for stream positions
-    /// `start .. start + out.len()`.
-    pub fn fill_uniform_01(&self, start: u64, out: &mut [f64]) {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.uniform_01(start + i as u64);
-        }
-    }
-
     /// Fill `out` with standard normal variates for stream positions
     /// `start .. start + out.len()`.
     pub fn fill_gaussian(&self, start: u64, out: &mut [f64]) {
