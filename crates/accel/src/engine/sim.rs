@@ -104,7 +104,7 @@ use crate::engine::policy::{GpuSchedContext, KernelReq, SchedulePolicy};
 use crate::engine::resources::{Nic, PcieLink, SmPool};
 use crate::node::{GpuSample, NodeConfig, NodeOom, NodeTimeline, TimelineEvent, TimelineKind};
 use crate::profile::{device_seconds_raw, solo_utilization_raw};
-use crate::trace::{same_node, LabelId, LabelTable, RankTrace, Segment};
+use crate::trace::{node_classes, LabelId, LabelTable, RankTrace, Segment};
 
 /// Completion tolerance on a flow's remaining demand (matches the
 /// pre-optimization engine's per-event check).
@@ -269,15 +269,9 @@ impl CompiledWorkload {
     /// representative's entry (its ranks are the same), so every check
     /// it would fail, its representative failed first.
     pub(crate) fn compile(node_traces: &[&[RankTrace]]) -> Result<Self, EngineError> {
-        // A node's class: the lowest earlier representative with
-        // bit-identical traces. Pointer-equal slices (one node's traces
-        // shared by every node) match without a content compare.
-        let mut classes: Vec<usize> = Vec::with_capacity(node_traces.len());
-        for (n, traces) in node_traces.iter().enumerate() {
-            let class = (0..n).find(|&m| classes[m] == m && same_node(node_traces[m], traces));
-            classes.push(class.unwrap_or(n));
-        }
-        Self::compile_classes(node_traces, &classes)
+        // Pointer-equal slices (one node's traces shared by every node)
+        // match without a content compare.
+        Self::compile_classes(node_traces, &node_classes(node_traces))
     }
 
     /// [`Self::compile`] under given classes: `classes[n]` is node `n`'s
@@ -1023,9 +1017,7 @@ fn by_node<'s, 'a>(
 
 /// Concatenate per-node results in node order — each node's class's
 /// shard under the node's own rank and GPU bases — and resolve interned
-/// labels back to strings for the public timeline, once per class: a
-/// replica's events are copies of its representative's, moved to its own
-/// bases.
+/// labels back to strings for the public timeline.
 fn merge_output(
     shards: &[Shard<'_>],
     placement: &[(usize, usize)],
@@ -1033,11 +1025,7 @@ fn merge_output(
     record: bool,
 ) -> SimOutput {
     let mut out = SimOutput::default();
-    // Per shard: where its representative's events landed, and that
-    // node's rank and GPU bases.
-    let mut resolved: Vec<Option<(Range<usize>, usize, usize)>> = vec![None; shards.len()];
-    for (n, &(s, rank_base)) in placement.iter().enumerate() {
-        let shard = &shards[s];
+    for (n, (shard, rank_base)) in by_node(shards, placement).enumerate() {
         out.rank_seconds
             .extend(shard.ranks.iter().map(|r| r.finish));
         out.gpu_busy.extend(shard.pools.iter().map(|p| p.res.busy));
@@ -1048,28 +1036,16 @@ fn merge_output(
         out.collective_wait_seconds += shard.collective_wait_seconds;
         if record {
             let gpu_base = n * shard.pools.len();
-            let events = &mut out.timeline.events;
-            let start = events.len();
-            match &resolved[s] {
-                Some((rep, rep_rank_base, rep_gpu_base)) => {
-                    events.extend_from_within(rep.clone());
-                    for e in &mut events[start..] {
-                        e.rank += rank_base - rep_rank_base;
-                        e.gpu = e.gpu.map(|g| g + gpu_base - rep_gpu_base);
-                    }
-                }
-                None => {
-                    events.extend(shard.raw_events.iter().map(|e| TimelineEvent {
-                        rank: rank_base + e.rank as usize,
-                        gpu: e.gpu.map(|g| gpu_base + g as usize),
-                        label: labels.resolve(e.label).to_string(),
-                        kind: e.kind,
-                        start: e.start,
-                        end: e.end,
-                    }));
-                    resolved[s] = Some((start..events.len(), rank_base, gpu_base));
-                }
-            }
+            out.timeline
+                .events
+                .extend(shard.raw_events.iter().map(|e| TimelineEvent {
+                    rank: rank_base + e.rank as usize,
+                    gpu: e.gpu.map(|g| gpu_base + g as usize),
+                    label: labels.resolve(e.label).to_string(),
+                    kind: e.kind,
+                    start: e.start,
+                    end: e.end,
+                }));
             out.timeline
                 .occupancy
                 .extend(shard.occupancy.iter().map(|s| GpuSample {

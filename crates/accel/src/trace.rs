@@ -133,7 +133,7 @@ impl Segment {
 /// segments equal by [`Segment::same_bits`] (span events are not charges
 /// and are ignored). Pointer-equal slices are equal without a look at
 /// their contents.
-pub(crate) fn same_node(a: &[RankTrace], b: &[RankTrace]) -> bool {
+fn same_node(a: &[RankTrace], b: &[RankTrace]) -> bool {
     std::ptr::eq(a, b)
         || (a.len() == b.len()
             && a.iter().zip(b).all(|(x, y)| {
@@ -144,6 +144,20 @@ pub(crate) fn same_node(a: &[RankTrace], b: &[RankTrace]) -> bool {
                         .zip(&y.segments)
                         .all(|(s, t)| s.same_bits(t))
             }))
+}
+
+/// Each node's class: the lowest earlier node whose traces equal its own
+/// by [`same_node`], or the node itself when none does. A representative
+/// is the lowest node of its class, so `classes[n] <= n` and
+/// `classes[classes[n]] == classes[n]`.
+pub(crate) fn node_classes<N: AsRef<[RankTrace]>>(nodes: &[N]) -> Vec<usize> {
+    let mut classes: Vec<usize> = Vec::with_capacity(nodes.len());
+    for (n, node) in nodes.iter().enumerate() {
+        let class =
+            (0..n).find(|&m| classes[m] == m && same_node(nodes[m].as_ref(), node.as_ref()));
+        classes.push(class.unwrap_or(n));
+    }
+    classes
 }
 
 /// An interned label: an index into a [`LabelTable`].

@@ -47,7 +47,7 @@ use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_str, Esc, Fields, JsonError, Num};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
-use crate::trace::{same_node, RankTrace, Segment, TransferDir};
+use crate::trace::{node_classes, RankTrace, Segment, TransferDir};
 
 /// Everything needed to replay a recording without the code that made it:
 /// the replay configuration, the calibration in force at record time, and
@@ -495,20 +495,19 @@ impl RecordedWorkload {
     }
 }
 
-/// Each node as shared storage: a node bit-identical to an earlier
-/// distinct node ([`same_node`]) becomes a second pointer to that node's
-/// allocation, and its own copy is dropped.
+/// Each node as shared storage: a node bit-identical to an earlier node
+/// ([`node_classes`]) becomes a second pointer to its class
+/// representative's allocation, and its own copy is dropped.
 fn share_nodes(nodes: Vec<Vec<RankTrace>>) -> Vec<Arc<[RankTrace]>> {
+    let classes = node_classes(&nodes);
     let mut shared: Vec<Arc<[RankTrace]>> = Vec::with_capacity(nodes.len());
-    let mut distinct: Vec<usize> = Vec::new();
-    for node in nodes {
-        match distinct.iter().find(|&&m| same_node(&shared[m], &node)) {
-            Some(&m) => shared.push(Arc::clone(&shared[m])),
-            None => {
-                distinct.push(shared.len());
-                shared.push(node.into());
-            }
-        }
+    for (n, node) in nodes.into_iter().enumerate() {
+        let node = if classes[n] == n {
+            node.into()
+        } else {
+            Arc::clone(&shared[classes[n]])
+        };
+        shared.push(node);
     }
     shared
 }
