@@ -108,6 +108,28 @@ rm -f target/ci_fig5_trace-*.jsonl
   echo "fig5_4node output diverged from $golden_figures/fig5_4node.txt" >&2
   exit 1
 }
+# A run's ranks fan out over worker threads; one worker (inline, no
+# threads) and three (uneven shares) must print the same bytes and write
+# byte-identical traces.
+fig5_default=target/ci_fig5_default
+rm -rf "$fig5_default"
+mkdir -p "$fig5_default"
+cp target/ci_fig5_trace-*.jsonl "$fig5_default/"
+for threads in 1 3; do
+  rm -f target/ci_fig5_trace-*.jsonl
+  RAYON_NUM_THREADS=$threads "$figures" fig5_full_benchmark --scenario scenarios/fig5_4node.json \
+    --trace-out target/ci_fig5_trace.jsonl | diff - "$golden_figures/fig5_4node.txt" || {
+    echo "fig5_4node output diverged at RAYON_NUM_THREADS=$threads" >&2
+    exit 1
+  }
+  for f in "$fig5_default"/*.jsonl; do
+    cmp "$f" "target/$(basename "$f")" || {
+      echo "$(basename "$f") diverged at RAYON_NUM_THREADS=$threads" >&2
+      exit 1
+    }
+  done
+done
+rm -rf "$fig5_default"
 
 echo "== figure tables (figures all)"
 # Every figure at its default scenario, in the order `figures all` prints

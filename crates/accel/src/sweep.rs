@@ -32,8 +32,9 @@
 //!   hardware price proxy ([`crate::calib::relative_node_price`]) times
 //!   node-hours;
 //! * a **deterministic fan-out**: points are evaluated on every core
-//!   (`fan_out`, scoped std threads pulling slots from a shared cursor;
-//!   `RAYON_NUM_THREADS` overrides the worker count, read on every call)
+//!   (the rayon shim's `fan_out`, scoped std threads pulling slots from a
+//!   shared cursor; `RAYON_NUM_THREADS` overrides the worker count, read
+//!   on every call)
 //!   but each writes only its own pre-allocated slot, and all reductions
 //!   walk points in grid order, so sweep output is byte-identical for
 //!   every worker count — the same contract the engine's determinism
@@ -64,7 +65,7 @@ use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{admit, run_loop, CSeg, CompiledWorkload};
@@ -793,55 +794,6 @@ fn blank_points(spec: &SweepSpec) -> Vec<SweepPoint> {
     points
 }
 
-/// Worker threads for one grid evaluation: `RAYON_NUM_THREADS` when set
-/// to a positive count, else the machine's available parallelism. Read
-/// on every call, so a caller may change it between sweeps.
-fn worker_count() -> usize {
-    std::env::var("RAYON_NUM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n: &usize| n > 0)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Run `eval(first + j, &mut slots[j])` for every slot on up to `workers`
-/// threads (capped at the slot count): the caller plus scoped helpers.
-/// Workers pull the next slot from a shared cursor, so cheap (pruned) and
-/// expensive (many-GPU) points balance. Each call touches only its own
-/// slot, so the result is the sequential loop's for every worker count.
-/// One worker runs every slot on the caller's thread and spawns nothing.
-/// A panicking `eval` re-raises its own payload.
-fn fan_out<T: Send>(
-    slots: &mut [T],
-    first: usize,
-    workers: usize,
-    eval: impl Fn(usize, &mut T) + Sync,
-) {
-    let helpers = workers.min(slots.len()).saturating_sub(1);
-    // The guard lives only across `next()`, which cannot panic, so the
-    // cursor is never poisoned; `into_inner` spares an unreachable panic.
-    let cursor = Mutex::new(slots.iter_mut().enumerate());
-    let worker = || loop {
-        let next = cursor.lock().unwrap_or_else(PoisonError::into_inner).next();
-        let Some((j, slot)) = next else { return };
-        eval(first + j, slot);
-    };
-    // Join every helper (an unjoined panicked thread would make `scope`
-    // raise its own generic panic), then re-raise the first payload. A
-    // panic on the caller's own share unwinds through `scope`, which
-    // re-raises it after the helpers finish.
-    let panicked = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(worker)).collect();
-        worker();
-        handles
-            .into_iter()
-            .fold(None, |first, h| first.or(h.join().err()))
-    });
-    if let Some(payload) = panicked {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 /// The static pre-flight context of a [`sweep_preflight`] grid.
 struct Preflight<'a> {
     nodes: &'a [Arc<[RankTrace]>],
@@ -949,10 +901,10 @@ impl<'a> GridCtx<'a> {
         first: usize,
         loops: &mut HashMap<EngineKey, LoopOutcome>,
     ) {
-        let workers = worker_count();
+        let workers = rayon::worker_count();
         let mut staged: Vec<(&mut SweepPoint, Option<Admitted<'_>>)> =
             slots.iter_mut().map(|pt| (pt, None)).collect();
-        fan_out(&mut staged, first, workers, |i, (pt, admitted)| {
+        rayon::fan_out(&mut staged, first, workers, |i, (pt, admitted)| {
             *admitted = self.admit(i, pt);
         });
         let mut pending = HashSet::new();
@@ -962,7 +914,7 @@ impl<'a> GridCtx<'a> {
             .filter(|a| !loops.contains_key(&a.key) && pending.insert(a.key))
             .map(|a| (a, None))
             .collect();
-        fan_out(&mut leaders, 0, workers, |_, (a, out)| {
+        rayon::fan_out(&mut leaders, 0, workers, |_, (a, out)| {
             *out = Some(run_loop(self.compiled, a.costs, &a.cfg, false).map(|o| o.wall_seconds()));
         });
         loops.extend(
@@ -1588,71 +1540,5 @@ mod tests {
         // Physical rates are scale-free.
         assert_eq!(c.node.gpu.fp64_peak, paper.node.gpu.fp64_peak);
         assert!(SweepCalib::resolve("bogus", &meta).is_err());
-    }
-
-    #[test]
-    fn fan_out_evaluates_every_slot_once_like_the_sequential_loop() {
-        let value = |i: usize| (i as f64 + 0.5).sqrt().to_bits();
-        for len in [0usize, 1, 2, 16] {
-            let sequential: Vec<(usize, u32, u64)> =
-                (0..len).map(|j| (7 + j, 1, value(7 + j))).collect();
-            for workers in [1usize, 2, 3, 8] {
-                let mut slots = vec![(usize::MAX, 0u32, 0u64); len];
-                let threads = Mutex::new(std::collections::HashSet::new());
-                fan_out(&mut slots, 7, workers, |i, slot| {
-                    threads.lock().unwrap().insert(std::thread::current().id());
-                    *slot = (i, slot.1 + 1, value(i));
-                });
-                assert_eq!(slots, sequential, "len={len} workers={workers}");
-                let threads = threads.into_inner().unwrap();
-                assert!(
-                    threads.len() <= workers.min(len),
-                    "len={len} workers={workers}"
-                );
-                if workers == 1 && len > 0 {
-                    // One worker runs inline on the caller's thread.
-                    assert!(threads.contains(&std::thread::current().id()));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn fan_out_runs_slots_concurrently() {
-        // Two slots rendezvous: each waits (bounded) for the other to
-        // start. A sequential loop times out and fails instead of hanging.
-        let started = (Mutex::new(0usize), std::sync::Condvar::new());
-        let mut met = [false; 2];
-        fan_out(&mut met, 0, 2, |_, met| {
-            let (count, cv) = &started;
-            let mut n = count.lock().unwrap();
-            *n += 1;
-            cv.notify_all();
-            let (n, _) = cv
-                .wait_timeout_while(n, std::time::Duration::from_secs(20), |n| *n < 2)
-                .unwrap();
-            *met = *n == 2;
-        });
-        assert_eq!(met, [true, true], "slots did not run side by side");
-    }
-
-    #[test]
-    fn a_panicking_slot_reraises_its_own_payload() {
-        for workers in [1usize, 2, 3, 8] {
-            let mut slots = vec![0u8; 16];
-            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                fan_out(&mut slots, 0, workers, |i, _| {
-                    if i == 11 {
-                        panic!("grid point {i} exploded");
-                    }
-                })
-            }))
-            .expect_err("the panic must propagate");
-            assert_eq!(
-                err.downcast_ref::<String>().map(String::as_str),
-                Some("grid point 11 exploded"),
-                "workers={workers}"
-            );
-        }
     }
 }

@@ -152,12 +152,28 @@ fn same_node(a: &[RankTrace], b: &[RankTrace]) -> bool {
 /// `classes[classes[n]] == classes[n]`.
 pub(crate) fn node_classes<N: AsRef<[RankTrace]>>(nodes: &[N]) -> Vec<usize> {
     let mut classes: Vec<usize> = Vec::with_capacity(nodes.len());
-    for (n, node) in nodes.iter().enumerate() {
-        let class =
-            (0..n).find(|&m| classes[m] == m && same_node(nodes[m].as_ref(), node.as_ref()));
-        classes.push(class.unwrap_or(n));
+    for node in nodes {
+        classes.push(class_after(
+            &nodes[..classes.len()],
+            &classes,
+            node.as_ref(),
+        ));
     }
     classes
+}
+
+/// The class of `node` when it follows `earlier`, whose classes are
+/// `classes` (as [`node_classes`] gives them): the lowest earlier
+/// representative equal to it by [`same_node`], else `earlier.len()`, the
+/// node itself.
+pub(crate) fn class_after<N: AsRef<[RankTrace]>>(
+    earlier: &[N],
+    classes: &[usize],
+    node: &[RankTrace],
+) -> usize {
+    (0..earlier.len())
+        .find(|&m| classes[m] == m && same_node(earlier[m].as_ref(), node))
+        .unwrap_or(earlier.len())
 }
 
 /// An interned label: an index into a [`LabelTable`].

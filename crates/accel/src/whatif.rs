@@ -47,7 +47,7 @@ use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_str, Esc, Fields, JsonError, Num};
 use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
-use crate::trace::{node_classes, RankTrace, Segment, TransferDir};
+use crate::trace::{class_after, RankTrace, Segment, TransferDir};
 
 /// Everything needed to replay a recording without the code that made it:
 /// the replay configuration, the calibration in force at record time, and
@@ -345,9 +345,13 @@ impl RecordedWorkload {
                     .collect()
             })
             .collect();
+        let nodes = NodeStore {
+            open: nodes,
+            ..NodeStore::default()
+        };
         Self {
             meta,
-            nodes: share_nodes(nodes),
+            nodes: nodes.finish(),
         }
     }
 
@@ -415,12 +419,14 @@ impl RecordedWorkload {
 
     /// Parse the JSONL workload format. Every line is one JSON object
     /// read through [`crate::json`]; a key the writer does not emit is an
-    /// error naming its line. Bit-identical nodes share storage, decided
-    /// after the last line, since `seg` lines of different nodes may
-    /// interleave.
+    /// error naming its line. A node is stored once its last rank is read
+    /// (when the next node is declared, or at the end), shrunk to fit and
+    /// shared with an earlier bit-identical node, so a copied node is never
+    /// held twice. A line for a node already stored (lines of different
+    /// nodes may interleave) reopens it and every node after it.
     pub fn parse_jsonl(text: &str) -> Result<Self, WhatifError> {
         let mut meta: Option<RecordMeta> = None;
-        let mut nodes: Vec<Vec<RankTrace>> = Vec::new();
+        let mut nodes = NodeStore::default();
         for (i, line) in text.lines().enumerate() {
             let ln = i + 1;
             if line.trim().is_empty() {
@@ -444,15 +450,16 @@ impl RecordedWorkload {
                         return Err(parse_err(ln, format!("node {node} declared out of order")));
                     }
                     if node == nodes.len() {
-                        nodes.push(Vec::new());
+                        nodes.declare();
                     }
-                    if rank != nodes[node].len() {
+                    let ranks = nodes.open(node);
+                    if rank != ranks.len() {
                         return Err(parse_err(
                             ln,
                             format!("rank {rank} of node {node} declared out of order"),
                         ));
                     }
-                    nodes[node].push(RankTrace {
+                    ranks.push(RankTrace {
                         peak_device_bytes: f.int("peak_device_bytes")?,
                         ..RankTrace::default()
                     });
@@ -460,9 +467,9 @@ impl RecordedWorkload {
                 "seg" => {
                     let node: usize = f.int("node")?;
                     let rank: usize = f.int("rank")?;
-                    let trace = nodes
-                        .get_mut(node)
-                        .and_then(|n| n.get_mut(rank))
+                    let trace = (node < nodes.len())
+                        .then(|| nodes.open(node).get_mut(rank))
+                        .flatten()
                         .ok_or_else(|| {
                             parse_err(ln, format!("segment for undeclared rank {node}/{rank}"))
                         })?;
@@ -475,7 +482,7 @@ impl RecordedWorkload {
         let meta = meta.ok_or_else(|| parse_err(1, "no meta line"))?;
         Ok(Self {
             meta,
-            nodes: share_nodes(nodes),
+            nodes: nodes.finish(),
         })
     }
 
@@ -495,21 +502,63 @@ impl RecordedWorkload {
     }
 }
 
-/// Each node as shared storage: a node bit-identical to an earlier node
-/// ([`node_classes`]) becomes a second pointer to its class
-/// representative's allocation, and its own copy is dropped.
-fn share_nodes(nodes: Vec<Vec<RankTrace>>) -> Vec<Arc<[RankTrace]>> {
-    let classes = node_classes(&nodes);
-    let mut shared: Vec<Arc<[RankTrace]>> = Vec::with_capacity(nodes.len());
-    for (n, node) in nodes.into_iter().enumerate() {
-        let node = if classes[n] == n {
-            node.into()
-        } else {
-            Arc::clone(&shared[classes[n]])
-        };
-        shared.push(node);
+/// Nodes as they are built: a stored prefix, where a node bit-identical
+/// to an earlier one ([`class_after`]) is a second pointer to its class
+/// representative's allocation, then the nodes still open to new ranks
+/// and segments.
+#[derive(Default)]
+struct NodeStore {
+    stored: Vec<Arc<[RankTrace]>>,
+    /// The class of each stored node, as [`class_after`] gives it.
+    classes: Vec<usize>,
+    /// Nodes `stored.len()..`.
+    open: Vec<Vec<RankTrace>>,
+}
+
+impl NodeStore {
+    fn len(&self) -> usize {
+        self.stored.len() + self.open.len()
     }
-    shared
+
+    /// Store every open node, then open a new, empty one.
+    fn declare(&mut self) {
+        self.store();
+        self.open.push(Vec::new());
+    }
+
+    /// Node `n`, open for edits. A stored node is reopened together with
+    /// every node after it, so the stored prefix stays classed in order.
+    fn open(&mut self, n: usize) -> &mut Vec<RankTrace> {
+        if n < self.stored.len() {
+            let reopened: Vec<_> = self.stored.drain(n..).map(|node| node.to_vec()).collect();
+            self.open.splice(0..0, reopened);
+            self.classes.truncate(n);
+        }
+        &mut self.open[n - self.stored.len()]
+    }
+
+    /// Store every open node, in order: its segment lists shrunk to fit,
+    /// then shared with the first earlier node of its class, or kept as
+    /// the representative of a new one.
+    fn store(&mut self) {
+        for mut node in std::mem::take(&mut self.open) {
+            for trace in &mut node {
+                trace.segments.shrink_to_fit();
+            }
+            let class = class_after(&self.stored, &self.classes, &node);
+            let shared = match self.stored.get(class) {
+                Some(rep) => Arc::clone(rep),
+                None => node.into(),
+            };
+            self.stored.push(shared);
+            self.classes.push(class);
+        }
+    }
+
+    fn finish(mut self) -> Vec<Arc<[RankTrace]>> {
+        self.store();
+        self.stored
+    }
 }
 
 pub(crate) fn parse_err(line: usize, msg: impl Into<String>) -> WhatifError {
@@ -833,6 +882,38 @@ mod tests {
         assert!(text
             .lines()
             .any(|l| l.starts_with("{\"type\":\"seg\",\"node\":2,") && l.contains("-0")));
+    }
+
+    #[test]
+    fn a_parsed_copied_recording_stores_one_node_shrunk_to_fit() {
+        let mut w = sample_workload();
+        w.nodes = vec![Arc::clone(&w.nodes[0]); 4];
+        let text = w.to_jsonl();
+        let parsed = RecordedWorkload::parse_jsonl(&text).unwrap();
+        assert_eq!(parsed.nodes.len(), 4);
+        for node in &parsed.nodes {
+            assert!(Arc::ptr_eq(node, &parsed.nodes[0]));
+            for trace in node.iter() {
+                assert_eq!(trace.segments.capacity(), trace.segments.len());
+            }
+        }
+        assert_eq!(parsed.to_jsonl(), text);
+
+        // Lines of different nodes may interleave: a segment of node 0
+        // read after node 3 reopens the stored nodes, and the workload
+        // and its sharing come out as from the writer's order.
+        let mut lines: Vec<&str> = text.lines().collect();
+        let late = lines
+            .iter()
+            .rposition(|l| l.starts_with("{\"type\":\"seg\",\"node\":0,"))
+            .unwrap();
+        let seg = lines.remove(late);
+        lines.push(seg);
+        let interleaved = RecordedWorkload::parse_jsonl(&lines.join("\n")).unwrap();
+        assert_eq!(interleaved.to_jsonl(), text);
+        for node in &interleaved.nodes {
+            assert!(Arc::ptr_eq(node, &interleaved.nodes[0]));
+        }
     }
 
     #[test]

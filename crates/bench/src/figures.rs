@@ -247,7 +247,8 @@ pub fn run(figs: &[(&Figure, Scenario)]) -> Result<(), String> {
 
 /// Replay `live` under `cfg` and keep what the renderers read.
 fn evaluate(fig: &Figure, scenario: Scenario, cfg: &RunConfig, live: &LiveRun) -> Point {
-    let r = replay(cfg, live);
+    // A timeline is recorded only where a trace file is written.
+    let r = replay(cfg, live, scenario.output.trace_out.is_some());
     let mut dump = String::new();
     if let Some(base) = &scenario.output.trace_out {
         let label = (fig.label)(&scenario);

@@ -6,12 +6,13 @@ use std::sync::Arc;
 use accel_sim::calib::{NetCalib, NodeCalib};
 use accel_sim::comm::allreduce_seconds;
 use accel_sim::context::LabelStats;
-use accel_sim::engine::{simulate_cluster_traced, ClusterResult, SchedulePolicyKind};
+use accel_sim::engine::{
+    simulate_cluster, simulate_cluster_traced, ClusterResult, SchedulePolicyKind,
+};
 use accel_sim::node::NodeConfig;
 use accel_sim::whatif::{RecordMeta, RecordedWorkload};
-use accel_sim::Context;
 use accel_sim::EngineError;
-use rayon::prelude::*;
+use accel_sim::{Context, NodeTimeline};
 use scenario::{CalibSpec, Scenario, ScenarioError};
 use toast_core::dispatch::ImplKind;
 use toast_core::kernels::{ExecCtx, JitKernels};
@@ -166,10 +167,6 @@ pub struct RunOutcome {
     /// The raw per-rank span traces (virtual clocks), for export via
     /// [`crate::traceout::write_trace`].
     pub traces: Vec<accel_sim::RankTrace>,
-    /// The contention-resolved node timeline from the replay, when the
-    /// run fit on the device. In cluster mode this is the merged
-    /// multi-node timeline (global rank/GPU indices).
-    pub timeline: Option<accel_sim::NodeTimeline>,
     /// Cluster-wide accounting (NIC busy time, collective stretch and
     /// barrier waits) when the run used [`RunConfig::nodes`].
     pub cluster: Option<ClusterResult>,
@@ -246,8 +243,10 @@ pub struct Replay {
     pub comm_seconds: f64,
     /// As [`RunOutcome::gpu_busy`].
     pub gpu_busy: Vec<f64>,
-    /// As [`RunOutcome::timeline`].
-    pub timeline: Option<accel_sim::NodeTimeline>,
+    /// The contention-resolved node timeline, when the replay was traced
+    /// and the run fit on the device. In cluster mode this is the merged
+    /// multi-node timeline (global rank/GPU indices).
+    pub timeline: Option<NodeTimeline>,
     /// As [`RunOutcome::cluster`].
     pub cluster: Option<ClusterResult>,
 }
@@ -264,7 +263,7 @@ pub struct Replay {
 /// [`replay`]; the traces move into the outcome, none is copied.
 pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
     let live = run_live(&cfg.live_key())?;
-    let r = replay(cfg, &live);
+    let r = replay(cfg, &live, false);
     Ok(RunOutcome {
         node_wall: r.node_wall,
         comm_seconds: r.comm_seconds,
@@ -273,7 +272,6 @@ pub fn run_config(cfg: &RunConfig) -> Result<RunOutcome, ScenarioError> {
         gpu_busy: r.gpu_busy,
         transfer_bytes: live.transfer_bytes,
         traces: live.traces,
-        timeline: r.timeline,
         cluster: r.cluster,
     })
 }
@@ -301,48 +299,49 @@ pub fn run_live(key: &LiveKey) -> Result<LiveRun, ScenarioError> {
 
     // Ranks are independent simulated processes: run them in parallel on
     // the host (the simulation's virtual clocks are per-rank; sharing is
-    // resolved afterwards by the node replay).
-    let rank_results: Vec<Result<Context, String>> = (0..procs)
-        .into_par_iter()
-        .map(|rank| {
-            let mut ws = inputs.rank_workspace(rank);
-            let mut ctx = Context::new(calib);
+    // resolved afterwards by the node replay). Each rank writes only its
+    // own slot, and the slots are merged below in rank order.
+    let run_rank = |rank: u32| -> Result<Context, String> {
+        let mut ws = inputs.rank_workspace(rank);
+        let mut ctx = Context::new(calib);
 
-            // Fixed per-process device footprint (CUDA context, runtime
-            // reservations) — held for the life of the process.
-            let fixed = match key.kind {
-                ImplKind::Jit => fw.jit_process_device_bytes as u64,
-                ImplKind::OmpTarget => fw.omp_process_device_bytes as u64,
-                _ => 0,
-            };
-            if fixed > 0 {
-                ctx.device_alloc(fixed, true)
-                    .map_err(|e| format!("rank {rank}: {e}"))?;
-            }
+        // Fixed per-process device footprint (CUDA context, runtime
+        // reservations) — held for the life of the process.
+        let fixed = match key.kind {
+            ImplKind::Jit => fw.jit_process_device_bytes as u64,
+            ImplKind::OmpTarget => fw.omp_process_device_bytes as u64,
+            _ => 0,
+        };
+        if fixed > 0 {
+            ctx.device_alloc(fixed, true)
+                .map_err(|e| format!("rank {rank}: {e}"))?;
+        }
 
-            let mut exec = ExecCtx::with_jits(key.kind, threads, programs.share());
-            let host = key.problem.host_seconds_per_rank(&ws, procs);
-            let pipe =
-                benchmark_pipeline_passes(host, key.problem.passes).with_policy(key.movement);
-            for _obs in 0..key.problem.n_obs {
-                pipe.run(&mut ctx, &mut exec, &mut ws)
-                    .map_err(|e| format!("rank {rank}: {e}"))?;
-                if key.nodes.is_some() {
-                    ctx.collective("mpi_allreduce_zmap", map_bytes, collective_solo);
-                }
-            }
+        let mut exec = ExecCtx::with_jits(key.kind, threads, programs.share());
+        let host = key.problem.host_seconds_per_rank(&ws, procs);
+        let pipe = benchmark_pipeline_passes(host, key.problem.passes).with_policy(key.movement);
+        for _obs in 0..key.problem.n_obs {
+            pipe.run(&mut ctx, &mut exec, &mut ws)
+                .map_err(|e| format!("rank {rank}: {e}"))?;
             if key.nodes.is_some() {
-                ctx.collective("mpi_allreduce_amplitudes", map_bytes, collective_solo);
+                ctx.collective("mpi_allreduce_zmap", map_bytes, collective_solo);
             }
-            Ok(ctx)
-        })
-        .collect();
+        }
+        if key.nodes.is_some() {
+            ctx.collective("mpi_allreduce_amplitudes", map_bytes, collective_solo);
+        }
+        Ok(ctx)
+    };
+    let mut rank_results: Vec<Option<Result<Context, String>>> = (0..procs).map(|_| None).collect();
+    rayon::fan_out(&mut rank_results, 0, rayon::worker_count(), |rank, slot| {
+        *slot = Some(run_rank(rank as u32));
+    });
 
     let mut traces = Vec::with_capacity(procs as usize);
     let mut per_label: BTreeMap<String, LabelStats> = BTreeMap::new();
     let mut transfer_bytes = 0.0;
     let mut rank_oom: Option<String> = None;
-    for result in rank_results {
+    for result in rank_results.into_iter().flatten() {
         match result {
             Err(e) => {
                 rank_oom = Some(e);
@@ -373,8 +372,10 @@ pub fn run_live(key: &LiveKey) -> Result<LiveRun, ScenarioError> {
 /// under `cfg`'s replay-time fields (`mps`, `schedule`,
 /// `overlap_transfers`, `gpus`), and price the collectives. Everything
 /// else comes from `live.key`, so one live run can be replayed under any
-/// number of node configurations.
-pub fn replay(cfg: &RunConfig, live: &LiveRun) -> Replay {
+/// number of node configurations. `traced` also records the node
+/// timeline, for a trace file; every other field has the same bits
+/// either way.
+pub fn replay(cfg: &RunConfig, live: &LiveRun, traced: bool) -> Replay {
     let key = &live.key;
     // Legacy path: one analytic zmap allreduce per observation plus a
     // final amplitude reduce, scaled into simulated time like everything
@@ -411,12 +412,18 @@ pub fn replay(cfg: &RunConfig, live: &LiveRun) -> Replay {
     // node runs a statistically identical set of ranks), or on the one
     // node of the legacy path.
     let node_traces = vec![live.traces.as_slice(); key.nodes.map_or(1, |n| n.max(1)) as usize];
-    match simulate_cluster_traced(&node_traces, &node_config(cfg, key.calib)) {
+    let node = node_config(cfg, key.calib);
+    let sim = if traced {
+        simulate_cluster_traced(&node_traces, &node).map(|(res, tl)| (res, Some(tl)))
+    } else {
+        simulate_cluster(&node_traces, &node).map(|res| (res, None))
+    };
+    match sim {
         Ok((res, timeline)) => Replay {
             node_wall: Ok(res.wall_seconds),
             comm_seconds,
             gpu_busy: res.gpu_busy.clone(),
-            timeline: Some(timeline),
+            timeline,
             cluster: key.nodes.map(|_| res),
         },
         Err(e) => failed(sim_err_msg(e)),
@@ -631,12 +638,13 @@ mod tests {
 
     #[test]
     fn metrics_totals_agree_with_label_stats() {
-        let out = run_config(&tiny_cfg(ImplKind::OmpTarget, 4)).unwrap();
-        assert!(out.timeline.is_some());
-        assert!(!out.traces.is_empty());
-        for (label, stat) in &out.per_label {
-            let m = out
-                .metrics
+        let cfg = tiny_cfg(ImplKind::OmpTarget, 4);
+        let live = run_live(&cfg.live_key()).unwrap();
+        assert!(replay(&cfg, &live, true).timeline.is_some());
+        assert!(!live.traces.is_empty());
+        let metrics = crate::metrics::summarize_events(&live.traces);
+        for (label, stat) in &live.per_label {
+            let m = metrics
                 .get(label)
                 .unwrap_or_else(|| panic!("no span metrics for {label}"));
             assert!(
@@ -658,7 +666,8 @@ mod tests {
         assert!(legacy.cluster.is_none());
 
         cfg.nodes = Some(2);
-        let out = run_config(&cfg).unwrap();
+        let live = run_live(&cfg.live_key()).unwrap();
+        let out = replay(&cfg, &live, true);
         let wall = *out.node_wall.as_ref().expect("fits");
         // Collectives are inside the replayed wall now, not an addend.
         assert_eq!(out.comm_seconds, 0.0);
@@ -672,8 +681,8 @@ mod tests {
         // With 4 ranks sharing each NIC, congestion stretches the summed
         // collective time well past the analytic solo pricing.
         assert!(cluster.collective_seconds > legacy.comm_seconds);
-        assert!(out.per_label.contains_key("mpi_allreduce_zmap"));
-        assert!(out.per_label.contains_key("mpi_allreduce_amplitudes"));
+        assert!(live.per_label.contains_key("mpi_allreduce_zmap"));
+        assert!(live.per_label.contains_key("mpi_allreduce_amplitudes"));
         // The multi-node timeline carries the collective phases.
         let tl = out.timeline.as_ref().expect("timeline");
         assert!(tl
@@ -738,15 +747,17 @@ mod tests {
 
     #[test]
     fn written_trace_round_trips_per_label_seconds() {
-        // The acceptance check: export the trace a fig binary would write
-        // with `--trace-out`, parse it back, and match `run_config`'s
-        // per-label seconds.
-        let out = run_config(&tiny_cfg(ImplKind::Jit, 4)).unwrap();
+        // The acceptance check: export the trace `figures` writes with
+        // `--trace-out`, parse it back, and match the live run's per-label
+        // seconds.
+        let cfg = tiny_cfg(ImplKind::Jit, 4);
+        let live = run_live(&cfg.live_key()).unwrap();
+        let timeline = replay(&cfg, &live, true).timeline;
         for name in ["runner_roundtrip.json", "runner_roundtrip.jsonl"] {
             let path = std::env::temp_dir().join(format!("repro_bench_{name}"));
-            crate::traceout::write_trace(&path, &out.traces, out.timeline.as_ref()).unwrap();
+            crate::traceout::write_trace(&path, &live.traces, timeline.as_ref()).unwrap();
             let parsed = crate::traceout::span_seconds_from_file(&path).unwrap();
-            for (label, stat) in &out.per_label {
+            for (label, stat) in &live.per_label {
                 let got = parsed.get(label).copied().unwrap_or(0.0);
                 assert!(
                     (got - stat.seconds).abs() < 1e-9 * stat.seconds.max(1.0),

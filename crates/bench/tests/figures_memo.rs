@@ -1,7 +1,8 @@
 //! The figures driver's memo is exact: replaying one live run under a
 //! changed replay-time field gives, bit for bit, what a fresh `run_config`
-//! of the changed configuration gives; the live key tells the two kinds
-//! of field apart; and the default figures need 27 live runs for their 40
+//! of the changed configuration gives, and its traced replay records the
+//! timeline a fresh live run's does; the live key tells the two kinds of
+//! field apart; and the default figures need 27 live runs for their 40
 //! points.
 
 use accel_sim::SchedulePolicyKind;
@@ -75,7 +76,11 @@ fn replays_equal_fresh_runs(nodes: Option<u32>) {
         let what = format!("nodes {nodes:?}, {name}");
         assert_eq!(cfg.live_key(), live.key, "{what}");
         let fresh = run_config(&cfg).unwrap();
-        let r = replay(&cfg, &live);
+        let r = replay(&cfg, &live, false);
+        assert!(
+            r.timeline.is_none(),
+            "{what}: an untraced replay records no timeline"
+        );
         let bits = |w: &Result<f64, String>| w.as_ref().map(|w| w.to_bits()).ok();
         assert!(fresh.node_wall.is_ok(), "{what}: the tiny run fits");
         assert_eq!(bits(&fresh.node_wall), bits(&r.node_wall), "{what}");
@@ -98,9 +103,17 @@ fn replays_equal_fresh_runs(nodes: Option<u32>) {
             "{what}"
         );
         assert_eq!(format!("{:?}", fresh.metrics), metrics, "{what}");
+        // The traced replay prices exactly as the untraced one, and its
+        // timeline is the one a fresh live run's traced replay records.
+        let mut traced = replay(&cfg, &live, true);
+        let timeline = traced.timeline.take().expect("the tiny run fits");
+        assert!(!timeline.events.is_empty(), "{what}");
+        assert_eq!(format!("{traced:?}"), format!("{r:?}"), "{what}");
+        let fresh_live = run_live(&cfg.live_key()).unwrap();
+        let fresh_timeline = replay(&cfg, &fresh_live, true).timeline;
         assert_eq!(
-            format!("{:?}", fresh.timeline),
-            format!("{:?}", r.timeline),
+            format!("{:?}", fresh_timeline.expect("the tiny run fits")),
+            format!("{timeline:?}"),
             "{what}"
         );
         assert_eq!(
