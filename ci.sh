@@ -163,8 +163,8 @@ throughput --out "$bench_json" >/dev/null
 jq -e '
   def rows($l): [.rows[] | select(.layer == $l)];
   .mode == "smoke"
-  and (.rows | length == 15)
-  and (rows("engine") | length == 8 and ([.[].case] | unique | length == 8))
+  and (.rows | length == 17)
+  and (rows("engine") | length == 10 and ([.[].case] | unique | length == 10))
   and ([rows("engine")[].work] | unique | .[1] == 8 * .[0] and .[2] == 64 * .[0] and length == 3)
   and ([rows("sweep")[] | [.case, .work]] == [["batched", 120], ["naive", 120]])
   and ([rows("codec")[] | [.case, .unit]] == [["parse recording", "MB/s"], ["write recording", "MB/s"]])

@@ -1,9 +1,9 @@
 //! The discrete-event simulation engine.
 //!
-//! This module is the timing core of the simulator: an indexed event heap
-//! on one virtual clock ([`event`]), typed shared resources — per-GPU SM pools,
-//! per-GPU PCIe links, per-node NICs ([`resources`]) — and pluggable
-//! kernel arbitration ([`policy`]). [`crate::simulate_node`] and
+//! This module is the timing core of the simulator: blocked per-flow event
+//! tables on one virtual clock ([`event`]), typed shared resources —
+//! per-GPU SM pools, per-GPU PCIe links, per-node NICs ([`resources`]) —
+//! and pluggable kernel arbitration ([`policy`]). [`crate::simulate_node`] and
 //! [`crate::simulate_node_traced`] are thin single-node wrappers over it;
 //! [`simulate_cluster`] replays many nodes against the same clock, with
 //! inter-node collectives as network events so congestion emerges from

@@ -7,11 +7,15 @@
 //! `value = work × iters / seconds`. A faster engine does the
 //! same work in less wall time; it cannot inflate its score by redefining
 //! the unit.
-//! - `engine` rows replay 1, 8 and 64 nodes of 8 ranks, without and with
-//!   overlapped transfer streams; one unit of work is one recorded
-//!   [`Segment`] replayed (segments/s). These nodes are copies of one
-//!   node, which the engine replays once, so past one node they measure
-//!   that collapse. The `nodes=64 distinct` row perturbs every node's
+//! - `engine` rows replay 1, 8 and 64 nodes of 8 ranks on 4 GPUs under
+//!   MPS, without and with overlapped transfer streams; one unit of work
+//!   is one recorded [`Segment`] replayed (segments/s). These nodes are
+//!   one node shared by reference, as `runner::replay` passes its copies,
+//!   which the engine replays once, so past one node they measure that
+//!   collapse. `nodes=1 gpus=1` puts the 8 ranks on one GPU, where every
+//!   kernel start or end re-rates each co-tenant; `ranks=64` replays one
+//!   node of 64 ranks, the widest event tables. The `nodes=64 distinct`
+//!   row perturbs every node's
 //!   host charges, so each node is replayed and the row tracks the event
 //!   loop's per-segment rate. The `nodes=64 compile+cost table` row
 //!   times the copied 64-node job's compile and one cost table without
@@ -112,13 +116,15 @@ fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
 
 /// One node's rank traces: host work, kernels of varying occupancy,
 /// transfers both ways and a collective every 13 segments, skewed per
-/// rank so contention is asymmetric. Host charges scale by
-/// `1 + 1e-3 · node`, so nodes with different indices differ.
-fn synth_node(segments_per_rank: usize, node: usize) -> Vec<RankTrace> {
+/// rank (cycling every 8 ranks, each cycle a little slower) so contention
+/// is asymmetric. Host charges scale by `1 + 1e-3 · node`, so nodes with
+/// different indices differ.
+fn synth_node(ranks: usize, segments_per_rank: usize, node: usize) -> Vec<RankTrace> {
     let host = 1.0 + 1e-3 * node as f64;
-    (0..RANKS_PER_NODE)
+    (0..ranks)
         .map(|r| {
-            let f = 1.0 + 0.2 * r as f64;
+            let cycle = (r / RANKS_PER_NODE) as f64;
+            let f = 1.0 + 0.2 * (r % RANKS_PER_NODE) as f64 + 1e-3 * cycle;
             let mut segs = Vec::with_capacity(segments_per_rank);
             let mut i = 0usize;
             while segs.len() < segments_per_rank {
@@ -257,15 +263,17 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
         total_ranks: (SWEEP_NODES * RANKS_PER_NODE) as u32,
         ..RecordMeta::default()
     };
-    let workload =
-        RecordedWorkload::capture(vec![synth_node(sweep_segments, 0); SWEEP_NODES], meta);
+    let workload = RecordedWorkload::capture(
+        vec![synth_node(RANKS_PER_NODE, sweep_segments, 0); SWEEP_NODES],
+        meta,
+    );
     let spec = bench_grid(&workload.meta)?;
     check_identity(&workload, &spec)?;
 
     let mut rows = Vec::new();
-    let node = synth_node(engine_segments, 0);
+    let node = synth_node(RANKS_PER_NODE, engine_segments, 0);
     for nodes in [1usize, 8, 64] {
-        let traces = vec![node.clone(); nodes];
+        let traces = vec![node.as_slice(); nodes];
         for overlap in [false, true] {
             let cfg = NodeConfig {
                 overlap_transfers: overlap,
@@ -279,10 +287,32 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
             })?);
         }
     }
-    // Copies held apart, like the engine rows' traces.
+    let one_gpu = NodeConfig {
+        gpus: 1,
+        ..NodeConfig::default()
+    };
+    let work = (RANKS_PER_NODE * engine_segments) as f64;
+    rows.push(measure(
+        ENGINE,
+        "nodes=1 gpus=1 overlap=off",
+        work,
+        budget,
+        || simulate_cluster(&[node.as_slice()], &one_gpu),
+    )?);
+    let wide = [synth_node(64, engine_segments, 0)];
+    let work = (64 * engine_segments) as f64;
+    rows.push(measure(
+        ENGINE,
+        "ranks=64 overlap=off",
+        work,
+        budget,
+        || simulate_cluster(&wide, &NodeConfig::default()),
+    )?);
+    // One node shared by every copy, as a parsed recording stores it.
+    let shared: Arc<[RankTrace]> = Arc::from(node.as_slice());
     let copied = RecordedWorkload {
         meta: RecordMeta::default(),
-        nodes: (0..64).map(|_| Arc::from(node.as_slice())).collect(),
+        nodes: vec![shared; 64],
     };
     let priced_only = SweepSpec {
         calibs: vec![SweepCalib::resolve("identity", &copied.meta)?],
@@ -304,7 +334,9 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
             }
         },
     )?);
-    let distinct: Vec<Vec<RankTrace>> = (0..64).map(|n| synth_node(engine_segments, n)).collect();
+    let distinct: Vec<Vec<RankTrace>> = (0..64)
+        .map(|n| synth_node(RANKS_PER_NODE, engine_segments, n))
+        .collect();
     let work = (distinct.len() * RANKS_PER_NODE * engine_segments) as f64;
     let case = "nodes=64 distinct overlap=off";
     rows.push(measure(ENGINE, case, work, budget, || {
@@ -331,7 +363,7 @@ fn run_benches(smoke: bool) -> Result<Vec<Row>, Box<dyn Error>> {
     rows.push(measure(SWEEP, "naive", points, budget, naive)?);
 
     let codec = RecordedWorkload::capture(
-        vec![synth_node(CODEC_SEGMENTS, 0); SWEEP_NODES],
+        vec![synth_node(RANKS_PER_NODE, CODEC_SEGMENTS, 0); SWEEP_NODES],
         RecordMeta {
             label: "codec bench".into(),
             total_ranks: (SWEEP_NODES * RANKS_PER_NODE) as u32,
