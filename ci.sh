@@ -231,27 +231,15 @@ cargo run --release -p repro-bench --bin lint -- --recording "$workload"
 echo "== whatif sweep smoke"
 # The batched Pareto search over the same recording: a small grid with a
 # loose deadline must evaluate points, extract a front and name a winner.
+# gpus=1 under identity does not fit in device memory, so at least one
+# point must be rejected before any event loop. Byte identity of a grid
+# with such points is pinned by the golden sweep below.
 sweep_out=$(cargo run --release -p repro-bench --bin whatif -- sweep \
-  --record "$workload" --gpus 2..4 --calib identity,h100 --deadline 1.0)
-echo "$sweep_out" | grep -E "^sweep: 6 point\(s\), " >/dev/null
+  --record "$workload" --gpus 1..4 --calib identity,h100 --deadline 1.0)
+echo "$sweep_out" | grep -E "^sweep: 8 point\(s\), " >/dev/null
+echo "$sweep_out" | grep -E "^[1-9][0-9]* point\(s\) rejected without a replay$" >/dev/null
 echo "$sweep_out" | grep -E "^pareto front: [1-9][0-9]* point\(s\)" >/dev/null
 echo "$sweep_out" | grep "^best under deadline " >/dev/null
-
-echo "== sweep --preflight bit-identity"
-# The statically-gated sweep must serialize byte-identically to the
-# unpruned sweep over the same grid (the analyzer predicts the exact
-# errors replays would produce).
-cargo run --release -p repro-bench --bin whatif -- sweep \
-  --record "$workload" --gpus 1..4 --calib identity,h100 \
-  --out target/ci_sweep_full.jsonl >/dev/null
-cargo run --release -p repro-bench --bin whatif -- sweep \
-  --record "$workload" --gpus 1..4 --calib identity,h100 --preflight \
-  --out target/ci_sweep_preflight.jsonl | grep " rejected by preflight" >/dev/null
-diff target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl || {
-  echo "preflight sweep output diverged from the unpruned sweep" >&2
-  exit 1
-}
-rm -f target/ci_sweep_full.jsonl target/ci_sweep_preflight.jsonl
 
 echo "== golden sweep bit-identity (whatif sweep --out vs checked-in JSONL)"
 # The CLI sweep over the golden grid, without and with overlapped

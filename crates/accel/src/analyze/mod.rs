@@ -23,9 +23,11 @@
 //! from the barrier and residency passes are **exact** — the replay is
 //! proven to fail with the very error text carried in the diagnostic
 //! `message`, and a clean pass proves the corresponding runtime error
-//! unreachable. Warnings are best-effort. That exactness is what lets
-//! the what-if sweep's `--preflight` mode prune statically-rejected
-//! grid points while staying bit-identical to the unpruned sweep.
+//! unreachable. Warnings are best-effort. The sweep leans on that
+//! exactness: every grid point takes the deadlock verdict, decided once
+//! per compiled recording, instead of replaying to quiescence, and its
+//! output is the same as if it had replayed. The residency pass sums
+//! each pool with the engine's own admission arithmetic.
 //!
 //! Entry points: [`check_workload`] lints a recording under its own
 //! embedded calibration and layout, [`check_workload_under`] swaps in
@@ -42,7 +44,6 @@ mod residency;
 pub use diag::{Code, Diagnostic, Locus, Report, Severity};
 
 pub(crate) use barrier::predict_deadlock;
-pub(crate) use residency::predict_oom;
 
 use crate::calib::{NetCalib, NodeCalib};
 use crate::whatif::{RecordMeta, RecordedWorkload};

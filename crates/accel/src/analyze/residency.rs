@@ -5,9 +5,9 @@
 //! the memory-pool accounting at record time). The engine admits a
 //! replay only if, for every physical GPU, the watermarks of the ranks
 //! placed on it (`local_rank % gpus`) fit in device memory — checked
-//! before the first event. This pass replicates that admission check
-//! bit for bit, so its `M001` prediction is exact: [`predict_oom`]
-//! returns the very [`EngineError::Oom`] the engine would, and a clean
+//! before the first event. This pass sums each pool with the engine's
+//! own arithmetic ([`pool_demand`]), so its `M001` error carries the
+//! very [`EngineError::Oom`] text the engine would raise, and a clean
 //! pass proves the replay cannot OOM. On top of the exact check it
 //! warns (`M002`) when a pool lands within a configurable headroom of
 //! capacity — feasible, but one calibration tweak away from rejection.
@@ -15,38 +15,11 @@
 use std::sync::Arc;
 
 use crate::engine::error::EngineError;
+use crate::engine::sim::pool_demand;
 use crate::node::NodeOom;
 use crate::trace::RankTrace;
 
 use super::diag::{Code, Diagnostic, Locus};
-
-/// The exact [`EngineError::Oom`] the engine's admission check would
-/// raise for this layout, or `None` when every pool fits.
-pub(crate) fn predict_oom(
-    nodes: &[Arc<[RankTrace]>],
-    mem_bytes: u64,
-    gpus: u32,
-) -> Option<EngineError> {
-    let gpus = gpus.max(1) as usize;
-    for (n, node) in nodes.iter().enumerate() {
-        for g in 0..gpus {
-            let demanded: u64 = node
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| r % gpus == g)
-                .map(|(_, t)| t.peak_device_bytes)
-                .sum();
-            if demanded > mem_bytes {
-                return Some(EngineError::Oom(NodeOom {
-                    gpu: (n * gpus + g) as u32,
-                    demanded,
-                    capacity: mem_bytes,
-                }));
-            }
-        }
-    }
-    None
-}
 
 /// Run the residency pass over *every* pool (the engine stops at the
 /// first overflow; a report should name them all): `M001` errors for
@@ -62,8 +35,7 @@ pub(crate) fn residency_pass(
     let gpus = gpus.max(1) as usize;
     for (n, node) in nodes.iter().enumerate() {
         for g in 0..gpus {
-            let residents: Vec<usize> = (0..node.len()).filter(|r| r % gpus == g).collect();
-            let demanded: u64 = residents.iter().map(|&r| node[r].peak_device_bytes).sum();
+            let demanded = pool_demand(node.iter().map(|t| t.peak_device_bytes), gpus, g);
             let gpu = (n * gpus + g) as u32;
             if demanded > mem_bytes {
                 let oom = NodeOom {
@@ -71,10 +43,10 @@ pub(crate) fn residency_pass(
                     demanded,
                     capacity: mem_bytes,
                 };
+                let residents = (g..node.len()).step_by(gpus);
                 let heaviest = residents
-                    .iter()
-                    .max_by_key(|&&r| node[r].peak_device_bytes)
-                    .copied()
+                    .clone()
+                    .max_by_key(|&r| node[r].peak_device_bytes)
                     .expect("an overflowing pool has residents");
                 out.push(
                     Diagnostic::error(
@@ -108,6 +80,8 @@ pub(crate) fn residency_pass(
 mod tests {
     use super::*;
     use crate::analyze::shared_nodes;
+    use crate::engine::sim::{admit, CompiledWorkload};
+    use crate::node::NodeConfig;
 
     fn rank(peak: u64) -> RankTrace {
         RankTrace {
@@ -116,10 +90,22 @@ mod tests {
         }
     }
 
+    /// The engine's own admission verdict on GPUs of `mem_bytes` each.
+    fn engine_oom(nodes: &[Arc<[RankTrace]>], mem_bytes: u64, gpus: u32) -> Option<EngineError> {
+        let slices: Vec<&[RankTrace]> = nodes.iter().map(|n| &**n).collect();
+        let compiled = CompiledWorkload::compile(&slices).expect("compiles");
+        let mut cfg = NodeConfig {
+            gpus,
+            ..NodeConfig::default()
+        };
+        cfg.calib.gpu.mem_bytes = mem_bytes;
+        admit(&compiled, &cfg).err()
+    }
+
     #[test]
     fn fitting_layouts_predict_nothing() {
         let nodes = shared_nodes(vec![vec![rank(10), rank(10), rank(10), rank(10)]]);
-        assert_eq!(predict_oom(&nodes, 100, 2), None);
+        assert_eq!(engine_oom(&nodes, 100, 2), None);
         assert!(residency_pass(&nodes, 100, 2, 0.9).is_empty());
     }
 
@@ -128,7 +114,7 @@ mod tests {
         // gpus=2: ranks {0,2} on gpu 0 (30+40=70 fits), {1,3} on gpu 1
         // (50+60=110 overflows).
         let nodes = shared_nodes(vec![vec![rank(30), rank(50), rank(40), rank(60)]]);
-        let err = predict_oom(&nodes, 100, 2).expect("pool 1 overflows");
+        let err = engine_oom(&nodes, 100, 2).expect("pool 1 overflows");
         assert_eq!(
             err,
             EngineError::Oom(NodeOom {
@@ -146,25 +132,26 @@ mod tests {
             .suggestion
             .as_deref()
             .expect("suggestion")
-            .contains("rank 3, 60 B peak"));
+            .contains("2 rank(s) share GPU 1; the heaviest (rank 3, 60 B peak)"));
     }
 
     #[test]
     fn the_pass_reports_every_pool_the_engine_stops_at_the_first() {
         let nodes = shared_nodes(vec![vec![rank(200)], vec![rank(300)]]);
-        // Engine (and predict_oom) name only node 0's pool…
-        let first = predict_oom(&nodes, 100, 1).expect("overflow");
+        // The engine names only node 0's pool…
+        let first = engine_oom(&nodes, 100, 1).expect("overflow");
         assert_eq!(first.as_oom().expect("oom").gpu, 0);
         // …while the report pass lists both.
         let diags = residency_pass(&nodes, 100, 1, 0.9);
         assert_eq!(diags.len(), 2);
+        assert_eq!(diags[0].message, first.to_string());
         assert_eq!(diags[1].locus.gpu, Some(1));
     }
 
     #[test]
     fn headroom_is_a_warning_band_under_capacity() {
         let nodes = shared_nodes(vec![vec![rank(95)]]);
-        assert_eq!(predict_oom(&nodes, 100, 1), None);
+        assert_eq!(engine_oom(&nodes, 100, 1), None);
         let diags = residency_pass(&nodes, 100, 1, 0.9);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, Code::OomHeadroom);
@@ -176,7 +163,10 @@ mod tests {
     #[test]
     fn gpus_zero_clamps_to_one_like_the_engine() {
         let nodes = shared_nodes(vec![vec![rank(60), rank(60)]]);
-        let err = predict_oom(&nodes, 100, 0).expect("one pool holds both");
+        let err = engine_oom(&nodes, 100, 0).expect("one pool holds both");
         assert_eq!(err.as_oom().expect("oom").demanded, 120);
+        let diags = residency_pass(&nodes, 100, 0, 0.9);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].message, err.to_string());
     }
 }

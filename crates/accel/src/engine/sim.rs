@@ -48,18 +48,19 @@
 //! * **Per-node shards.** GPUs, PCIe links and the NIC are node-local;
 //!   only collective barriers couple nodes. Each node is therefore an
 //!   independent sub-simulation ([`Shard`]) with its own clock and
-//!   [`EventQueue`], stepped in parallel (`par_iter_mut` over shards —
-//!   the rayon shim sequentialises this offline, the structure is
-//!   thread-ready) between barrier releases. A shard stops popping as
-//!   soon as all of its participants in the earliest unreleased barrier
-//!   have arrived; the coordinator then releases that barrier at the
-//!   global max arrival time and resumes the shards. Shards with *no*
-//!   collective participants run to completion — their ranks are never
-//!   coupled to another node. Following MPI semantics, every barrier
-//!   expects the full participant set (all ranks with at least one
-//!   collective segment); a participant that cannot arrive — its trace
-//!   ran out of collectives — leaves the barrier short forever and the
-//!   replay reports [`EngineError::Deadlock`] naming the waiting ranks.
+//!   [`EventQueue`], stepped one after another between barrier
+//!   releases. The loop stays sequential on purpose: a replay already
+//!   runs inside the sweep's parallel grid or takes under 1 % of a live
+//!   run. A shard stops popping as soon as all of its participants in
+//!   the earliest unreleased barrier have arrived; the coordinator then
+//!   releases that barrier at the global max arrival time and resumes
+//!   the shards. Shards with *no* collective participants run to
+//!   completion — their ranks are never coupled to another node.
+//!   Following MPI semantics, every barrier expects the full participant
+//!   set (all ranks with at least one collective segment); a participant
+//!   that cannot arrive — its trace ran out of collectives — leaves the
+//!   barrier short forever and the replay reports
+//!   [`EngineError::Deadlock`] naming the waiting ranks.
 //!   A shard that runs past its step limit, sized from its trace, stops
 //!   with [`EngineError::NoConvergence`].
 //! * **One class of identical nodes, compiled, priced and stepped
@@ -92,8 +93,6 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
-
-use rayon::prelude::*;
 
 use crate::calib::{DeviceCalib, NetCalib};
 use crate::comm::allreduce_seconds;
@@ -844,13 +843,7 @@ pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(),
             continue;
         }
         for g in 0..gpus {
-            let demanded: u64 = node
-                .ranks
-                .iter()
-                .enumerate()
-                .filter(|(r, _)| r % gpus == g)
-                .map(|(_, cr)| cr.peak_device_bytes)
-                .sum();
+            let demanded = pool_demand(node.ranks.iter().map(|cr| cr.peak_device_bytes), gpus, g);
             if demanded > cfg.calib.gpu.mem_bytes {
                 return Err(EngineError::Oom(NodeOom {
                     gpu: (n * gpus + g) as u32,
@@ -861,6 +854,13 @@ pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(),
         }
     }
     Ok(())
+}
+
+/// What GPU `g` of a node with `gpus` GPUs must hold: the peak footprints
+/// (`peaks`, in local rank order) of the ranks placed on it, `local_rank %
+/// gpus == g`. The one pool sum behind [`admit`] and the analyzer's `M001`.
+pub(crate) fn pool_demand(peaks: impl Iterator<Item = u64>, gpus: usize, g: usize) -> u64 {
+    peaks.skip(g).step_by(gpus).sum()
 }
 
 /// The event loop of [`simulate_compiled`], for a configuration [`admit`]
@@ -923,16 +923,16 @@ pub(crate) fn run_loop(
         shard.prime();
     }
 
-    // Phase loop: step all shards (in parallel) until each is blocked on
-    // the earliest unreleased barrier, then release it at the global max
-    // arrival time. Shards share nothing while stepping; every reduction
-    // below walks the shards or the nodes in node order, so results are
-    // deterministic regardless of thread count.
+    // Phase loop: step every shard until each is blocked on the earliest
+    // unreleased barrier, then release it at the global max arrival time.
+    // Shards share nothing while stepping; every reduction below walks
+    // the shards or the nodes in node order, so results do not depend on
+    // the order shards step in.
     let mut next_seq = 0usize;
     loop {
         let target = (next_seq < groups.len()).then_some(next_seq as u32);
         shards
-            .par_iter_mut()
+            .iter_mut()
             .for_each(|shard| shard.run_until_blocked(target));
         // A representative is the lowest node of its class, so the first
         // node in order with an error is the node the error names.

@@ -82,12 +82,14 @@ pub use node::{
     TimelineEvent, TimelineKind,
 };
 pub use profile::KernelProfile;
+/// The sweep under the name `wallbench` still calls it by; the benchmark
+/// change that moves `wallbench` onto [`sweep`] (ROADMAP item 6) deletes
+/// this alias.
+#[doc(hidden)]
+pub use sweep::sweep as sweep_preflight;
 pub use sweep::{
-    sweep, sweep_digest, sweep_digest_from, sweep_preflight, workload_digest, CompiledSweep,
-    SweepCalib, SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
+    sweep, sweep_digest, sweep_digest_from, workload_digest, CompiledSweep, SweepCalib,
+    SweepCheckpoint, SweepPoint, SweepResult, SweepResumeError, SweepSpec,
 };
 pub use trace::{RankTrace, Segment, SpanEvent, SpanKind, TransferDir};
-pub use whatif::{
-    CompiledRecording, RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib,
-    WhatifError,
-};
+pub use whatif::{RecordMeta, RecordedWorkload, Replayed, UnknownPreset, WhatifCalib, WhatifError};

@@ -20,8 +20,12 @@
 //!    an *engine key* (its calibration, and its GPU count and resolved
 //!    policy where the loop reads them), and the first point of a key in
 //!    grid order runs the loop for every point of that key. Each point
-//!    still runs its own lower bound, pruning, pre-flight and admission,
-//!    and prices its own cost (DESIGN § 5d).
+//!    still runs its own lower bound, pruning and admission, and prices
+//!    its own cost (DESIGN § 5d);
+//! 5. a point that passes admission in a workload that deadlocks takes
+//!    the deadlock verdict instead of a loop: the verdict depends on the
+//!    workload alone, so the analyzer decides it once per
+//!    [`CompiledSweep`], and its text is the engine's own (DESIGN § 7).
 //!
 //! On top of the hot path sit three optimizer features:
 //!
@@ -48,34 +52,35 @@
 //! point is bit-identical to a standalone `replay` of that preset — the
 //! differential oracle extended to the batched path.
 //!
-//! For long-running callers (the serve layer) the module also exposes
-//! the sweep in resumable form: [`CompiledSweep`] separates the
-//! compile-once arena from grid evaluation so many jobs sharing a
-//! recording share one compile, and [`CompiledSweep::run_resumable`]
+//! [`CompiledSweep`] separates the compile-once arena from evaluation:
+//! many jobs sharing a recording share one compile (the serve layer),
+//! [`CompiledSweep::replay`] prices it under one calibration the way a
+//! standalone replay does, and [`CompiledSweep::run_resumable`]
 //! evaluates the grid in chunks, surfacing the completed prefix after
 //! each chunk as a [`SweepCheckpoint`] cursor (lossless JSONL, guarded
-//! by a content digest). Every entry point — [`sweep`],
-//! [`sweep_preflight`], [`CompiledSweep::run`] and `run_resumable` —
-//! goes through one grid driver, and every grid point is a pure function
-//! of (workload, spec), so a sweep resumed from any cursor produces a
-//! result byte-identical to an uninterrupted run.
+//! by a content digest). Every grid entry point — [`sweep`],
+//! [`CompiledSweep::run`] and `run_resumable` — goes through one grid
+//! driver, and every grid point is a pure function of (workload, spec),
+//! so a sweep resumed from any cursor produces a result byte-identical
+//! to an uninterrupted run.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
+use crate::analyze::predict_deadlock;
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
-use crate::engine::sim::{admit, run_loop, CSeg, CompiledWorkload};
-use crate::engine::{EngineError, SchedulePolicyKind};
+use crate::engine::sim::{admit, run_loop, simulate_compiled, CSeg, CompiledWorkload};
+use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_opt_f64, as_str, Esc, Fields, Num, OptNum};
 use crate::node::NodeConfig;
 use crate::trace::RankTrace;
 use crate::whatif::{
-    parse_err, preset, presets, reprice, RecordMeta, RecordedWorkload, UnknownPreset, WhatifCalib,
-    WhatifError,
+    parse_err, preset, presets, reprice, RecordMeta, RecordedWorkload, Replayed, UnknownPreset,
+    WhatifCalib, WhatifError,
 };
 
 /// One calibration axis value of a sweep grid: a resolved node + network
@@ -329,15 +334,16 @@ pub struct SweepResult {
     /// Points with a makespan.
     pub evaluated: usize,
     /// Event loops run: one per distinct engine key among the points that
-    /// passed admission, so at most `evaluated` plus the points whose loop
-    /// failed. Not serialized, like [`SweepResult::rejected`].
+    /// passed admission and the deadlock verdict, so at most `evaluated`
+    /// plus the points whose loop failed. Not serialized, like
+    /// [`SweepResult::rejected`].
     pub replays: usize,
     /// Points skipped by the lower-bound pruner.
     pub pruned: usize,
-    /// Points rejected statically by [`sweep_preflight`] without a
-    /// replay (always `0` for [`sweep`]). Deliberately *not* serialized:
-    /// a rejected point carries the same error text a replay would, so
-    /// the JSONL output stays bit-identical across the two modes.
+    /// Points stopped before any event loop: admission OOM or the
+    /// deadlock verdict. Each carries the error text a replay would
+    /// report. Not serialized: the count is how the grid was evaluated,
+    /// not what it found.
     pub rejected: usize,
 }
 
@@ -659,36 +665,64 @@ pub fn sweep(workload: &RecordedWorkload, spec: &SweepSpec) -> Result<SweepResul
     Ok(CompiledSweep::compile(workload)?.run(spec))
 }
 
-/// [`sweep`] with the static pre-flight gate enabled: before replaying a
-/// point, the analyzer's exact predictors (`analyze::predict_oom`,
-/// `analyze::predict_deadlock`) decide whether the engine would reject
-/// it. Statically-rejected points skip the replay entirely and record
-/// the *same* error text the replay would have produced, so the
-/// serialized output is bit-identical to [`sweep`]'s — only wall-clock
-/// time and [`SweepResult::rejected`] differ.
-pub fn sweep_preflight(
-    workload: &RecordedWorkload,
-    spec: &SweepSpec,
-) -> Result<SweepResult, EngineError> {
-    let cs = CompiledSweep::compile(workload)?;
-    Ok(cs.drive(spec, true, blank_points(spec), 0, usize::MAX, &mut |_| {}))
-}
-
 /// A workload compiled once into the engine's calibration-invariant
-/// arena, ready to evaluate many grids. This is the serve layer's
-/// coalescing unit: queued sweep jobs that share a recording share one
-/// `CompiledSweep`, so the segment-graph build and label interning are
-/// paid once per batch rather than once per job.
+/// arena, ready to evaluate many grids and replays. This is the serve
+/// layer's coalescing unit: queued sweep jobs that share a recording
+/// share one `CompiledSweep`, so the segment-graph build and label
+/// interning are paid once per batch rather than once per job.
 pub struct CompiledSweep<'w> {
     workload: &'w RecordedWorkload,
     compiled: CompiledWorkload,
+    /// See [`CompiledSweep::deadlock`].
+    deadlock: OnceLock<Option<String>>,
 }
 
 impl<'w> CompiledSweep<'w> {
-    /// Compile the recording's traces into the shared arena.
+    /// Compile the recording's traces into the shared arena (shared nodes
+    /// stay pointer-equal, so compile classes them without a content
+    /// compare).
     pub fn compile(workload: &'w RecordedWorkload) -> Result<Self, EngineError> {
-        let compiled = workload.compile()?;
-        Ok(Self { workload, compiled })
+        let slices: Vec<&[RankTrace]> = workload.nodes.iter().map(|n| &**n).collect();
+        Ok(Self {
+            workload,
+            compiled: CompiledWorkload::compile(&slices)?,
+            deadlock: OnceLock::new(),
+        })
+    }
+
+    /// [`RecordedWorkload::replay`] on the already-compiled arena: one
+    /// cost table for `node`/`net`, then admission and the event loop.
+    pub fn replay(
+        &self,
+        node: &NodeCalib,
+        net: &NetCalib,
+        gpus: Option<u32>,
+    ) -> Result<Replayed, EngineError> {
+        let meta = &self.workload.meta;
+        let costs = self
+            .compiled
+            .cost_table(&node.gpu, &reprice(meta, node, net))?;
+        let cfg = NodeConfig {
+            calib: *node,
+            gpus: gpus.unwrap_or(meta.gpus),
+            mps: meta.mps,
+            schedule: meta.schedule,
+            overlap_transfers: meta.overlap_transfers,
+        };
+        let out = simulate_compiled(&self.compiled, &costs, &cfg, false)?;
+        Ok(Replayed {
+            cluster: ClusterResult::from_output(out, self.workload.nodes.len()),
+            per_label: self.compiled.label_stats(&costs, &node.gpu),
+        })
+    }
+
+    /// The workload's deadlock verdict as the engine's error text, or
+    /// `None` when every barrier fills. It depends on the workload alone,
+    /// so the analyzer decides it once, for the first point that asks.
+    fn deadlock(&self) -> Option<&str> {
+        self.deadlock
+            .get_or_init(|| predict_deadlock(&self.workload.nodes).map(|e| e.to_string()))
+            .as_deref()
     }
 
     /// Arena entries shared by every grid point.
@@ -699,7 +733,7 @@ impl<'w> CompiledSweep<'w> {
     /// Evaluate a full grid against the shared arena — [`sweep`] minus
     /// the compile.
     pub fn run(&self, spec: &SweepSpec) -> SweepResult {
-        self.drive(spec, false, blank_points(spec), 0, usize::MAX, &mut |_| {})
+        self.drive(spec, blank_points(spec), 0, usize::MAX, &mut |_| {})
     }
 
     /// [`CompiledSweep::run`] in resumable chunks: adopt an
@@ -740,22 +774,21 @@ impl<'w> CompiledSweep<'w> {
             }
             points[i] = done.clone();
         }
-        Ok(self.drive(spec, false, points, completed.len(), chunk, on_checkpoint))
+        Ok(self.drive(spec, points, completed.len(), chunk, on_checkpoint))
     }
 
     /// The one grid driver: evaluate `points[done..]` `chunk` points at a
     /// time, handing the completed prefix to `on_checkpoint` after each
-    /// chunk, with the static pre-flight gate when `preflight` is set.
+    /// chunk.
     fn drive(
         &self,
         spec: &SweepSpec,
-        preflight: bool,
         mut points: Vec<SweepPoint>,
         done: usize,
         chunk: usize,
         on_checkpoint: &mut dyn FnMut(&[SweepPoint]),
     ) -> SweepResult {
-        let ctx = GridCtx::new(self, spec, preflight);
+        let ctx = GridCtx::new(self, spec);
         // One loop outcome per engine key, kept across chunks.
         let mut loops = HashMap::new();
         let total = points.len();
@@ -794,12 +827,6 @@ fn blank_points(spec: &SweepSpec) -> Vec<SweepPoint> {
     points
 }
 
-/// The static pre-flight context of a [`sweep_preflight`] grid.
-struct Preflight<'a> {
-    nodes: &'a [Arc<[RankTrace]>],
-    deadlock: Option<String>,
-}
-
 /// What the event loop of a grid point reads besides the shared arena:
 /// its calibration's cost table, and its GPU count and resolved policy
 /// where those reach the loop. Points with equal keys replay the same
@@ -826,12 +853,12 @@ struct Admitted<'t> {
 /// of the key records.
 type LoopOutcome = Result<f64, EngineError>;
 
-/// Everything one grid evaluation needs: the shared arena, one cost
-/// table per calibration, the spec and the optional pre-flight.
+/// Everything one grid evaluation needs: the compiled recording, one
+/// cost table per calibration and the spec.
 struct GridCtx<'a> {
     spec: &'a SweepSpec,
+    cs: &'a CompiledSweep<'a>,
     meta: &'a RecordMeta,
-    compiled: &'a CompiledWorkload,
     /// One cost table per calibration, priced by the first point of the
     /// calibration that needs it, inside the fan-out, and shared across
     /// the gpus × schedule sub-grid. A broken calibration poisons only its
@@ -848,35 +875,23 @@ struct GridCtx<'a> {
     max_ranks: usize,
     /// The arena holds no kernel and no transfer.
     device_free: bool,
-    pre: Option<Preflight<'a>>,
-    /// Points the pre-flight rejected, counted across fan-out workers.
+    /// Points stopped before any event loop, counted across fan-out
+    /// workers.
     rejected: AtomicUsize,
 }
 
 impl<'a> GridCtx<'a> {
-    fn new(cs: &'a CompiledSweep<'_>, spec: &'a SweepSpec, preflight: bool) -> Self {
-        let meta = &cs.workload.meta;
-        // Pre-flight: the deadlock verdict is a property of the workload
-        // alone (it depends on neither calibration nor GPU count), so it
-        // is decided once here; the OOM verdict depends on (calibration,
-        // gpus) and is re-derived per point inside the fan-out. Both
-        // predictors replicate the engine's own checks exactly, so the
-        // recorded error text matches what a replay would have produced.
-        let nodes = &cs.workload.nodes;
-        let pre = preflight.then(|| Preflight {
-            nodes,
-            deadlock: crate::analyze::predict_deadlock(nodes).map(|e| e.to_string()),
-        });
+    fn new(cs: &'a CompiledSweep<'a>, spec: &'a SweepSpec) -> Self {
         GridCtx {
             spec,
-            meta,
-            compiled: &cs.compiled,
+            cs,
+            meta: &cs.workload.meta,
             tables: spec.calibs.iter().map(|_| OnceLock::new()).collect(),
             bounds: (0..spec.calibs.len() * spec.gpus.len())
                 .map(|_| OnceLock::new())
                 .collect(),
             per_calib: spec.gpus.len() * spec.schedules.len(),
-            nodes: nodes.len().max(1),
+            nodes: cs.workload.nodes.len().max(1),
             max_ranks: cs
                 .compiled
                 .nodes
@@ -885,7 +900,6 @@ impl<'a> GridCtx<'a> {
                 .max()
                 .unwrap_or(0),
             device_free: cs.compiled.device_free(),
-            pre,
             rejected: AtomicUsize::new(0),
         }
     }
@@ -915,7 +929,8 @@ impl<'a> GridCtx<'a> {
             .map(|a| (a, None))
             .collect();
         rayon::fan_out(&mut leaders, 0, workers, |_, (a, out)| {
-            *out = Some(run_loop(self.compiled, a.costs, &a.cfg, false).map(|o| o.wall_seconds()));
+            *out =
+                Some(run_loop(&self.cs.compiled, a.costs, &a.cfg, false).map(|o| o.wall_seconds()));
         });
         loops.extend(
             leaders
@@ -931,14 +946,16 @@ impl<'a> GridCtx<'a> {
     }
 
     /// A point's own checks, in the engine's order: its cost table, the
-    /// lower bound against the deadline, the pre-flight, then admission.
-    /// `Some` when the point reaches the event loop.
+    /// lower bound against the deadline, admission (OOM), then the
+    /// workload's deadlock verdict, which the engine would only reach
+    /// after replaying to quiescence. `Some` when the point reaches the
+    /// event loop.
     fn admit(&self, i: usize, pt: &mut SweepPoint) -> Option<Admitted<'_>> {
-        let c = i / self.per_calib;
+        let (c, compiled) = (i / self.per_calib, &self.cs.compiled);
         let calib = &self.spec.calibs[c];
         let table = self.tables[c].get_or_init(|| {
             let reprice = reprice(self.meta, &calib.node, &calib.net);
-            self.compiled.cost_table(&calib.node.gpu, &reprice)
+            compiled.cost_table(&calib.node.gpu, &reprice)
         });
         let costs = match table {
             Ok(t) => t,
@@ -949,25 +966,11 @@ impl<'a> GridCtx<'a> {
         };
         // Grid order is calibration-major, then GPUs, then schedule.
         let pair = c * self.spec.gpus.len() + (i % self.per_calib) / self.spec.schedules.len();
-        pt.lower_bound = *self.bounds[pair].get_or_init(|| {
-            lower_bound(self.compiled, costs, pt.gpus, self.meta.overlap_transfers)
-        });
+        pt.lower_bound = *self.bounds[pair]
+            .get_or_init(|| lower_bound(compiled, costs, pt.gpus, self.meta.overlap_transfers));
         if let Some(deadline) = self.spec.deadline {
             if pt.lower_bound > deadline {
                 pt.pruned = true;
-                return None;
-            }
-        }
-        if let Some(pre) = &self.pre {
-            // Same order as the engine: the OOM admission check runs
-            // before the first event, a deadlock only after replaying
-            // to quiescence.
-            let verdict = crate::analyze::predict_oom(pre.nodes, calib.node.gpu.mem_bytes, pt.gpus)
-                .map(|e| e.to_string())
-                .or_else(|| pre.deadlock.clone());
-            if let Some(e) = verdict {
-                pt.error = Some(e);
-                self.rejected.fetch_add(1, Ordering::Relaxed);
                 return None;
             }
         }
@@ -978,8 +981,13 @@ impl<'a> GridCtx<'a> {
             schedule: pt.schedule,
             overlap_transfers: self.meta.overlap_transfers,
         };
-        if let Err(e) = admit(self.compiled, &cfg) {
-            pt.error = Some(e.to_string());
+        let verdict = match admit(compiled, &cfg) {
+            Err(e) => Some(e.to_string()),
+            Ok(()) => self.cs.deadlock().map(String::from),
+        };
+        if let Some(e) = verdict {
+            pt.error = Some(e);
+            self.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         }
         let key = self.engine_key(c, &cfg);
@@ -1043,7 +1051,7 @@ impl<'a> GridCtx<'a> {
             pareto,
             best_under_deadline,
             deadline: self.spec.deadline,
-            compiled_segments: self.compiled.segment_count(),
+            compiled_segments: self.cs.compiled.segment_count(),
             evaluated,
             replays,
             pruned,
@@ -1081,6 +1089,8 @@ fn pareto_front(points: &[SweepPoint]) -> Vec<usize> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::profile::KernelProfile;
     use crate::trace::{Segment, TransferDir};
@@ -1298,8 +1308,22 @@ mod tests {
         assert_eq!(res.pareto, vec![1]);
     }
 
+    /// Each point's error text against a standalone replay of it, which
+    /// runs admission and the event loop to quiescence.
+    fn assert_errors_match_standalone_replays(w: &RecordedWorkload, res: &SweepResult) {
+        for p in res.points.iter().filter(|p| p.error.is_some()) {
+            let calib = SweepCalib::resolve(&p.calib, &w.meta).unwrap();
+            let mut alone = w.clone();
+            alone.meta.schedule = p.schedule;
+            let err = alone
+                .replay(&calib.node, &calib.net, Some(p.gpus))
+                .unwrap_err();
+            assert_eq!(p.error.as_deref(), Some(&*err.to_string()));
+        }
+    }
+
     #[test]
-    fn preflight_is_bit_identical_on_grids_with_oom_points() {
+    fn oom_points_are_rejected_before_any_loop() {
         let mut w = sample_workload();
         for trace in w.nodes.iter_mut().flat_map(Arc::make_mut) {
             trace.peak_device_bytes = 30 << 30;
@@ -1315,21 +1339,19 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto],
             deadline: None,
         };
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(full.rejected, 0);
-        assert_eq!(pre.rejected, 2);
-        assert_eq!(pre.evaluated, full.evaluated);
-        // The acceptance bar: identical serialized output, down to the
-        // error text on the statically-rejected points.
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        let res = sweep(&w, &spec).unwrap();
+        assert_eq!(res.rejected, 2);
+        assert_eq!(res.evaluated, 2);
+        assert_eq!(res.replays, 2);
+        assert!(res.points[0].error.as_deref().unwrap().contains("memory"));
+        assert_errors_match_standalone_replays(&w, &res);
     }
 
     #[test]
-    fn preflight_is_bit_identical_on_deadlocking_workloads() {
+    fn deadlocking_workloads_run_no_loop() {
         let mut w = sample_workload();
         // One extra collective on rank 0 makes the job ragged: every
-        // grid point now deadlocks at replay time.
+        // grid point deadlocks.
         Arc::make_mut(&mut w.nodes[0])[0]
             .segments
             .push(Segment::Collective {
@@ -1343,24 +1365,24 @@ mod tests {
             schedules: vec![SchedulePolicyKind::Auto, SchedulePolicyKind::Fifo],
             deadline: None,
         };
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(pre.rejected, spec.point_count());
-        assert!(full
+        let res = sweep(&w, &spec).unwrap();
+        assert_eq!(res.rejected, spec.point_count());
+        assert_eq!(res.replays, 0);
+        assert!(res
             .points
             .iter()
             .all(|p| p.error.as_deref().is_some_and(|e| e.contains("deadlock"))));
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        assert_errors_match_standalone_replays(&w, &res);
     }
 
     #[test]
-    fn preflight_is_a_no_op_on_clean_grids() {
+    fn clean_grids_reject_nothing() {
         let w = sample_workload();
         let spec = SweepSpec::default_grid(&w.meta);
-        let full = sweep(&w, &spec).unwrap();
-        let pre = sweep_preflight(&w, &spec).unwrap();
-        assert_eq!(pre.rejected, 0);
-        assert_eq!(full.to_jsonl(), pre.to_jsonl());
+        let res = sweep(&w, &spec).unwrap();
+        assert_eq!(res.rejected, 0);
+        assert_eq!(res.evaluated, spec.point_count());
+        assert!(res.replays > 0);
     }
 
     #[test]

@@ -42,11 +42,11 @@ use std::sync::Arc;
 
 use crate::calib::{DeviceCalib, NetCalib, NodeCalib};
 use crate::context::LabelStats;
-use crate::engine::sim::{simulate_compiled, CompiledWorkload, Reprice};
+use crate::engine::sim::Reprice;
 use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
 use crate::json::{self, as_str, Esc, Fields, JsonError, Num};
-use crate::node::NodeConfig;
 use crate::profile::KernelProfile;
+use crate::sweep::CompiledSweep;
 use crate::trace::{class_after, RankTrace, Segment, TransferDir};
 
 /// Everything needed to replay a recording without the code that made it:
@@ -290,43 +290,6 @@ pub(crate) fn reprice(meta: &RecordMeta, node: &NodeCalib, net: &NetCalib) -> Re
     }
 }
 
-/// A recording compiled into the engine's calibration-invariant arena
-/// ([`RecordedWorkload::compile_for_replay`]), ready to be priced under
-/// any number of calibrations without compiling again.
-#[derive(Debug)]
-pub struct CompiledRecording<'a> {
-    workload: &'a RecordedWorkload,
-    compiled: CompiledWorkload,
-}
-
-impl CompiledRecording<'_> {
-    /// [`RecordedWorkload::replay`] on the already-compiled arena: one
-    /// cost table for `node`/`net`, then the event loop.
-    pub fn replay(
-        &self,
-        node: &NodeCalib,
-        net: &NetCalib,
-        gpus: Option<u32>,
-    ) -> Result<Replayed, EngineError> {
-        let meta = &self.workload.meta;
-        let costs = self
-            .compiled
-            .cost_table(&node.gpu, &reprice(meta, node, net))?;
-        let cfg = NodeConfig {
-            calib: *node,
-            gpus: gpus.unwrap_or(meta.gpus),
-            mps: meta.mps,
-            schedule: meta.schedule,
-            overlap_transfers: meta.overlap_transfers,
-        };
-        let out = simulate_compiled(&self.compiled, &costs, &cfg, false)?;
-        Ok(Replayed {
-            cluster: ClusterResult::from_output(out, self.workload.nodes.len()),
-            per_label: self.compiled.label_stats(&costs, &node.gpu),
-        })
-    }
-}
-
 impl RecordedWorkload {
     /// Capture a workload from live rank traces, stripping the span
     /// events (the segment list *is* the charge record). A node
@@ -355,35 +318,19 @@ impl RecordedWorkload {
         }
     }
 
-    /// Compile the recording into the engine's calibration-invariant
-    /// arena (one slice of rank traces per node; shared nodes stay
-    /// pointer-equal, so compile classes them without a content compare).
-    pub(crate) fn compile(&self) -> Result<CompiledWorkload, EngineError> {
-        let slices: Vec<&[RankTrace]> = self.nodes.iter().map(|n| &**n).collect();
-        CompiledWorkload::compile(&slices)
-    }
-
     /// Replay through the discrete-event engine under the given
     /// calibration. `gpus` overrides the recorded per-node GPU count (a
     /// "what if the node had 8 GPUs" knob); `None` keeps it. No kernel
     /// numerics run — only the recorded charges are priced and replayed.
+    /// To price one recording under several calibrations, compile it once
+    /// with [`CompiledSweep::compile`] and call [`CompiledSweep::replay`].
     pub fn replay(
         &self,
         node: &NodeCalib,
         net: &NetCalib,
         gpus: Option<u32>,
     ) -> Result<Replayed, EngineError> {
-        self.compile_for_replay()?.replay(node, net, gpus)
-    }
-
-    /// Compile the recording once for several replays: each
-    /// [`CompiledRecording::replay`] prices the one arena under its own
-    /// calibration, with the same bits [`RecordedWorkload::replay`] gives.
-    pub fn compile_for_replay(&self) -> Result<CompiledRecording<'_>, EngineError> {
-        Ok(CompiledRecording {
-            workload: self,
-            compiled: self.compile()?,
-        })
+        CompiledSweep::compile(self)?.replay(node, net, gpus)
     }
 
     /// Replay under the recorded calibration — the differential oracle:
@@ -1124,7 +1071,7 @@ mod tests {
     #[test]
     fn one_compile_replays_like_separate_replays() {
         let w = sample_workload();
-        let compiled = w.compile_for_replay().unwrap();
+        let compiled = CompiledSweep::compile(&w).unwrap();
         let h100 = preset("h100").unwrap();
         let (node, net) = (h100.node.rescaled(0.5), h100.net);
         for (node, net, gpus) in [

@@ -36,25 +36,23 @@
 //! whatif sweep --record <path> [--grid gpus=2..8;calib=identity,h100;schedule=mps,fifo]
 //!              [--gpus 2..8] [--calib a100,h100] [--schedule mps,fifo]
 //!              [--deadline <seconds>] [--out <jsonl>] [--dump-scenarios]
-//!              [--preflight]
 //! ```
 //!
 //! One workload compile serves the whole grid; each point only
 //! materializes a per-calibration cost vector before replay. Points whose
 //! analytic lower bound already exceeds `--deadline` are pruned without a
-//! replay. Points whose event loops cannot differ share one, and the
-//! summary line counts the loops run. The report ranks evaluated points
-//! by makespan, marks the Pareto front over (makespan, hardware-cost
-//! proxy) and names the cheapest point that meets the deadline. Passing
-//! a comma list or `..` range to `--replay`'s `--calib`/`--gpus` routes
-//! to the same sweep.
+//! replay. Points the engine would refuse before any event loop (an
+//! out-of-memory layout, or a workload whose collectives deadlock) are
+//! rejected without one and carry the engine's own error text; a line
+//! after the summary counts them. Points whose event loops cannot differ
+//! share one, and the summary line counts the loops run. The report ranks
+//! evaluated points by makespan, marks the Pareto front over (makespan,
+//! hardware-cost proxy) and names the cheapest point that meets the
+//! deadline. Passing a comma list or `..` range to `--replay`'s
+//! `--calib`/`--gpus` routes to the same sweep.
 //! `--dump-scenarios` prints the grid as one scenario per line (compact
 //! JSON, derived from the recording's embedded scenario) instead of
-//! replaying anything. `--preflight` runs the static analyzer's exact
-//! OOM/deadlock predictors on each point first and skips the replay of
-//! statically-rejected points; the output (including `--out` JSONL) is
-//! bit-identical to the unpruned sweep because the predicted errors are
-//! the very errors the replays would have produced.
+//! replaying anything.
 
 use std::path::Path;
 use std::process::exit;
@@ -64,10 +62,8 @@ use repro_bench::report::{fmt_ratio, Table};
 use repro_bench::{arg_value, has_flag, record_run, scenario_from_args, RunConfig};
 
 use accel_sim::sweep::{parse_calibs, parse_gpus, parse_schedules, SweepResult, SweepSpec};
-use accel_sim::whatif::{
-    preset, presets, CompiledRecording, RecordMeta, RecordedWorkload, Replayed,
-};
-use accel_sim::{EngineError, NetCalib, NodeCalib};
+use accel_sim::whatif::{preset, presets, RecordMeta, RecordedWorkload, Replayed};
+use accel_sim::{CompiledSweep, EngineError, NetCalib, NodeCalib};
 use scenario::{ImplKind, ProblemSize, Scenario};
 
 fn main() {
@@ -75,7 +71,7 @@ fn main() {
         let path = arg_value("--record").or_else(|| arg_value("--replay"));
         let Some(path) = path else {
             eprintln!(
-                "usage: whatif sweep --record <workload.jsonl> [--grid ...] [--deadline <s>] [--preflight]"
+                "usage: whatif sweep --record <workload.jsonl> [--grid ...] [--deadline <s>]"
             );
             exit(2);
         };
@@ -169,9 +165,7 @@ fn replay(path: &str) {
     // One compile serves both replays. The differential oracle always
     // runs: under the recorded calibration the engine must reproduce the
     // live makespan bit for bit.
-    let compiled = workload
-        .compile_for_replay()
-        .unwrap_or_else(|e| replay_failed(e));
+    let compiled = CompiledSweep::compile(&workload).unwrap_or_else(|e| replay_failed(e));
     let identity = run_replay(
         &compiled,
         &workload.meta.node_calib,
@@ -231,7 +225,7 @@ fn replay(path: &str) {
 }
 
 fn run_replay(
-    compiled: &CompiledRecording,
+    compiled: &CompiledSweep,
     node: &NodeCalib,
     net: &NetCalib,
     gpus: Option<u32>,
@@ -310,20 +304,8 @@ fn sweep_cmd(path: &str) {
             .map_or(String::new(), |d| format!(", deadline {d:?} s")),
     );
 
-    let preflight = has_flag("--preflight");
-    let run = if preflight {
-        accel_sim::sweep::sweep_preflight
-    } else {
-        accel_sim::sweep::sweep
-    };
-    let result = run(&workload, &spec).unwrap_or_else(|e| fail(e));
+    let result = accel_sim::sweep(&workload, &spec).unwrap_or_else(|e| fail(e));
     report_sweep(&result, meta.live_wall_seconds);
-    if preflight {
-        println!(
-            "{} point(s) rejected by preflight without a replay",
-            result.rejected
-        );
-    }
 
     if let Some(out) = arg_value("--out") {
         if let Err(e) = std::fs::write(&out, result.to_jsonl()) {
@@ -379,6 +361,7 @@ fn report_sweep(result: &SweepResult, live_wall: f64) {
         result.compiled_segments,
         result.replays,
     );
+    println!("{} point(s) rejected without a replay", result.rejected);
     println!("pareto front: {} point(s)", result.pareto.len());
     if let Some(deadline) = result.deadline {
         match result.best_under_deadline {

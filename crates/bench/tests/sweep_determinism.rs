@@ -5,9 +5,9 @@
 //! the serialized result must be byte-identical whatever the worker
 //! count. This is the same contract the engine determinism suite locks
 //! for a single replay, lifted to the whole sweep and to every grid entry
-//! point: plain, preflight, compiled and resumable.
+//! point: plain, compiled and resumable.
 
-use accel_sim::sweep::{sweep, sweep_preflight, CompiledSweep, SweepResult, SweepSpec};
+use accel_sim::sweep::{sweep, CompiledSweep, SweepResult, SweepSpec};
 use accel_sim::{
     KernelProfile, RankTrace, RecordMeta, RecordedWorkload, SchedulePolicyKind, Segment,
     TransferDir,
@@ -84,10 +84,10 @@ fn run() -> SweepResult {
     sweep(&w, &spec(&w)).expect("sweep")
 }
 
-/// The other grid entry points over the same grid, serialized: preflight,
-/// the compiled run, and a resumable run from a mid-grid cursor in
-/// chunks that do not divide the remaining points.
-fn other_entry_points(baseline: &SweepResult) -> [(&'static str, String); 3] {
+/// The other grid entry points over the same grid, serialized: the
+/// compiled run, and a resumable run from a mid-grid cursor in chunks
+/// that do not divide the remaining points.
+fn other_entry_points(baseline: &SweepResult) -> [(&'static str, String); 2] {
     let w = workload();
     let spec = spec(&w);
     let cs = CompiledSweep::compile(&w).expect("compile");
@@ -95,10 +95,6 @@ fn other_entry_points(baseline: &SweepResult) -> [(&'static str, String); 3] {
         .run_resumable(&spec, &baseline.points[..7], 5, &mut |_| {})
         .expect("resume");
     [
-        (
-            "preflight",
-            sweep_preflight(&w, &spec).expect("preflight").to_jsonl(),
-        ),
         ("compiled", cs.run(&spec).to_jsonl()),
         ("resumed", resumed.to_jsonl()),
     ]

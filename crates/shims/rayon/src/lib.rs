@@ -18,10 +18,10 @@
 //! simulated processes with their own virtual clocks. There is no pool;
 //! each call spawns its helpers and joins them before it returns.
 //!
-//! The sites that stay on the sequential iterators do so on purpose: the
-//! engine's per-shard loop, whose replays already run inside a parallel
-//! sweep or take under 1 % of a live run, and the cpu kernels'
-//! `par_chunks_mut`, which already run inside a parallel rank.
+//! The cpu kernels stay on the sequential iterators on purpose: they
+//! already run inside a parallel rank. So does the engine's per-shard
+//! loop, which calls std's `iter_mut` directly: its replays already run
+//! inside a parallel sweep or take under 1 % of a live run.
 //!
 //! Parallel ranks cost resident memory: each worker thread gets its own
 //! glibc malloc arena, which keeps freed pages. A prototype of the
