@@ -23,11 +23,8 @@
 //! from the barrier and residency passes are **exact** — the replay is
 //! proven to fail with the very error text carried in the diagnostic
 //! `message`, and a clean pass proves the corresponding runtime error
-//! unreachable. Warnings are best-effort. The sweep leans on that
-//! exactness: every grid point takes the deadlock verdict, decided once
-//! per compiled recording, instead of replaying to quiescence, and its
-//! output is the same as if it had replayed. The residency pass sums
-//! each pool with the engine's own admission arithmetic.
+//! unreachable. Warnings are best-effort. The residency pass sums each
+//! pool over the engine's own placement rule, the one admission uses.
 //!
 //! Entry points: [`check_workload`] lints a recording under its own
 //! embedded calibration and layout, [`check_workload_under`] swaps in
@@ -42,8 +39,6 @@ mod lints;
 mod residency;
 
 pub use diag::{Code, Diagnostic, Locus, Report, Severity};
-
-pub(crate) use barrier::predict_deadlock;
 
 use crate::calib::{NetCalib, NodeCalib};
 use crate::whatif::{RecordMeta, RecordedWorkload};

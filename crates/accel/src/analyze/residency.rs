@@ -5,8 +5,8 @@
 //! the memory-pool accounting at record time). The engine admits a
 //! replay only if, for every physical GPU, the watermarks of the ranks
 //! placed on it (`local_rank % gpus`) fit in device memory — checked
-//! before the first event. This pass sums each pool with the engine's
-//! own arithmetic ([`pool_demand`]), so its `M001` error carries the
+//! before the first event. This pass sums each pool over the engine's
+//! own placement rule ([`pool_ranks`]), so its `M001` error carries the
 //! very [`EngineError::Oom`] text the engine would raise, and a clean
 //! pass proves the replay cannot OOM. On top of the exact check it
 //! warns (`M002`) when a pool lands within a configurable headroom of
@@ -15,7 +15,7 @@
 use std::sync::Arc;
 
 use crate::engine::error::EngineError;
-use crate::engine::sim::pool_demand;
+use crate::engine::sim::pool_ranks;
 use crate::node::NodeOom;
 use crate::trace::RankTrace;
 
@@ -35,7 +35,8 @@ pub(crate) fn residency_pass(
     let gpus = gpus.max(1) as usize;
     for (n, node) in nodes.iter().enumerate() {
         for g in 0..gpus {
-            let demanded = pool_demand(node.iter().map(|t| t.peak_device_bytes), gpus, g);
+            let residents = pool_ranks(node.len(), gpus, g);
+            let demanded: u64 = residents.clone().map(|r| node[r].peak_device_bytes).sum();
             let gpu = (n * gpus + g) as u32;
             if demanded > mem_bytes {
                 let oom = NodeOom {
@@ -43,7 +44,6 @@ pub(crate) fn residency_pass(
                     demanded,
                     capacity: mem_bytes,
                 };
-                let residents = (g..node.len()).step_by(gpus);
                 let heaviest = residents
                     .clone()
                     .max_by_key(|&r| node[r].peak_device_bytes)

@@ -92,6 +92,7 @@
 //! counts.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::iter::StepBy;
 use std::ops::Range;
 
 use crate::calib::{DeviceCalib, NetCalib};
@@ -843,7 +844,9 @@ pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(),
             continue;
         }
         for g in 0..gpus {
-            let demanded = pool_demand(node.ranks.iter().map(|cr| cr.peak_device_bytes), gpus, g);
+            let demanded: u64 = pool_ranks(node.ranks.len(), gpus, g)
+                .map(|r| node.ranks[r].peak_device_bytes)
+                .sum();
             if demanded > cfg.calib.gpu.mem_bytes {
                 return Err(EngineError::Oom(NodeOom {
                     gpu: (n * gpus + g) as u32,
@@ -856,11 +859,11 @@ pub(crate) fn admit(compiled: &CompiledWorkload, cfg: &NodeConfig) -> Result<(),
     Ok(())
 }
 
-/// What GPU `g` of a node with `gpus` GPUs must hold: the peak footprints
-/// (`peaks`, in local rank order) of the ranks placed on it, `local_rank %
-/// gpus == g`. The one pool sum behind [`admit`] and the analyzer's `M001`.
-pub(crate) fn pool_demand(peaks: impl Iterator<Item = u64>, gpus: usize, g: usize) -> u64 {
-    peaks.skip(g).step_by(gpus).sum()
+/// The local ranks of a `len`-rank node that GPU `g` of `gpus` holds,
+/// `local_rank % gpus == g`: the one pool rule behind [`admit`] and the
+/// analyzer's `M001`.
+pub(crate) fn pool_ranks(len: usize, gpus: usize, g: usize) -> StepBy<Range<usize>> {
+    (g..len).step_by(gpus)
 }
 
 /// The event loop of [`simulate_compiled`], for a configuration [`admit`]

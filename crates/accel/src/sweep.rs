@@ -21,11 +21,7 @@
 //!    policy where the loop reads them), and the first point of a key in
 //!    grid order runs the loop for every point of that key. Each point
 //!    still runs its own lower bound, pruning and admission, and prices
-//!    its own cost (DESIGN § 5d);
-//! 5. a point that passes admission in a workload that deadlocks takes
-//!    the deadlock verdict instead of a loop: the verdict depends on the
-//!    workload alone, so the analyzer decides it once per
-//!    [`CompiledSweep`], and its text is the engine's own (DESIGN § 7).
+//!    its own cost (DESIGN § 5d).
 //!
 //! On top of the hot path sit three optimizer features:
 //!
@@ -71,7 +67,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use crate::analyze::predict_deadlock;
 use crate::calib::{relative_node_price, NetCalib, NodeCalib};
 use crate::engine::sim::{admit, run_loop, simulate_compiled, CSeg, CompiledWorkload};
 use crate::engine::{ClusterResult, EngineError, SchedulePolicyKind};
@@ -334,16 +329,15 @@ pub struct SweepResult {
     /// Points with a makespan.
     pub evaluated: usize,
     /// Event loops run: one per distinct engine key among the points that
-    /// passed admission and the deadlock verdict, so at most `evaluated`
-    /// plus the points whose loop failed. Not serialized, like
+    /// passed admission, so at most `evaluated` plus the points whose loop
+    /// failed. Not serialized, like
     /// [`SweepResult::rejected`].
     pub replays: usize,
     /// Points skipped by the lower-bound pruner.
     pub pruned: usize,
-    /// Points stopped before any event loop: admission OOM or the
-    /// deadlock verdict. Each carries the error text a replay would
-    /// report. Not serialized: the count is how the grid was evaluated,
-    /// not what it found.
+    /// Points stopped before any event loop by an admission OOM. Each
+    /// carries the error text a replay would report. Not serialized: the
+    /// count is how the grid was evaluated, not what it found.
     pub rejected: usize,
 }
 
@@ -673,8 +667,6 @@ pub fn sweep(workload: &RecordedWorkload, spec: &SweepSpec) -> Result<SweepResul
 pub struct CompiledSweep<'w> {
     workload: &'w RecordedWorkload,
     compiled: CompiledWorkload,
-    /// See [`CompiledSweep::deadlock`].
-    deadlock: OnceLock<Option<String>>,
 }
 
 impl<'w> CompiledSweep<'w> {
@@ -686,7 +678,6 @@ impl<'w> CompiledSweep<'w> {
         Ok(Self {
             workload,
             compiled: CompiledWorkload::compile(&slices)?,
-            deadlock: OnceLock::new(),
         })
     }
 
@@ -714,15 +705,6 @@ impl<'w> CompiledSweep<'w> {
             cluster: ClusterResult::from_output(out, self.workload.nodes.len()),
             per_label: self.compiled.label_stats(&costs, &node.gpu),
         })
-    }
-
-    /// The workload's deadlock verdict as the engine's error text, or
-    /// `None` when every barrier fills. It depends on the workload alone,
-    /// so the analyzer decides it once, for the first point that asks.
-    fn deadlock(&self) -> Option<&str> {
-        self.deadlock
-            .get_or_init(|| predict_deadlock(&self.workload.nodes).map(|e| e.to_string()))
-            .as_deref()
     }
 
     /// Arena entries shared by every grid point.
@@ -945,11 +927,9 @@ impl<'a> GridCtx<'a> {
         }
     }
 
-    /// A point's own checks, in the engine's order: its cost table, the
-    /// lower bound against the deadline, admission (OOM), then the
-    /// workload's deadlock verdict, which the engine would only reach
-    /// after replaying to quiescence. `Some` when the point reaches the
-    /// event loop.
+    /// A point's own checks before any event loop: its cost table, the
+    /// lower bound against the deadline, then admission (OOM). `Some` when
+    /// the point reaches the event loop.
     fn admit(&self, i: usize, pt: &mut SweepPoint) -> Option<Admitted<'_>> {
         let (c, compiled) = (i / self.per_calib, &self.cs.compiled);
         let calib = &self.spec.calibs[c];
@@ -981,12 +961,8 @@ impl<'a> GridCtx<'a> {
             schedule: pt.schedule,
             overlap_transfers: self.meta.overlap_transfers,
         };
-        let verdict = match admit(compiled, &cfg) {
-            Err(e) => Some(e.to_string()),
-            Ok(()) => self.cs.deadlock().map(String::from),
-        };
-        if let Some(e) = verdict {
-            pt.error = Some(e);
+        if let Err(e) = admit(compiled, &cfg) {
+            pt.error = Some(e.to_string());
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -1348,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn deadlocking_workloads_run_no_loop() {
+    fn deadlocking_workloads_report_the_loops_error() {
         let mut w = sample_workload();
         // One extra collective on rank 0 makes the job ragged: every
         // grid point deadlocks.
@@ -1366,8 +1342,11 @@ mod tests {
             deadline: None,
         };
         let res = sweep(&w, &spec).unwrap();
-        assert_eq!(res.rejected, spec.point_count());
-        assert_eq!(res.replays, 0);
+        // Admission passes; each engine key's loop reaches quiescence and
+        // reports the deadlock: (gpus=2, auto), (gpus=2, fifo) and the
+        // solo key both gpus=4 points share.
+        assert_eq!(res.rejected, 0);
+        assert_eq!(res.replays, 3);
         assert!(res
             .points
             .iter()

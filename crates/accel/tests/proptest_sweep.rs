@@ -329,14 +329,14 @@ proptest! {
             .filter(|p| p.makespan.is_some() || p.error.as_deref().is_some_and(|e| !e.contains("memory")))
             .count();
         prop_assert!(one.replays <= admitted);
-        // Admission OOMs and the deadlock verdict stop a point before any
-        // loop; a workload that deadlocks runs none.
-        let stopped = |e: &str| e.contains("out of memory") || e.contains("deadlocked");
-        let rejected = one.points.iter().filter(|p| p.error.as_deref().is_some_and(stopped)).count();
+        // Admission OOMs stop a point before any loop; a deadlock is the
+        // loop's own error, so a workload that deadlocks still runs one.
+        let oom = |e: &str| e.contains("out of memory");
+        let rejected = one.points.iter().filter(|p| p.error.as_deref().is_some_and(oom)).count();
         prop_assert_eq!(one.rejected, rejected);
         prop_assert_eq!(three.rejected, rejected);
         if one.points.iter().any(|p| p.error.as_deref().is_some_and(|e| e.contains("deadlocked"))) {
-            prop_assert_eq!(one.replays, 0);
+            prop_assert!(one.replays > 0);
         }
         if w.nodes.iter().flat_map(|n| n.iter()).flat_map(|r| &r.segments).all(|s| {
             !matches!(s, Segment::Kernel { .. } | Segment::Transfer { .. })

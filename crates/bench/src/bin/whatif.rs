@@ -41,10 +41,9 @@
 //! One workload compile serves the whole grid; each point only
 //! materializes a per-calibration cost vector before replay. Points whose
 //! analytic lower bound already exceeds `--deadline` are pruned without a
-//! replay. Points the engine would refuse before any event loop (an
-//! out-of-memory layout, or a workload whose collectives deadlock) are
-//! rejected without one and carry the engine's own error text; a line
-//! after the summary counts them. Points whose event loops cannot differ
+//! replay. Points whose layout does not fit in device memory are
+//! rejected at admission, before any event loop, and carry the engine's
+//! own error text; a line after the summary counts them. Points whose event loops cannot differ
 //! share one, and the summary line counts the loops run. The report ranks
 //! evaluated points by makespan, marks the Pareto front over (makespan,
 //! hardware-cost proxy) and names the cheapest point that meets the
